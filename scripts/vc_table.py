@@ -9,7 +9,7 @@ is included because the bracket for it is the one genuinely open value at
 small scale.
 
 Usage:
-    python3 scripts/vc_table.py [--jobs N] [--budget N] [--out table.json]
+    python3 scripts/vc_table.py [--budget N] [--out table.json]
 """
 
 from __future__ import annotations
@@ -49,18 +49,16 @@ class TableConfig:
         ]
     )
     resolve_even_dims: List[int] = field(default_factory=lambda: [2])
-    jobs: int = 1
     budget: Optional[int] = None
     out: Optional[str] = None
 
 
 def parse_args(argv=None) -> TableConfig:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--budget", type=int, default=None)
     ap.add_argument("--out", default=None)
     ns = ap.parse_args(argv)
-    return TableConfig(jobs=ns.jobs, budget=ns.budget, out=ns.out)
+    return TableConfig(budget=ns.budget, out=ns.out)
 
 
 def main(argv=None) -> int:
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
     print(f"{'class':<12} {'dim':>3} {'VC':>3} {'examined':>10} {'canonical':>10} {'secs':>7}")
     for kind, dim in cfg.cells:
         start = time.monotonic()
-        rep = exact_vc_ordinal(kind, dim, budget=cfg.budget, jobs=cfg.jobs)
+        rep = exact_vc_ordinal(kind, dim, budget=cfg.budget)
         secs = time.monotonic() - start
         print(
             f"{kind.value:<12} {dim:>3} {rep.vc_exact:>3} "
@@ -84,7 +82,7 @@ def main(argv=None) -> int:
         )
     for dim in cfg.resolve_even_dims:
         start = time.monotonic()
-        res = resolve_even_degenerate(dim, budget=cfg.budget, jobs=cfg.jobs)
+        res = resolve_even_degenerate(dim, budget=cfg.budget)
         secs = time.monotonic() - start
         print(
             f"{'degenerate':<12} {dim:>3} {res.value:>3} "

@@ -38,7 +38,6 @@ class GalleryConfig:
     max_dim: int = 8
     verify_up_to: int = 5
     out_dir: Optional[str] = None
-    jobs: int = 1
 
 
 def parse_args(argv=None) -> GalleryConfig:
@@ -46,13 +45,11 @@ def parse_args(argv=None) -> GalleryConfig:
     ap.add_argument("--max-dim", type=int, default=8)
     ap.add_argument("--verify-up-to", type=int, default=5)
     ap.add_argument("--out-dir", default=None)
-    ap.add_argument("--jobs", type=int, default=1)
     ns = ap.parse_args(argv)
     return GalleryConfig(
         max_dim=ns.max_dim,
         verify_up_to=ns.verify_up_to,
         out_dir=ns.out_dir,
-        jobs=ns.jobs,
     )
 
 
@@ -70,8 +67,8 @@ def main(argv=None) -> int:
         cube_w = cube_witness(d)
         verified = "-"
         if d <= cfg.verify_up_to:
-            ok_a = is_shattered(anchored_w, origin_anchored(d), jobs=cfg.jobs).shattered
-            ok_c = is_shattered(cube_w, cubes(d), jobs=cfg.jobs).shattered
+            ok_a = is_shattered(anchored_w, origin_anchored(d)).shattered
+            ok_c = is_shattered(cube_w, cubes(d)).shattered
             verified = "yes" if ok_a and ok_c else "NO"
         cert = extremal_certificate(anchored_w)
         k = cert.once_count

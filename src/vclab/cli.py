@@ -116,6 +116,8 @@ def _default_jobs() -> int:
         if value < 1:
             raise UsageError("VCLAB_JOBS must be >= 1")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -140,7 +142,11 @@ def _add_common(sub: argparse.ArgumentParser, jobs: bool = True) -> None:
             "--jobs",
             type=_positive_int,
             default=None,
-            help="worker processes (default: VCLAB_JOBS or CPU count)",
+            help=(
+                "worker processes for search-cubes and verify-paper; other "
+                "commands run in-process and accept it without effect "
+                "(default: VCLAB_JOBS or the number of usable CPUs)"
+            ),
         )
 
 
@@ -249,7 +255,7 @@ def cmd_shatter(args) -> int:
     ps = load_point_set(args.points)
     desc = _resolve_descriptor(args, ps)
     start = time.monotonic()
-    verdict = is_shattered(ps, desc, jobs=_jobs(args), cap=args.cap)
+    verdict = is_shattered(ps, desc, cap=args.cap)
     report = make_report(
         "shatter",
         verdict_to_json(verdict, include_certificate=not args.no_certificate),
@@ -265,7 +271,7 @@ def cmd_vcdim(args) -> int:
     ps = load_point_set(args.points)
     desc = _resolve_descriptor(args, ps)
     start = time.monotonic()
-    bound = vc_lower_bound_on(ps, desc, jobs=_jobs(args), cap=args.cap)
+    bound = vc_lower_bound_on(ps, desc, cap=args.cap)
     report = make_report(
         "vcdim",
         vc_lower_bound_to_json(bound),
@@ -281,9 +287,7 @@ def cmd_coeff(args) -> int:
     ps = load_point_set(args.points)
     desc = _resolve_descriptor(args, ps)
     start = time.monotonic()
-    rep = shattering_count(
-        ps, desc, jobs=_jobs(args), cap=args.cap, include_masks=args.masks
-    )
+    rep = shattering_count(ps, desc, cap=args.cap, include_masks=args.masks)
     report = make_report(
         "coeff",
         coefficient_to_json(rep),
@@ -312,7 +316,7 @@ def cmd_witness(args) -> int:
     }
     shattered = True
     if not args.no_verify:
-        verdict = is_shattered(ps, desc, jobs=_jobs(args), cap=args.cap)
+        verdict = is_shattered(ps, desc, cap=args.cap)
         shattered = verdict.shattered
         result["verified"] = verdict.shattered
         if verdict.certificate is not None:
@@ -335,12 +339,11 @@ def cmd_ordinal_vc(args) -> int:
         raise UsageError(
             f"--class must be one of {', '.join(ORDINAL_TOKENS)} for ordinal-vc"
         )
-    stub = argparse.Namespace(klass=args.klass, dim=args.dim, anchor=None)
-    desc = _resolve_descriptor(stub, None)
+    desc = _resolve_descriptor(args, None)
     start = time.monotonic()
     try:
         rep = exact_vc_ordinal(
-            desc.kind, args.dim, n_max=args.n_max, budget=args.budget, jobs=_jobs(args)
+            desc.kind, args.dim, n_max=args.n_max, budget=args.budget
         )
     except BudgetExceededError as err:
         return _emit_partial(err, "ordinal-vc", desc, args, start)
@@ -376,9 +379,7 @@ def _emit_partial(
 def cmd_resolve_d2(args) -> int:
     start = time.monotonic()
     try:
-        rep = resolve_even_degenerate(
-            args.dim, n_max=args.n_max, budget=args.budget, jobs=_jobs(args)
-        )
+        rep = resolve_even_degenerate(args.dim, n_max=args.n_max, budget=args.budget)
     except BudgetExceededError as err:
         return _emit_partial(err, "resolve-d2", degenerate_balls(args.dim), args, start)
     report = make_report(

@@ -188,7 +188,6 @@ _PERTURBABLE = (
 def perturb_to_injective(
     ps: PointSet,
     descriptor: ClassDescriptor,
-    jobs: int = 1,
     cap: int = DEFAULT_MASK_CAP,
 ) -> PointSet:
     """Perturb a shattered set so every coordinate projection is injective.
@@ -203,7 +202,7 @@ def perturb_to_injective(
     """
     if descriptor.kind not in _PERTURBABLE:
         raise DomainError(f"perturbation not supported for {descriptor.kind.value}")
-    verdict = is_shattered(ps, descriptor, jobs=jobs, cap=cap, want_certificate=False)
+    verdict = is_shattered(ps, descriptor, cap=cap, want_certificate=False)
     if not verdict.shattered:
         raise NotShatteredError(
             f"input not shattered; first failing mask {verdict.failing_mask}",
@@ -241,9 +240,7 @@ def perturb_to_injective(
             candidate = fresh_proposal(t, delta)
             if candidate is not None:
                 trial = PointSet(d, tuple(candidate if i == t else p for i, p in enumerate(pts)))
-                v = is_shattered(
-                    trial, descriptor, jobs=jobs, cap=cap, want_certificate=False
-                )
+                v = is_shattered(trial, descriptor, cap=cap, want_certificate=False)
                 if v.shattered:
                     pts[t] = candidate
                     break
@@ -364,7 +361,6 @@ class DownwardProjection:
 
 def cube_downward_projection(
     ps: PointSet,
-    jobs: int = 1,
     cap: int = DEFAULT_MASK_CAP,
     check_shattered: bool = True,
 ) -> DownwardProjection:
@@ -388,7 +384,7 @@ def cube_downward_projection(
                 "projections must be injective on every axis (perturb first)"
             )
     if check_shattered:
-        v = is_shattered(ps, cubes(d), jobs=jobs, cap=cap, want_certificate=False)
+        v = is_shattered(ps, cubes(d), cap=cap, want_certificate=False)
         if not v.shattered:
             raise NotShatteredError(
                 f"input not cube-shattered; first failing mask {v.failing_mask}",
@@ -407,7 +403,7 @@ def cube_downward_projection(
     pole_hi_img = tuple(ps.points[i_hi][j] for j in keep_axes)
     anchor = rect_hull([pole_lo_img, pole_hi_img])
     descriptor = anchored(anchor)
-    verdict = is_shattered(projected, descriptor, jobs=jobs, cap=cap)
+    verdict = is_shattered(projected, descriptor, cap=cap)
     return DownwardProjection(
         axis=axis,
         pole_low=ps.points[i_lo],

@@ -328,7 +328,8 @@ def exact_vc_ordinal(
     configuration is found.  The exact value n* is reported only when level
     n*+1 was exhausted with no shattered configuration.  On budget overrun a
     BudgetExceededError carrying the partial report (``error.report``) is
-    raised.
+    raised.  ``jobs`` is accepted but currently unused: every level runs
+    in-process.
     """
     if dim < 1:
         raise DomainError("dimension must be positive")
@@ -364,9 +365,7 @@ def exact_vc_ordinal(
         try:
             for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
                 ps = config.realize()
-                verdict = is_shattered(
-                    ps, descriptor, jobs=jobs, want_certificate=False
-                )
+                verdict = is_shattered(ps, descriptor, want_certificate=False)
                 if verdict.shattered:
                     found = config
                     found_points = ps
@@ -415,7 +414,8 @@ def resolve_even_degenerate(
 
     Known bracket: at least 3d/2 (anchored witnesses embed) and at most
     3d/2 + 1.  The exhaustive order-type search turns the bracket into a
-    definitive value when the budget allows full exhaustion.
+    definitive value when the budget allows full exhaustion.  ``jobs`` is
+    accepted but currently unused.
     """
     if dim < 2 or dim % 2:
         raise DomainError("resolver applies to even dimensions >= 2")
@@ -424,7 +424,7 @@ def resolve_even_degenerate(
     lo = 3 * dim // 2
     bracket = (lo, lo + 1)
     search = exact_vc_ordinal(
-        ClassKind.DEGENERATE_BALLS, dim, n_max=n_max, budget=budget, jobs=jobs
+        ClassKind.DEGENERATE_BALLS, dim, n_max=n_max, budget=budget
     )
     definitive = search.vc_exact is not None
     value = search.vc_exact
@@ -646,7 +646,10 @@ def max_shattering_coefficient(
     budget: Optional[int] = None,
     jobs: int = 1,
 ) -> MaxCoefficientReport:
-    """Largest number of realizable subsets over all order types at size n."""
+    """Largest number of realizable subsets over all order types at size n.
+
+    ``jobs`` is accepted but currently unused: every config runs in-process.
+    """
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
@@ -657,7 +660,7 @@ def max_shattering_coefficient(
     best = None
     for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
         ps = config.realize()
-        report = shattering_count(ps, descriptor, jobs=jobs)
+        report = shattering_count(ps, descriptor)
         if best is None or report.realized > best[0]:
             best = (report.realized, config, ps)
     assert best is not None

@@ -2,18 +2,17 @@
 
 Masks are visited in a fixed canonical order (singletons, then complements
 of singletons, then everything else by (popcount, numeric value)), so the
-minimal failing mask reported for a non-shattered set is deterministic and
-independent of the worker count.
+minimal failing mask reported for a non-shattered set is deterministic.
+Every scan runs in-process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .carve import CarveWitness, ClassDescriptor, carve, carve_feasible
 from .errors import CapExceededError, DomainError
@@ -116,66 +115,9 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def _eval_chunk(args):
-    ps, descriptor, masks, want_witness = args
-    out = []
-    for m in masks:
-        if want_witness:
-            w = carve(ps, m, descriptor)
-            out.append((m, w is not None, w))
-        else:
-            out.append((m, carve_feasible(ps, m, descriptor), None))
-    return out
-
-
-def _chunked(seq: Sequence[int], pieces: int) -> List[List[int]]:
-    pieces = max(1, min(pieces, len(seq)))
-    size = -(-len(seq) // pieces)
-    return [list(seq[i : i + size]) for i in range(0, len(seq), size)]
-
-
-def _scan_masks(
-    ps: PointSet,
-    descriptor: ClassDescriptor,
-    masks: Sequence[int],
-    jobs: int,
-    want_witness: bool,
-    stop_on_infeasible: bool,
-):
-    """Yield (mask, feasible, witness) in the given order; honors early stop."""
-    if jobs <= 1 or len(masks) < 64:
-        for m in masks:
-            if want_witness:
-                w = carve(ps, m, descriptor)
-                row = (m, w is not None, w)
-            else:
-                row = (m, carve_feasible(ps, m, descriptor), None)
-            yield row
-            if stop_on_infeasible and not row[1]:
-                return
-        return
-
-    chunks = _chunked(masks, jobs * 4)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_eval_chunk, (ps, descriptor, chunk, want_witness))
-            for chunk in chunks
-        ]
-        try:
-            for fut in futures:
-                for row in fut.result():
-                    yield row
-                    if stop_on_infeasible and not row[1]:
-                        return
-        finally:
-            for fut in futures:
-                fut.cancel()
-
-
 def is_shattered(
     ps: PointSet,
     descriptor: ClassDescriptor,
-    jobs: int = 1,
     cap: int = DEFAULT_MASK_CAP,
     want_certificate: bool = True,
 ) -> ShatterVerdict:
@@ -186,42 +128,34 @@ def is_shattered(
     """
     n = len(ps)
     _check_cap(n, cap)
-    order = canonical_mask_order(n)
     witnesses: Dict[int, CarveWitness] = {}
-    checked = 0
-    for mask, feasible, w in _scan_masks(
-        ps, descriptor, order, jobs, want_certificate, stop_on_infeasible=True
-    ):
-        checked += 1
+    for checked, mask in enumerate(canonical_mask_order(n), 1):
+        if want_certificate:
+            w = carve(ps, mask, descriptor)
+            feasible = w is not None
+            witnesses[mask] = w
+        else:
+            feasible = carve_feasible(ps, mask, descriptor)
         if not feasible:
             return ShatterVerdict(ps, descriptor, False, checked, failing_mask=mask)
-        if want_certificate:
-            witnesses[mask] = w
     cert = None
     if want_certificate:
         cert = ShatteringCertificate(
             ps, descriptor, tuple(witnesses[m] for m in range(1 << n))
         )
-    return ShatterVerdict(ps, descriptor, True, checked, certificate=cert)
+    return ShatterVerdict(ps, descriptor, True, 1 << n, certificate=cert)
 
 
 def shattering_count(
     ps: PointSet,
     descriptor: ClassDescriptor,
-    jobs: int = 1,
     cap: int = DEFAULT_MASK_CAP,
     include_masks: bool = False,
 ) -> CoefficientReport:
     """Number of subsets realizable as intersections with class concepts."""
     n = len(ps)
     _check_cap(n, cap)
-    masks = list(range(1 << n))
-    feasible: List[int] = []
-    for mask, ok, _ in _scan_masks(
-        ps, descriptor, masks, jobs, want_witness=False, stop_on_infeasible=False
-    ):
-        if ok:
-            feasible.append(mask)
+    feasible = [m for m in range(1 << n) if carve_feasible(ps, m, descriptor)]
     return CoefficientReport(
         ps,
         descriptor,
@@ -234,7 +168,6 @@ def shattering_count(
 def vc_lower_bound_on(
     ps: PointSet,
     descriptor: ClassDescriptor,
-    jobs: int = 1,
     cap: int = DEFAULT_MASK_CAP,
 ) -> VcLowerBound:
     """Largest shattered subset of ps, by projecting the feasible mask set.
@@ -246,16 +179,12 @@ def vc_lower_bound_on(
     """
     n = len(ps)
     _check_cap(n, cap)
-    masks = list(range(1 << n))
     witness_by_mask: Dict[int, CarveWitness] = {}
-    feasible: List[int] = []
-    for mask, ok, w in _scan_masks(
-        ps, descriptor, masks, jobs, want_witness=True, stop_on_infeasible=False
-    ):
-        if ok:
-            feasible.append(mask)
+    for mask in range(1 << n):
+        w = carve(ps, mask, descriptor)
+        if w is not None:
             witness_by_mask[mask] = w
-    feasible.sort()
+    feasible = list(witness_by_mask)
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
             tmask = 0

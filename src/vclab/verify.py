@@ -75,6 +75,7 @@ def class_paper_vc(kind: ClassKind, dim: int) -> int:
 
 @dataclass
 class SuiteContext:
+    # worker processes for item 11's random cube search; other items run in-process
     jobs: int = 1
     # (points, descriptor, published VC value) triples for the growth check
     coefficient_pool: List[Tuple[PointSet, ClassDescriptor, int]] = field(
@@ -115,7 +116,7 @@ def _item_1_cube_witnesses(ctx: SuiteContext):
     per_d = {}
     for d in range(1, 6):
         w = cube_witness(d)
-        verdict = is_shattered(w, cubes(d), jobs=ctx.jobs)
+        verdict = is_shattered(w, cubes(d))
         good = (
             len(w) == expected_sizes[d]
             and verdict.shattered
@@ -141,7 +142,7 @@ def _item_2_anchored_witnesses(ctx: SuiteContext):
     per_d = {}
     for d in range(1, 7):
         w = origin_ball_witness(d)
-        verdict = is_shattered(w, origin_anchored(d), jobs=ctx.jobs)
+        verdict = is_shattered(w, origin_anchored(d))
         good = (
             len(w) == expected_sizes[d]
             and verdict.shattered
@@ -174,7 +175,7 @@ def _item_3_ordinal_vc_table(ctx: SuiteContext):
     ok = True
     rows = []
     for kind, dim, want in expected:
-        rep = exact_vc_ordinal(kind, dim, jobs=ctx.jobs)
+        rep = exact_vc_ordinal(kind, dim)
         rows.append(
             {
                 "kind": kind.value,
@@ -206,11 +207,11 @@ def _item_3_ordinal_vc_table(ctx: SuiteContext):
 
 def _item_4_degenerate_dimensions(ctx: SuiteContext):
     details: Dict[str, Any] = {}
-    rep1 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 1, jobs=ctx.jobs)
+    rep1 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 1)
     sub_d1 = rep1.vc_exact == 2
     details["d1"] = {"expected": 2, "computed": rep1.vc_exact}
 
-    rep3 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 3, jobs=ctx.jobs)
+    rep3 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 3)
     level5 = next((lv for lv in rep3.levels if lv.n == 5), None)
     witness5 = level5 is not None and level5.shattered
     sub_d3 = witness5
@@ -232,7 +233,7 @@ def _item_4_degenerate_dimensions(ctx: SuiteContext):
         else "size-5 witness found",
     }
 
-    res = resolve_even_degenerate(2, jobs=ctx.jobs)
+    res = resolve_even_degenerate(2)
     sub_d2 = res.definitive and res.value in (3, 4) and res.within_bracket
     details["d2"] = {
         "bracket": list(res.bracket),
@@ -246,10 +247,7 @@ def _item_4_degenerate_dimensions(ctx: SuiteContext):
                 continue
             ctx.add_coefficient(lv.witness_points, degenerate_balls(dim))
             anchored_verdict = is_shattered(
-                lv.witness_points,
-                origin_anchored(dim),
-                jobs=ctx.jobs,
-                want_certificate=False,
+                lv.witness_points, origin_anchored(dim), want_certificate=False
             )
             if anchored_verdict.shattered:
                 ctx.anchored_shattered_pool.append(lv.witness_points)
@@ -262,8 +260,8 @@ def _item_5_downward_projection(ctx: SuiteContext):
     rows = []
     for d in (2, 3, 4):
         w = cube_witness(d)
-        t = perturb_to_injective(w, cubes(d), jobs=ctx.jobs)
-        dp = cube_downward_projection(t, jobs=ctx.jobs)
+        t = perturb_to_injective(w, cubes(d))
+        dp = cube_downward_projection(t)
         rows.append(
             {
                 "dim": d,
@@ -327,7 +325,7 @@ def _item_6_anchor_transport(ctx: SuiteContext):
                 collapse_anchor(anchor, p) for p in ps.points
             ):
                 raise VclabError("collapse mismatch")
-            verdict = is_shattered(ps, desc, jobs=ctx.jobs)
+            verdict = is_shattered(ps, desc)
             if not verdict.shattered:
                 raise VclabError(f"lift not shattered (mask {verdict.failing_mask})")
             for mask in range(1 << n):
@@ -407,13 +405,13 @@ def _item_7_perturbation(ctx: SuiteContext):
     for idx, (ps, desc) in enumerate(cases):
         per_kind[desc.kind.value] = per_kind.get(desc.kind.value, 0) + 1
         try:
-            out = perturb_to_injective(ps, desc, jobs=ctx.jobs)
+            out = perturb_to_injective(ps, desc)
             if len(out) != len(ps):
                 raise VclabError("size changed")
             for j in range(out.dim):
                 if len({p[j] for p in out.points}) != len(out):
                     raise VclabError(f"projection {j} not injective")
-            verdict = is_shattered(out, desc, jobs=ctx.jobs, want_certificate=False)
+            verdict = is_shattered(out, desc, want_certificate=False)
             if not verdict.shattered:
                 raise VclabError("output not shattered")
             ctx.add_coefficient(out, desc)
@@ -509,7 +507,7 @@ def _item_10_growth_bound(ctx: SuiteContext):
         if n < v:
             skipped += 1
             continue
-        rep = shattering_count(ps, desc, jobs=ctx.jobs)
+        rep = shattering_count(ps, desc)
         bound = sauer_shelah_bound(v, n)
         checked += 1
         if rep.realized > bound:

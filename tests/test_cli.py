@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
-from vclab import PointSet, load_point_set, save_point_set
-from vclab.cli import main
+from vclab import PointSet, load_point_set, origin_ball_witness, save_point_set
+from vclab.cli import _default_jobs, main
 from vclab.serialize import concept_from_json
 
 
@@ -204,6 +206,11 @@ def test_ordinal_vc_cuts_d2(capsys):
 def test_ordinal_vc_rejects_anchored_token(capsys):
     rc, _, err = run(capsys, ["ordinal-vc", "--class", "anchored", "--dim", "2"])
     assert rc == 1
+    argv = ["ordinal-vc", "--class", "boxes", "--dim", "1", "--anchor", "[[0,1]]"]
+    rc, rep, err = run(capsys, argv)
+    assert rc == 1
+    assert rep is None
+    assert "--anchor is only valid with --class anchored" in err
 
 
 def test_ordinal_vc_budget_exit_5_with_partial(capsys):
@@ -221,6 +228,36 @@ def test_resolve_d2(capsys):
     assert rc == 0
     assert rep["result"]["definitive"] is True
     assert rep["result"]["value"] == 3
+
+
+def test_mask_scans_run_in_process_and_ignore_jobs(capsys, monkeypatch, points_file):
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("mask scans must not start a process pool")
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
+    cases = [
+        ("d0", "witness.json", origin_ball_witness(4).points, 0),  # 6 points
+        ("boxes", "line.json", [(i,) for i in range(6)], 3),  # not shattered
+    ]
+    for klass, name, pts, shatter_rc in cases:
+        path = points_file(name, pts)
+        for command in ("shatter", "coeff", "vcdim"):
+            argv = [command, "--class", klass, "--points", path]
+            rc1, rep1, _ = run(capsys, argv + ["--jobs", "1"])
+            rc2, rep2, _ = run(capsys, argv + ["--jobs", "2"])
+            assert rc1 == rc2 == (shatter_rc if command == "shatter" else 0)
+            assert rep1["result"] == rep2["result"]
+
+
+def test_default_jobs_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("VCLAB_JOBS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _default_jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_jobs() == 64
+    monkeypatch.setenv("VCLAB_JOBS", "2")
+    assert _default_jobs() == 2
 
 
 def test_search_cubes_deterministic_and_jobs_independent(capsys):

@@ -109,20 +109,6 @@ def test_vc_lower_bound_full_on_witness():
     assert bound.indices == (0, 1, 2)
 
 
-def test_jobs_do_not_change_results():
-    ps = origin_ball_witness(4)
-    v1 = is_shattered(ps, origin_anchored(4), jobs=1)
-    v2 = is_shattered(ps, origin_anchored(4), jobs=2)
-    assert v1.shattered == v2.shattered
-    assert [w.concept for w in v1.certificate.witnesses] == [
-        w.concept for w in v2.certificate.witnesses
-    ]
-    bad = PointSet.of([(0,), (1,), (2,), (3,)])
-    f1 = is_shattered(bad, boxes(1), jobs=1)
-    f2 = is_shattered(bad, boxes(1), jobs=2)
-    assert f1.failing_mask == f2.failing_mask
-
-
 def test_sauer_bound_exact_rational():
     bound = sauer_shelah_bound(2, 3)
     assert isinstance(bound, Fraction)
