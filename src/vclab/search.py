@@ -13,6 +13,12 @@ Symmetries: relabeling points, permuting axes, and reflecting an axis
 (rank r -> m-1-r).  Reflection is dropped for axis cuts, which are
 one-sided.  Origin-anchored classes get an extra phantom entity for the
 origin, which participates in the ranking but is pinned to coordinate 0.
+A raw rank matrix is kept when it is the least image in its orbit.
+``_is_canonical`` decides that by a pruned depth-first search over the
+images, row by row (in the spirit of McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), instead of building all d!*2^d of
+them; ``_canonical`` builds them all and stays as the brute-force
+reference and as the order key of the cube search.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
@@ -135,6 +141,43 @@ def _canonical(
     return best
 
 
+def _is_canonical(
+    mat: Tuple[Tuple[int, ...], ...], m: int, sym: SymmetryGroup
+) -> bool:
+    """``_canonical(mat, m, sym) == mat``, decided without building every image.
+
+    Images are built row by row: new axis 0 from one of the (axis,
+    reflection) choices, which also fixes the point relabeling (its
+    argsort); then rows 1, 2, ... from the unused choices.  Row tuples
+    compare lexicographically, so an image row below ``mat``'s row at that
+    position proves ``mat`` is not least in its orbit, a row above it prunes
+    the branch, and only ties descend.
+    """
+    d, n = len(mat), len(mat[0])
+    images = [
+        (row, tuple(m - 1 - v for v in row)) if sym.axis_reflect else (row,)
+        for row in mat
+    ]
+
+    def no_smaller(k: int, free: Tuple[int, ...], order) -> bool:
+        if k == d:
+            return True
+        for a in free if sym.axis_permute else free[:1]:
+            for row in images[a]:
+                if k == 0 and sym.point_relabel:
+                    order = sorted(range(n), key=row.__getitem__)
+                img = tuple(row[i] for i in order)
+                if img < mat[k]:
+                    return False
+                if img == mat[k] and not no_smaller(
+                    k + 1, tuple(b for b in free if b != a), order
+                ):
+                    return False
+        return True
+
+    return no_smaller(0, tuple(range(d)), range(n))
+
+
 def transform_config(
     config: OrderConfig,
     axis_order: Sequence[int],
@@ -162,11 +205,12 @@ class _Budget:
         self.used = 0
 
     def charge(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
+        # the config that would exceed the limit is refused, not examined
+        if self.limit is not None and self.used >= self.limit:
             raise BudgetExceededError(
                 f"examined {self.used} raw configurations; budget {self.limit}"
             )
+        self.used += 1
 
 
 @dataclass
@@ -201,7 +245,7 @@ def _enumerate(
             budget.charge()
             counters.examined += 1
             mat = (first,) + rest
-            if _canonical(mat, m, sym) != mat:
+            if not _is_canonical(mat, m, sym):
                 continue
             counters.emitted += 1
             yield OrderConfig(n, dim, with_origin, mat)
@@ -220,7 +264,10 @@ def enumerate_order_types(
     Representatives are the lexicographically least rank matrices of their
     orbits.  When point relabeling is on, enumeration is restricted to the
     slice with axis-0 ranks ascending, which every relabel-orbit meets
-    exactly once.
+    exactly once.  Each raw matrix is tested with the pruned minimality
+    search ``_is_canonical``, which returns the same verdict as comparing
+    it with its full canonical form ``_canonical`` (the reference), so the
+    emission order and the counters are those of the brute-force scan.
     """
     if n < 1 or dim < 1:
         raise DomainError("need n >= 1 and dim >= 1")
@@ -340,6 +387,8 @@ def exact_vc_ordinal(
         )
     if n_max is None:
         n_max = _default_n_max(kind, dim)
+    if n_max < 1:
+        raise DomainError("need n_max >= 1")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
     sym = symmetries_for(kind)
     descriptor = _search_descriptor(kind, dim)
@@ -650,6 +699,8 @@ def max_shattering_coefficient(
 
     ``jobs`` is accepted but currently unused: every config runs in-process.
     """
+    if n < 1 or dim < 1:
+        raise DomainError("need n >= 1 and dim >= 1")
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS

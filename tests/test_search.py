@@ -1,6 +1,7 @@
 """Exhaustive order-type search, symmetry reduction, and randomized search."""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -23,8 +24,15 @@ from vclab import (
     random_cube_search,
     rank_realization,
     resolve_even_degenerate,
+    symmetries_for,
 )
-from vclab.search import EnumerationCounters, transform_config
+from vclab.search import (
+    EnumerationCounters,
+    _axis_rows,
+    _canonical,
+    _is_canonical,
+    transform_config,
+)
 
 from conftest import random_point_set
 
@@ -59,29 +67,74 @@ def test_enumerate_budget():
 
 
 def test_symmetry_orbits_collapse_to_one_representative():
-    # applying any symmetry transform must never produce a second canonical rep
-    reps = {cfg.ranks for cfg in enumerate_order_types(3, 2)}
+    # every symmetry image of a representative canonicalizes back to it
     rng = random.Random(5)
-    for cfg_ranks in list(reps):
-        from vclab import OrderConfig
+    for n, dim, with_origin in [(3, 2, False), (4, 2, False), (3, 3, False), (2, 3, False), (3, 2, True)]:
+        m = n + (1 if with_origin else 0)
+        for cfg in enumerate_order_types(n, dim, with_origin):
+            for _ in range(10):
+                axis_order = rng.sample(range(dim), dim)
+                reflect = [rng.random() < 0.5 for _ in range(dim)]
+                point_order = rng.sample(range(n), n)
+                moved = transform_config(cfg, axis_order, reflect, point_order)
+                assert _canonical(moved.ranks, m, SymmetryGroup()) == cfg.ranks
+                # realized sets of a transformed config have identical box verdicts
+                mask = rng.randrange(1 << n)
+                perm_mask = 0
+                for new_i, old_i in enumerate(point_order):
+                    if mask >> old_i & 1:
+                        perm_mask |= 1 << new_i
+                assert carve_feasible(
+                    cfg.realize(), mask, boxes(dim)
+                ) == carve_feasible(moved.realize(), perm_mask, boxes(dim))
 
-        cfg = OrderConfig(3, 2, False, cfg_ranks)
-        for _ in range(10):
-            axis_order = rng.sample(range(2), 2)
-            reflect = [rng.random() < 0.5 for _ in range(2)]
-            point_order = rng.sample(range(3), 3)
-            moved = transform_config(cfg, axis_order, reflect, point_order)
-            # realized sets of a transformed config have identical box verdicts
-            a = rank_realization(moved.realize())
-            mask = rng.randrange(8)
-            perm_mask = 0
-            for new_i, old_i in enumerate(point_order):
-                if mask >> old_i & 1:
-                    perm_mask |= 1 << new_i
-            assert carve_feasible(
-                cfg.realize(), mask, boxes(2)
-            ) == carve_feasible(moved.realize(), perm_mask, boxes(2))
-            assert a.dim == 2
+
+SYMMETRY_VARIANTS = {
+    "default": SymmetryGroup(),
+    "no-reflect": symmetries_for(ClassKind.AXIS_CUTS),
+    "no-axis-permute": SymmetryGroup(axis_permute=False),
+    "no-relabel": SymmetryGroup(point_relabel=False),
+}
+
+
+def _raw_configs(n, dim, with_origin, relabel_slice):
+    m = n + (1 if with_origin else 0)
+    others = list(permutations(range(m), n))
+    for first in _axis_rows(n, with_origin, relabel_slice):
+        for rest in product(others, repeat=dim - 1):
+            yield (first,) + rest
+
+
+# without relabeling the raw space is unsliced, so only cells with n*dim <= 8
+DIFFERENTIAL_CELLS = [
+    (n, dim, with_origin, variant)
+    for n, dim, with_origin in [
+        (3, 2, False), (4, 2, True), (5, 2, False), (4, 3, False), (3, 3, True), (3, 4, False)
+    ]
+    for variant in sorted(SYMMETRY_VARIANTS)
+    if SYMMETRY_VARIANTS[variant].point_relabel or n * dim <= 8
+]
+
+
+@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
+def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
+    sym = SYMMETRY_VARIANTS[variant]
+    m = n + (1 if with_origin else 0)
+    for mat in _raw_configs(n, dim, with_origin, sym.point_relabel):
+        assert _is_canonical(mat, m, sym) == (_canonical(mat, m, sym) == mat), mat
+
+
+@pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
+@pytest.mark.parametrize(
+    "n,dim,with_origin", [(3, 2, False), (4, 2, False), (3, 2, True), (2, 3, True)]
+)
+def test_enumeration_emits_one_representative_per_orbit(n, dim, with_origin, variant):
+    sym = SYMMETRY_VARIANTS[variant]
+    m = n + (1 if with_origin else 0)
+    orbits = {_canonical(mat, m, sym) for mat in _raw_configs(n, dim, with_origin, False)}
+    emitted = [cfg.ranks for cfg in enumerate_order_types(n, dim, with_origin, symmetry=sym)]
+    assert len(emitted) == len(orbits)
+    assert set(emitted) == orbits
 
 
 def test_with_origin_adds_anchor_rank():
@@ -173,6 +226,25 @@ def test_exact_vc_budget_carries_partial_report():
     assert partial is not None
     assert partial.vc_exact is None
     assert partial.levels  # at least the completed levels are present
+    # the refused config is not counted: the message agrees with the report
+    assert partial.configs_examined == 30
+    assert str(err.value) == "examined 30 raw configurations; budget 30"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: max_shattering_coefficient(ClassKind.BOXES, 2, 0),
+        lambda: max_shattering_coefficient(ClassKind.BOXES, 2, -1),
+        lambda: exact_vc_ordinal(ClassKind.BOXES, 2, n_max=0),
+        lambda: exact_vc_ordinal(ClassKind.BOXES, 2, n_max=-2),
+        lambda: resolve_even_degenerate(2, n_max=0),
+    ],
+    ids=["coef-n0", "coef-n-1", "vc-nmax0", "vc-nmax-2", "resolve-nmax0"],
+)
+def test_non_positive_sizes_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_resolve_even_degenerate_d2():
