@@ -22,7 +22,10 @@ reference and as the order key of the cube search.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
-not proof.
+not proof.  The search scores a candidate with ``cube_score``: one exact
+window-cover pass over its integer coordinate columns that counts every
+carved subset at once, with the same result as deciding the masks one by
+one with ``carve_feasible``, so the report bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .carve import (
     ClassDescriptor,
     ClassKind,
     boxes,
-    carve_feasible,
     cubes,
     degenerate_balls,
     origin_anchored,
@@ -542,17 +544,90 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 0x9E3779B1 + trial)
 
 
-def _matrix_points(cols: List[List[int]], n: int) -> PointSet:
-    return PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
+def cube_score(columns: Sequence[Sequence[int]]) -> int:
+    """Number of subsets of a point set carved by cubes, in one exact pass.
 
+    ``columns[axis][point]`` are integer coordinates of distinct points;
+    projections may tie.  The empty set, the full set and every singleton
+    count without a test (a faraway cube, the bounding cube, a small cube
+    around the point).  Each other subset S' is decided as follows.  Containing S'
+    forces 2r >= w, the widest side of its hull, and shrinking a feasible
+    cube to r = w/2 keeps S' inside and excludes at least as much, so the
+    radius is fixed.  Each axis then slides a closed window of length w over
+    [hi_i - w, lo_i]; the points inside form a contiguous run of that axis's
+    sorted order, and S' is carved iff one run per axis intersects to
+    exactly S'.
 
-def _cube_score(ps: PointSet, descriptor: ClassDescriptor) -> int:
-    # The empty and full masks are always carvable (a faraway cube / the
-    # bounding cube), so only the 2^n - 2 proper masks are decided.
-    full = (1 << len(ps)) - 1
-    return 2 + sum(
-        1 for mask in range(1, full) if carve_feasible(ps, mask, descriptor)
-    )
+    Runs are bitmasks over the sorted order.  A run [l..r] is placeable iff
+    v[r] - v[l] <= w < v[r+1] - v[l-1] (missing neighbours are -inf/+inf)
+    and it splits no group of equal values.  For a fixed left end the
+    shortest placeable run holding the span of S' dominates the longer
+    ones, so only that run is kept.  Hull spans, in ranks, come from a DP
+    over the masks on their lowest set bit.
+
+    This whole-set count is what the randomized search scores with.  It
+    equals ``2 + sum(carve_feasible(ps, m, cubes(d)))`` over the proper
+    masks (the tests compare the two) but builds no witness.  The
+    single-mask decider in ``carve`` stays separate: it takes any rational
+    coordinates, and its committed thresholds fix the center and radius of
+    the cube ``carve`` returns and re-validates, which reports and their
+    digests carry.  A count needs neither.
+    """
+    n = len(columns[0])
+    full = (1 << n) - 1
+    axes = []
+    widths = []
+    for col in columns:
+        order = sorted(range(n), key=col.__getitem__)
+        v = [col[p] for p in order]
+        rank = [0] * n
+        prefix = [0] * (n + 1)  # prefix[k]: the k lowest-ranked points
+        for k, p in enumerate(order):
+            rank[p] = k
+            prefix[k + 1] = prefix[k] | 1 << p
+        lo = [n - 1] * full  # entry 0 is neutral for min/max over ranks
+        hi = [0] * full
+        for mask in range(1, full):
+            low = mask & -mask
+            rest = mask ^ low
+            k = rank[low.bit_length() - 1]
+            lo[mask] = k if k < lo[rest] else lo[rest]
+            hi[mask] = k if k > hi[rest] else hi[rest]
+        widths.append([v[h] - v[l] for l, h in zip(lo, hi)])
+        axes.append((v, prefix, lo, hi))
+    ws = list(map(max, *widths)) if len(widths) > 1 else widths[0]
+
+    def runs(v: List[int], prefix: List[int], s: int, t: int, w: int) -> List[int]:
+        # minimal placeable run [l..r] holding ranks s..t, one per left end l
+        out = []
+        for l in range(s, -1, -1):
+            if v[t] - v[l] > w:
+                break
+            if l and v[l - 1] == v[l]:
+                continue
+            # extend past ties and while the window cannot clear v[l - 1]
+            # and v[r + 1] at once; v[l - 1] < v[l] keeps v[r] - v[l] <= w
+            r = t
+            while r + 1 < n and (
+                v[r + 1] == v[r] or (l and v[r + 1] - v[l - 1] <= w)
+            ):
+                r += 1
+            out.append(prefix[r + 1] ^ prefix[l])
+        return out
+
+    score = 2 + n if n > 1 else 2
+    for mask in range(3, full):
+        if not mask & (mask - 1):
+            continue
+        w = ws[mask]
+        v, prefix, lo, hi = axes[0]
+        reach = runs(v, prefix, lo[mask], hi[mask], w)
+        for v, prefix, lo, hi in axes[1:]:
+            opts = runs(v, prefix, lo[mask], hi[mask], w)
+            reach = {m & o for m in reach for o in opts}
+        if mask in reach:
+            score += 1
+    return score
 
 
 def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
@@ -565,7 +640,6 @@ def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
 
 def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandidate]]:
     dim, n, t0, t1, seed, rng_range, climb_steps, local_keep = args
-    descriptor = cubes(dim)
     total = 1 << n
     evaluations = 0
     candidates: List[SearchCandidate] = []
@@ -573,8 +647,7 @@ def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandida
     for t in range(t0, t1):
         rng = _trial_rng(seed, t)
         cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
-        ps = _matrix_points(cols, n)
-        score = _cube_score(ps, descriptor)
+        score = cube_score(cols)
         evaluations += 1
         if total - 2 <= score < total:
             for _ in range(climb_steps):
@@ -586,16 +659,15 @@ def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandida
                 ]
                 old = cols[j][i]
                 cols[j][i] = rng.choice(choices)
-                trial_ps = _matrix_points(cols, n)
-                trial_score = _cube_score(trial_ps, descriptor)
+                trial_score = cube_score(cols)
                 evaluations += 1
                 if trial_score > score:
                     score = trial_score
-                    ps = trial_ps
                 else:
                     cols[j][i] = old
                 if score == total:
                     break
+        ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
         cand = SearchCandidate(ps, score, total, score == total, t)
         candidates.append(cand)
         if score == total:
@@ -618,6 +690,10 @@ def random_cube_search(
 
     Each trial draws integer coordinates with injective projections; trials
     whose mask-coverage score comes within 2 of full get a short hill climb.
+    The score is ``cube_score``, one exact window-cover pass over the
+    integer columns, equal to the count of masks ``carve_feasible`` accepts
+    (so the reports are byte-identical to per-mask scoring); a
+    ``PointSet`` is built only for the set a trial keeps.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker.
@@ -681,9 +757,9 @@ class MaxCoefficientReport:
     kind: ClassKind
     dim: int
     n: int
-    best_count: int
-    best_config: OrderConfig
-    best_points: PointSet
+    best_count: Optional[int]
+    best_config: Optional[OrderConfig]
+    best_points: Optional[PointSet]
     configs_examined: int
     configs_after_symmetry: int
 
@@ -697,7 +773,10 @@ def max_shattering_coefficient(
 ) -> MaxCoefficientReport:
     """Largest number of realizable subsets over all order types at size n.
 
-    ``jobs`` is accepted but currently unused: every config runs in-process.
+    On budget overrun a BudgetExceededError carrying the partial report
+    (``error.report``: the configs examined and emitted, and the best so
+    far, or ``None`` fields when no config was scored) is raised.  ``jobs``
+    is accepted but currently unused: every config runs in-process.
     """
     if n < 1 or dim < 1:
         raise DomainError("need n >= 1 and dim >= 1")
@@ -708,20 +787,27 @@ def max_shattering_coefficient(
     descriptor = _search_descriptor(kind, dim)
     counters = EnumerationCounters()
     tracker = _Budget(budget)
-    best = None
-    for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
-        ps = config.realize()
-        report = shattering_count(ps, descriptor)
-        if best is None or report.realized > best[0]:
-            best = (report.realized, config, ps)
-    assert best is not None
-    return MaxCoefficientReport(
-        kind=kind,
-        dim=dim,
-        n=n,
-        best_count=best[0],
-        best_config=best[1],
-        best_points=best[2],
-        configs_examined=counters.examined,
-        configs_after_symmetry=counters.emitted,
-    )
+    best = (None, None, None)
+
+    def make_report() -> MaxCoefficientReport:
+        return MaxCoefficientReport(
+            kind=kind,
+            dim=dim,
+            n=n,
+            best_count=best[0],
+            best_config=best[1],
+            best_points=best[2],
+            configs_examined=counters.examined,
+            configs_after_symmetry=counters.emitted,
+        )
+
+    try:
+        for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
+            ps = config.realize()
+            report = shattering_count(ps, descriptor)
+            if best[0] is None or report.realized > best[0]:
+                best = (report.realized, config, ps)
+    except BudgetExceededError as err:
+        err.report = make_report()
+        raise
+    return make_report()

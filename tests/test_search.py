@@ -1,7 +1,10 @@
 """Exhaustive order-type search, symmetry reduction, and randomized search."""
 
+import hashlib
 import random
+from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 
@@ -10,10 +13,13 @@ from vclab import (
     ClassDescriptor,
     ClassKind,
     DomainError,
+    PointSet,
     SymmetryGroup,
     anchored,
     boxes,
+    canonical_dumps,
     carve_feasible,
+    cube_witness,
     cubes,
     degenerate_balls,
     enumerate_order_types,
@@ -21,18 +27,22 @@ from vclab import (
     is_shattered,
     max_shattering_coefficient,
     origin_anchored,
+    perturb_to_injective,
     random_cube_search,
     rank_realization,
     resolve_even_degenerate,
     symmetries_for,
 )
+from vclab.oracles import cube_feasible_unpruned
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
     _canonical,
     _is_canonical,
+    cube_score,
     transform_config,
 )
+from vclab.serialize import cube_search_report_to_json
 
 from conftest import random_point_set
 
@@ -138,11 +148,16 @@ def test_enumeration_emits_one_representative_per_orbit(n, dim, with_origin, var
 
 
 def test_with_origin_adds_anchor_rank():
-    cfgs = list(enumerate_order_types(1, 1, with_origin=True))
-    realized = {cfg.realize().points for cfg in cfgs}
-    # one point, origin distinct: point below or above the origin (reflection
-    # symmetry merges them), or sharing no slot is impossible for n=1
-    assert all(len(ps) == 1 for ps in realized)
+    counters = EnumerationCounters()
+    cfgs = list(enumerate_order_types(1, 1, with_origin=True, counters=counters))
+    # one point and the origin on a line: the point lies above the origin
+    # (ranks (1,), origin rank 0) or below it (ranks (0,), origin rank 1);
+    # reflection maps one onto the other, so two raw configs, one orbit
+    assert (counters.examined, counters.emitted) == (2, 1)
+    assert [(cfg.ranks, cfg.with_origin) for cfg in cfgs] == [(((0,),), True)]
+    assert cfgs[0].origin_rank(0) == 1
+    ps = cfgs[0].realize()
+    assert ps.points == ((-1,),)  # realized away from the origin
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +281,26 @@ def test_max_coefficient_boxes_line():
     assert rep.best_points.dim == 1
 
 
+def test_max_coefficient_budget_carries_partial_report():
+    with pytest.raises(BudgetExceededError) as err:
+        max_shattering_coefficient(ClassKind.BOXES, 2, 4, budget=3)
+    partial = err.value.report
+    assert str(err.value) == "examined 3 raw configurations; budget 3"
+    assert (partial.configs_examined, partial.configs_after_symmetry) == (3, 3)
+    # the best of the three scored configs; the full scan reaches 16
+    assert partial.best_count == 13
+    assert partial.best_config.ranks == ((0, 1, 2, 3), (0, 1, 3, 2))
+    assert partial.best_points == partial.best_config.realize()
+    full = max_shattering_coefficient(ClassKind.BOXES, 2, 4)
+    assert (full.best_count, full.configs_examined) == (16, 24)
+    # refused before any config is scored: no best
+    with pytest.raises(BudgetExceededError) as err:
+        max_shattering_coefficient(ClassKind.BOXES, 2, 4, budget=0)
+    partial = err.value.report
+    assert (partial.configs_examined, partial.configs_after_symmetry) == (0, 0)
+    assert (partial.best_count, partial.best_config, partial.best_points) == (None,) * 3
+
+
 def test_max_coefficient_cuts_pair():
     rep = max_shattering_coefficient(ClassKind.AXIS_CUTS, 1, 2)
     assert rep.best_count == 3  # empty set and the two prefixes
@@ -312,3 +347,76 @@ def test_cube_search_report_shape():
     assert len(rep.best) <= 2
     assert rep.seed == 4
     assert rep.dim == 2 and rep.n == 3
+
+
+# report digests and evaluation counts taken with per-mask scoring
+# (2 + sum of carve_feasible over the proper masks)
+PINNED_CUBE_SEARCHES = [
+    ((2, 4, 300, 2024), 3500, "e8986c9c73b203fb63cf87b6dd9b7268284bde020f59222f00f6253ba3fa6f15"),
+    ((3, 5, 60, 7), 166, "4112db5fe1ab0d2c8e3b4cef0e41174ab86d2fd22b79f11ff6d2716ac3f70e38"),
+    ((1, 3, 50, 1), 850, "2b816d9cba752f19a5bb3047eabe0b806b60a1b9b3055072773699fcd185d3e9"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,evaluations,digest", PINNED_CUBE_SEARCHES, ids=["d2n4", "d3n5", "d1n3"]
+)
+def test_cube_search_report_bytes_are_pinned(args, evaluations, digest):
+    dim, n, trials, seed = args
+    rep = random_cube_search(dim, n, trials, seed=seed)
+    text = canonical_dumps(cube_search_report_to_json(rep))
+    assert rep.evaluations == evaluations
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    split = random_cube_search(dim, n, trials, seed=seed, jobs=2)
+    assert canonical_dumps(cube_search_report_to_json(split)) == text
+
+
+# ---------------------------------------------------------------------------
+# one-pass cube score
+# ---------------------------------------------------------------------------
+
+
+def _per_mask_score(ps):
+    full = (1 << len(ps)) - 1
+    return 2 + sum(carve_feasible(ps, m, cubes(ps.dim)) for m in range(1, full))
+
+
+def _random_columns(rng, dim, n, spread):
+    # distinct points; with a small spread the projections tie often
+    while True:
+        cols = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(dim)]
+        if len({tuple(col[i] for col in cols) for i in range(n)}) == n:
+            return cols
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cube_score_matches_per_mask_decider_and_oracle(dim):
+    rng = random.Random(500 + dim)
+    tied = 0
+    for n in range(1, 7):
+        for k in range(40):
+            # half the sets have tied coordinates more often than not
+            spread = n // 2 + 1 if k % 2 else 16
+            cols = _random_columns(rng, dim, n, spread)
+            tied += any(len(set(col)) < n for col in cols)
+            ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
+            score = cube_score(cols)
+            assert score == _per_mask_score(ps), cols
+            if k < 6 and (2 * dim) ** (n - 1) <= 1024:
+                oracle = sum(cube_feasible_unpruned(ps, m) for m in range(1 << n))
+                assert score == oracle, cols
+    if dim > 1:
+        assert tied > 40
+
+
+def test_cube_score_small_and_shattered_sets():
+    assert cube_score([[5]]) == 2
+    assert cube_score([[0], [3], [-2]]) == 2
+    assert cube_score([[0, 1]]) == 4
+    assert cube_score([[0, 1, 2]]) == 7  # the middle point alone is cut out
+    for dim in (2, 3):
+        ps = perturb_to_injective(cube_witness(dim), cubes(dim))
+        scale = lcm(*(Fraction(x).denominator for p in ps.points for x in p))
+        cols = [[int(p[j] * scale) for p in ps.points] for j in range(dim)]
+        assert all(len(set(col)) == len(ps) for col in cols)
+        assert cube_score(cols) == 1 << len(ps)
