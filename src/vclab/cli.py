@@ -28,7 +28,6 @@ from .carve import (
     ClassDescriptor,
     ClassKind,
     anchored,
-    boxes,
     carve,
     cubes,
     degenerate_balls,
@@ -192,17 +191,9 @@ def _resolve_descriptor(args, ps: Optional[PointSet]) -> ClassDescriptor:
         raise UsageError("--anchor is only valid with --class anchored")
     if dim is None:
         raise UsageError("--dim is required when it cannot be inferred from a file")
-    if args.klass == "boxes":
-        return boxes(dim)
-    if args.klass == "boxes-nondegenerate":
-        return boxes(dim, nondegenerate=True)
-    if args.klass == "cubes":
-        return cubes(dim)
-    if args.klass == "degenerate":
-        return degenerate_balls(dim)
     if args.klass == "d0":
         return origin_anchored(dim)
-    return ClassDescriptor(ClassKind.AXIS_CUTS, dim)
+    return ClassDescriptor(ClassKind(args.klass), dim)
 
 
 def _emit(report: Dict[str, Any], out: Optional[str]) -> None:

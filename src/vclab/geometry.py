@@ -81,13 +81,6 @@ class PointSet:
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
 
-    def subset(self, mask: int) -> Tuple[Point, ...]:
-        """Points selected by the mask, in set order."""
-        return tuple(p for i, p in enumerate(self.points) if mask >> i & 1)
-
-    def subset_indices(self, mask: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(len(self.points)) if mask >> i & 1)
-
     def restrict(self, indices: Sequence[int]) -> "PointSet":
         """Sub-point-set at the given indices, order preserved."""
         return PointSet(self.dim, tuple(self.points[i] for i in indices))
@@ -247,11 +240,6 @@ class Cube:
             [c - self.radius for c in self.center],
             [c + self.radius for c in self.center],
         )
-
-
-def membership(concept, point: Sequence[Scalar]) -> bool:
-    """Exact membership test for any concept (Box, Cube, AxisCut)."""
-    return concept.contains(as_point(point))
 
 
 def rect_hull(points) -> Box:

@@ -24,7 +24,7 @@ from typing import FrozenSet, Optional, Set
 
 from .carve import ClassDescriptor, ClassKind
 from .errors import DomainError
-from .geometry import Box, Cube, PointSet
+from .geometry import Cube, PointSet
 from .scalars import NEG_INF, POS_INF, midpoint
 
 
@@ -223,11 +223,3 @@ def cube_feasible_grid(ps: PointSet, mask: int) -> bool:
             if trace(Cube(tuple(center), r)) == mask:
                 return True
     return False
-
-
-def box_trace_oracle(ps: PointSet, descriptor: ClassDescriptor, mask: int) -> bool:
-    """Convenience alias used by tests: interval classes via trace_set,
-    cubes via the unpruned assignment enumeration."""
-    if descriptor.kind is ClassKind.CUBES:
-        return cube_feasible_unpruned(ps, mask)
-    return oracle_feasible(ps, mask, descriptor)

@@ -30,23 +30,17 @@ one with ``carve_feasible``, so the report bytes do not depend on it.
 
 from __future__ import annotations
 
+import heapq
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .carve import (
-    ClassDescriptor,
-    ClassKind,
-    boxes,
-    cubes,
-    degenerate_balls,
-    origin_anchored,
-)
+from .carve import ClassDescriptor, ClassKind, cubes, origin_anchored
 from .errors import BudgetExceededError, DomainError
 from .geometry import PointSet
-from .shatter import is_shattered, shattering_count
+from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered, shattering_count
 
 EVIDENCE_NOTE = (
     "randomized search: absence of a shattered configuration is evidence, not proof"
@@ -348,22 +342,6 @@ def _default_n_max(kind: ClassKind, dim: int) -> int:
     raise DomainError(f"no default search depth for {kind.value}")
 
 
-def _search_descriptor(kind: ClassKind, dim: int) -> ClassDescriptor:
-    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
-        return origin_anchored(dim)
-    if kind is ClassKind.BOXES:
-        return boxes(dim)
-    if kind is ClassKind.BOXES_NONDEGENERATE:
-        return boxes(dim, nondegenerate=True)
-    if kind is ClassKind.DEGENERATE_BALLS:
-        return degenerate_balls(dim)
-    if kind is ClassKind.CUBES:
-        return cubes(dim)
-    if kind is ClassKind.AXIS_CUTS:
-        return ClassDescriptor(ClassKind.AXIS_CUTS, dim)
-    raise DomainError(f"unsupported kind {kind.value}")
-
-
 def exact_vc_ordinal(
     kind: ClassKind,
     dim: int,
@@ -393,7 +371,7 @@ def exact_vc_ordinal(
         raise DomainError("need n_max >= 1")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
     sym = symmetries_for(kind)
-    descriptor = _search_descriptor(kind, dim)
+    descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
     tracker = _Budget(budget)
     levels: List[LevelOutcome] = []
     vc_exact: Optional[int] = None
@@ -638,42 +616,50 @@ def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
     return _canonical(mat, len(ps), SymmetryGroup())
 
 
+def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]:
+    return (-cand.score, _order_key(cand.points), cand.trial)
+
+
 def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandidate]]:
     dim, n, t0, t1, seed, rng_range, climb_steps, local_keep = args
     total = 1 << n
     evaluations = 0
-    candidates: List[SearchCandidate] = []
     shattered: List[SearchCandidate] = []
-    for t in range(t0, t1):
-        rng = _trial_rng(seed, t)
-        cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
-        score = cube_score(cols)
-        evaluations += 1
-        if total - 2 <= score < total:
-            for _ in range(climb_steps):
-                j = rng.randrange(dim)
-                i = rng.randrange(n)
-                others = {cols[j][k] for k in range(n) if k != i}
-                choices = [
-                    v for v in range(-rng_range, rng_range + 1) if v not in others
-                ]
-                old = cols[j][i]
-                cols[j][i] = rng.choice(choices)
-                trial_score = cube_score(cols)
-                evaluations += 1
-                if trial_score > score:
-                    score = trial_score
-                else:
-                    cols[j][i] = old
-                if score == total:
-                    break
-        ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
-        cand = SearchCandidate(ps, score, total, score == total, t)
-        candidates.append(cand)
-        if score == total:
-            shattered.append(cand)
-    candidates.sort(key=lambda c: (-c.score, _order_key(c.points), c.trial))
-    return evaluations, candidates[:local_keep], shattered
+
+    def candidates() -> Iterator[SearchCandidate]:
+        nonlocal evaluations
+        for t in range(t0, t1):
+            rng = _trial_rng(seed, t)
+            cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
+            score = cube_score(cols)
+            evaluations += 1
+            if total - 2 <= score < total:
+                for _ in range(climb_steps):
+                    j = rng.randrange(dim)
+                    i = rng.randrange(n)
+                    others = {cols[j][k] for k in range(n) if k != i}
+                    choices = [
+                        v for v in range(-rng_range, rng_range + 1) if v not in others
+                    ]
+                    old = cols[j][i]
+                    cols[j][i] = rng.choice(choices)
+                    trial_score = cube_score(cols)
+                    evaluations += 1
+                    if trial_score > score:
+                        score = trial_score
+                    else:
+                        cols[j][i] = old
+                    if score == total:
+                        break
+            ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
+            cand = SearchCandidate(ps, score, total, score == total, t)
+            if score == total:
+                shattered.append(cand)
+            yield cand
+
+    # only the local top-`local_keep` is held, not one candidate per trial
+    best = heapq.nsmallest(local_keep, candidates(), key=_rank)
+    return evaluations, best, shattered
 
 
 def random_cube_search(
@@ -696,12 +682,14 @@ def random_cube_search(
     ``PointSet`` is built only for the set a trial keeps.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
-    scratch by the shattering checker.
+    scratch by the shattering checker.  More than ``DEFAULT_MASK_CAP``
+    points raise ``CapExceededError`` before anything is scored.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if n < 1 or dim < 1:
         raise DomainError("need n >= 1 and dim >= 1")
+    _check_cap(n, DEFAULT_MASK_CAP)  # cube_score tabulates 2^n masks per axis
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
     jobs = max(1, jobs)
@@ -729,8 +717,8 @@ def random_cube_search(
         evaluations += ev
         merged.extend(cands)
         shattered.extend(shat)
-    merged.sort(key=lambda c: (-c.score, _order_key(c.points), c.trial))
-    shattered.sort(key=lambda c: (_order_key(c.points), c.trial))
+    merged.sort(key=_rank)
+    shattered.sort(key=_rank)
     for cand in shattered:
         verdict = is_shattered(cand.points, cubes(dim), want_certificate=False)
         if not verdict.shattered:
@@ -784,7 +772,7 @@ def max_shattering_coefficient(
         raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
     sym = symmetries_for(kind)
-    descriptor = _search_descriptor(kind, dim)
+    descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
     counters = EnumerationCounters()
     tracker = _Budget(budget)
     best = (None, None, None)

@@ -14,10 +14,9 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .carve import AxisCut, CarveWitness, ClassDescriptor, ClassKind
-from .constructions import DownwardProjection, ExtremalCertificate
 from .errors import ParseError
 from .geometry import Box, Cube, Interval, PointSet
-from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, parse_scalar, scalar_str
+from .scalars import NEG_INF, POS_INF, Scalar, parse_scalar, scalar_str
 from .search import (
     CubeSearchReport,
     LevelOutcome,
@@ -398,36 +397,14 @@ def max_coefficient_report_to_json(rep: MaxCoefficientReport) -> Dict[str, Any]:
         "dim": rep.dim,
         "n": rep.n,
         "best_count": rep.best_count,
-        "best_config": order_config_to_json(rep.best_config),
-        "best_points": point_set_to_json(rep.best_points),
+        "best_config": (
+            None if rep.best_config is None else order_config_to_json(rep.best_config)
+        ),
+        "best_points": (
+            None if rep.best_points is None else point_set_to_json(rep.best_points)
+        ),
         "configs_examined": rep.configs_examined,
         "configs_after_symmetry": rep.configs_after_symmetry,
-    }
-
-
-def extremal_certificate_to_json(cert: ExtremalCertificate) -> Dict[str, Any]:
-    return {
-        "points": point_set_to_json(cert.points),
-        "low_reps": list(cert.low_reps),
-        "high_reps": list(cert.high_reps),
-        "representatives": list(cert.representatives),
-        "once_count": cert.once_count,
-        "nonextremal": list(cert.nonextremal),
-        "projections_injective": cert.projections_injective,
-        "refutes_box_shattering": cert.refutes_box_shattering,
-        "refutes_anchored_shattering": cert.refutes_anchored_shattering(),
-    }
-
-
-def downward_projection_to_json(dp: DownwardProjection) -> Dict[str, Any]:
-    return {
-        "axis": dp.axis,
-        "pole_low": [scalar_to_json(c) for c in dp.pole_low],
-        "pole_high": [scalar_to_json(c) for c in dp.pole_high],
-        "projected": point_set_to_json(dp.projected),
-        "anchor": box_to_json(dp.anchor),
-        "class": descriptor_to_json(dp.descriptor),
-        "verdict": verdict_to_json(dp.verdict),
     }
 
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .carve import (
     ClassDescriptor,
@@ -46,7 +46,7 @@ from .constructions import (
     perturb_to_injective,
 )
 from .errors import VclabError
-from .geometry import Box, Interval, PointSet
+from .geometry import Box, Interval, PointSet, project
 from .oracles import cube_feasible_unpruned, oracle_feasible
 from .search import exact_vc_ordinal, random_cube_search, resolve_even_degenerate
 from .shatter import is_shattered, sauer_shelah_bound, shattering_count
@@ -190,18 +190,11 @@ def _item_3_ordinal_vc_table(ctx: SuiteContext):
         for lv in rep.levels:
             if lv.witness_points is None:
                 continue
-            desc = (
-                origin_anchored(dim)
-                if kind is ClassKind.ANCHORED_DEGENERATE_BALLS
-                else ClassDescriptor(kind, dim)
-                if kind is ClassKind.AXIS_CUTS
-                else boxes(dim)
-                if kind is ClassKind.BOXES
-                else cubes(dim)
-            )
-            ctx.add_coefficient(lv.witness_points, desc)
             if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+                ctx.add_coefficient(lv.witness_points, origin_anchored(dim))
                 ctx.anchored_shattered_pool.append(lv.witness_points)
+            else:
+                ctx.add_coefficient(lv.witness_points, ClassDescriptor(kind, dim))
     return ok, {"table": rows}
 
 
@@ -360,16 +353,6 @@ def _scale_points(ps: PointSet, factor: Fraction) -> PointSet:
     return PointSet.of([tuple(c * factor for c in p) for p in ps.points])
 
 
-def _translate_points(ps: PointSet, shift: Sequence) -> PointSet:
-    return PointSet.of(
-        [tuple(c + s for c, s in zip(p, shift)) for p in ps.points]
-    )
-
-
-def _permute_axes(ps: PointSet, perm: Sequence[int]) -> PointSet:
-    return PointSet.of([tuple(p[j] for j in perm) for p in ps.points])
-
-
 def _item_7_perturbation(ctx: SuiteContext):
     # A set shattered by boxes: the diamond (each point extremal on one side)
     diamond = PointSet.of([(0, 1), (1, 0), (2, 1), (1, 2)])
@@ -382,22 +365,22 @@ def _item_7_perturbation(ctx: SuiteContext):
         if family == 0:
             base = cube_witness(2 + k % 2)
             d = base.dim
-            ps = _translate_points(_scale_points(base, scale), shift[:d])
+            ps = _scale_points(base, scale).translate(shift[:d])
             perm = list(permutations(range(d)))[k % math.factorial(d)]
-            cases.append((_permute_axes(ps, perm), cubes(d)))
+            cases.append((project(ps, perm), cubes(d)))
         elif family == 1:
             base = origin_ball_witness(1 + k % 3)
             d = base.dim
             ps = _scale_points(base, scale)  # anchor at origin: no translation
             perm = list(permutations(range(d)))[k % math.factorial(d)]
-            cases.append((_permute_axes(ps, perm), origin_anchored(d)))
+            cases.append((project(ps, perm), origin_anchored(d)))
         elif family == 2:
             base = origin_ball_witness(1 + k % 3)
             d = base.dim
-            ps = _translate_points(_scale_points(base, scale), shift[:d])
+            ps = _scale_points(base, scale).translate(shift[:d])
             cases.append((ps, degenerate_balls(d)))
         else:
-            ps = _translate_points(_scale_points(diamond, scale), shift[:2])
+            ps = _scale_points(diamond, scale).translate(shift[:2])
             cases.append((ps, boxes(2)))
         k += 1
     failures = []
@@ -462,18 +445,10 @@ def _item_9_oracle_equivalence(ctx: SuiteContext):
         ps = PointSet.of(sorted(pts))
         mask = rng.randrange(1 << n)
         token = kinds[t % len(kinds)]
-        if token == "boxes":
-            desc = boxes(d)
-        elif token == "boxes-nondegenerate":
-            desc = boxes(d, nondegenerate=True)
-        elif token == "degenerate":
-            desc = degenerate_balls(d)
-        elif token == "anchored":
+        if token == "anchored":
             desc = anchored(_random_anchor(rng, d))
-        elif token == "cuts":
-            desc = ClassDescriptor(ClassKind.AXIS_CUTS, d)
         else:
-            desc = cubes(d)
+            desc = ClassDescriptor(ClassKind(token), d)
         got = carve_feasible(ps, mask, desc)
         if token == "cubes":
             want = cube_feasible_unpruned(ps, mask)

@@ -270,6 +270,13 @@ def test_search_cubes_deterministic_and_jobs_independent(capsys):
     assert rep1["result"]["note"]
 
 
+def test_search_cubes_too_many_points_exit_4(capsys):
+    argv = ["search-cubes", "--dim", "2", "--n", "21", "--trials", "1"]
+    rc, rep, err = run(capsys, argv)
+    assert rc == 4 and rep is None
+    assert "cap" in err.lower()
+
+
 def test_out_mirrors_stdout(capsys, tmp_path, points_file):
     path = points_file("line6.json", [(0,), (1,)])
     out = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -10,6 +11,7 @@ import pytest
 
 from vclab import (
     BudgetExceededError,
+    CapExceededError,
     ClassDescriptor,
     ClassKind,
     DomainError,
@@ -39,10 +41,16 @@ from vclab.search import (
     _axis_rows,
     _canonical,
     _is_canonical,
+    _search_trials,
     cube_score,
     transform_config,
 )
-from vclab.serialize import cube_search_report_to_json
+from vclab.serialize import (
+    cube_search_report_to_json,
+    max_coefficient_report_to_json,
+    order_config_to_json,
+    point_set_to_json,
+)
 
 from conftest import random_point_set
 
@@ -296,9 +304,15 @@ def test_max_coefficient_budget_carries_partial_report():
     # refused before any config is scored: no best
     with pytest.raises(BudgetExceededError) as err:
         max_shattering_coefficient(ClassKind.BOXES, 2, 4, budget=0)
-    partial = err.value.report
-    assert (partial.configs_examined, partial.configs_after_symmetry) == (0, 0)
-    assert (partial.best_count, partial.best_config, partial.best_points) == (None,) * 3
+    empty = err.value.report
+    assert (empty.configs_examined, empty.configs_after_symmetry) == (0, 0)
+    assert (empty.best_count, empty.best_config, empty.best_points) == (None,) * 3
+    # both partial reports encode; an empty best is null
+    encoded = max_coefficient_report_to_json(partial)
+    assert encoded["best_config"] == order_config_to_json(partial.best_config)
+    assert encoded["best_points"] == point_set_to_json(partial.best_points)
+    encoded = max_coefficient_report_to_json(empty)
+    assert encoded["best_config"] is None and encoded["best_points"] is None
 
 
 def test_max_coefficient_cuts_pair():
@@ -339,6 +353,29 @@ def test_cube_search_negative_control_small():
     assert not rep.shattered_found
     assert rep.best[0].score < rep.best[0].total_masks
     assert "evidence" in rep.note
+
+
+def test_cube_search_caps_the_point_count():
+    # cube_score tabulates 2^n masks per axis; 21 points are refused up front
+    with pytest.raises(CapExceededError):
+        random_cube_search(2, 21, 1)
+
+
+def _search_trials_peak(trials):
+    tracemalloc.start()
+    try:
+        # 4 points on a line: no trial is shattered and none climbs
+        _search_trials((1, 4, 0, trials, 2024, 16, 16, 8))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cube_search_memory_does_not_grow_with_trials():
+    # only the local top candidates are held, not one per trial
+    _search_trials_peak(400)  # the first run pays one-off interpreter allocations
+    small = _search_trials_peak(400)
+    assert _search_trials_peak(4000) <= 2 * small
 
 
 def test_cube_search_report_shape():
