@@ -20,12 +20,15 @@ Supported classes:
   all of S while containing the anchor can genuinely be infeasible.
 * AXIS_CUTS: lower half-spaces {x : x_i <= a}, one coordinate at a time.
 
-Feasibility for the interval-shaped classes reduces to a small cover search:
-a committed side of the hull of S' (plus anchor) excludes every point beyond
-it, and each excluded point must be beyond some committed side.  Cubes add a
-coupling through the shared radius; the cover state tracks, per axis, the
-tightest high and low exclusion thresholds, and prunes when their gap stops
-exceeding the diameter forced by containment.
+Degenerate balls (anchored or not) and cubes share one cover search
+(``_cover``): every point outside hull(S') (plus anchor) must be excluded
+by a committed side, (axis, low) or (axis, high), of that hull, and per
+axis only the tightest committed threshold of each side matters.  The two
+classes differ in two rules.  A degenerate ball commits a side at the hull
+edge, which excludes every point beyond it; a cube commits it at the point
+being excluded.  A degenerate ball never closes both sides of an axis; a
+cube may, when their gap exceeds the widest hull side, the least diameter
+of a cube containing S'.
 """
 
 from __future__ import annotations
@@ -226,21 +229,100 @@ def carve_box(
 
 
 # ---------------------------------------------------------------------------
-# degenerate balls (optionally anchored)
+# the cover search shared by degenerate balls and cubes
 
 _LOW, _HIGH = 0, 1
+
+
+def _cover(exc, lo, hi, at_edge: bool, max_width: Optional[Scalar]):
+    """Commit (axis, side) thresholds of hull [lo, hi] excluding every point of exc.
+
+    The two rules are the module docstring's: ``at_edge`` commits a side at
+    the hull edge (degenerate balls), else at the excluded point (cubes);
+    an axis closes both sides only when their gap exceeds ``max_width``,
+    and never when it is None (degenerate balls).  Depth-first search
+    branching on the point with the fewest viable options (axis by axis,
+    low before high).  Returns the tightest committed thresholds
+    ``(hi_min, lo_max)`` per axis, or None.
+    """
+    dim = len(lo)
+    options = []
+    for q in exc:
+        opts = []
+        for i in range(dim):
+            if q[i] < lo[i]:
+                opts.append((i, _LOW, lo[i] if at_edge else q[i]))
+            if q[i] > hi[i]:
+                opts.append((i, _HIGH, hi[i] if at_edge else q[i]))
+        if not opts:
+            return None
+        options.append(opts)
+
+    order = sorted(range(len(exc)), key=lambda j: (len(options[j]), j))
+    hi_min = [None] * dim
+    lo_max = [None] * dim
+
+    def dfs(remaining) -> bool:
+        if not remaining:
+            return True
+        best_j, best_viable = None, None
+        for j in remaining:
+            viable = []
+            for opt in options[j]:
+                i, s, v = opt
+                if s == _HIGH:
+                    t = lo_max[i]
+                    if t is None or max_width is not None and v - t > max_width:
+                        viable.append(opt)
+                else:
+                    t = hi_min[i]
+                    if t is None or max_width is not None and t - v > max_width:
+                        viable.append(opt)
+            if not viable:
+                return False
+            if best_viable is None or len(viable) < len(best_viable):
+                best_j, best_viable = j, viable
+                if len(viable) == 1:
+                    break
+        for i, s, v in best_viable:
+            if s == _HIGH:
+                prev, hi_min[i] = hi_min[i], v
+            else:
+                prev, lo_max[i] = lo_max[i], v
+            # only (i, s) tightened, so only it can exclude more points
+            rest = []
+            for j in remaining:
+                if j != best_j:
+                    for a, t, u in options[j]:
+                        if a == i and t == s and (u >= v if s == _HIGH else u <= v):
+                            break
+                    else:
+                        rest.append(j)
+            if dfs(rest):
+                return True
+            if s == _HIGH:
+                hi_min[i] = prev
+            else:
+                lo_max[i] = prev
+        return False
+
+    if not dfs(order):
+        return None
+    return hi_min, lo_max
+
+
+# ---------------------------------------------------------------------------
+# degenerate balls (optionally anchored)
 
 
 def carve_degenerate(
     ps: PointSet, mask: SubsetMask, anchor: Optional[Box] = None
 ) -> Optional[Box]:
-    """Cover search over which hull side each axis closes.
+    """Cover search with every committed side at the hull edge.
 
     A degenerate ball containing hull(S' + anchor) can close at most one
     side per axis; closing the low side at the hull minimum excludes exactly
-    the points strictly below it, and dually.  Feasibility is a cover of the
-    excluded points by side choices, found by depth-first search that always
-    branches on the point with the fewest viable sides.
+    the points strictly below it, and dually.
     """
     dim = ps.dim
     inc, exc = _split(ps, mask)
@@ -253,73 +335,22 @@ def carve_degenerate(
         ]
         return Box(tuple(ivals))
 
-    lo = [None] * dim
-    hi = [None] * dim
-    for i in range(dim):
-        vals = [p[i] for p in inc]
-        if anchor is not None:
-            vals.append(anchor.intervals[i].lo)
-        lo[i] = min(vals)
-        vals = [p[i] for p in inc]
-        if anchor is not None:
-            vals.append(anchor.intervals[i].hi)
-        hi[i] = max(vals)
-
-    options = []
-    for q in exc:
-        opts = []
-        for i in range(dim):
-            if q[i] < lo[i]:
-                opts.append((i, _LOW))
-            if q[i] > hi[i]:
-                opts.append((i, _HIGH))
-        if not opts:
-            return None
-        options.append(opts)
-
-    order = sorted(range(len(exc)), key=lambda j: (len(options[j]), j))
-    sides = [None] * dim
-
-    def dfs(remaining) -> bool:
-        if not remaining:
-            return True
-        best_j = None
-        best_viable = None
-        for j in remaining:
-            viable = [
-                (i, s) for (i, s) in options[j] if sides[i] is None or sides[i] == s
-            ]
-            if not viable:
-                return False
-            if best_viable is None or len(viable) < len(best_viable):
-                best_j, best_viable = j, viable
-                if len(viable) == 1:
-                    break
-        for (i, s) in best_viable:
-            prev = sides[i]
-            sides[i] = s
-            rest = [
-                j
-                for j in remaining
-                if not any(sides[a] == t for (a, t) in options[j])
-            ]
-            if dfs(rest):
-                return True
-            sides[i] = prev
-        return False
-
-    if not dfs(list(order)):
+    axes = list(zip(*inc)) or [()] * dim
+    if anchor is None:
+        lo, hi = [min(a) for a in axes], [max(a) for a in axes]
+    else:  # the hull must contain the anchor box too
+        lo = [min((*a, iv.lo)) for a, iv in zip(axes, anchor.intervals)]
+        hi = [max((*a, iv.hi)) for a, iv in zip(axes, anchor.intervals)]
+    found = _cover(exc, lo, hi, at_edge=True, max_width=None)
+    if found is None:
         return None
-
-    ivals = []
-    for i in range(dim):
-        if sides[i] == _LOW:
-            ivals.append(Interval(lo[i], POS_INF))
-        elif sides[i] == _HIGH:
-            ivals.append(Interval(NEG_INF, hi[i]))
-        else:
-            ivals.append(Interval.full_line())
-    return Box(tuple(ivals))
+    hi_min, lo_max = found
+    return Box(tuple(
+        Interval(lo[i], POS_INF) if lo_max[i] is not None
+        else Interval(NEG_INF, hi[i]) if hi_min[i] is not None
+        else Interval.full_line()
+        for i in range(dim)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -330,103 +361,32 @@ _EMPTY_TRACE = object()  # sentinel: empty subset, any faraway cube works
 
 
 def _cube_search(ps: PointSet, mask: SubsetMask):
-    """Decision core for cubes; returns the committed thresholds or None.
+    """Decision core for cubes: the cover search with sides at the points.
 
     Feasible results are either the _EMPTY_TRACE sentinel or a tuple
     (lo, hi, hi_min, lo_max, max_width) with the subset hull and the tightest
     exclusion threshold committed per (axis, side).
     """
-    dim = ps.dim
     inc, exc = _split(ps, mask)
     if not inc:
         return _EMPTY_TRACE
-
-    lo = [min(p[i] for p in inc) for i in range(dim)]
-    hi = [max(p[i] for p in inc) for i in range(dim)]
+    axes = list(zip(*inc))
+    lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
-
-    options = []
-    for q in exc:
-        opts = []
-        for i in range(dim):
-            if q[i] < lo[i]:
-                opts.append((i, _LOW))
-            if q[i] > hi[i]:
-                opts.append((i, _HIGH))
-        if not opts:
-            return None
-        options.append(opts)
-
-    order = sorted(range(len(exc)), key=lambda j: (len(options[j]), j))
-    hi_min = [None] * dim  # tightest committed high threshold per axis
-    lo_max = [None] * dim  # tightest committed low threshold per axis
-
-    def covered(j) -> bool:
-        q = exc[j]
-        for (i, s) in options[j]:
-            if s == _HIGH:
-                if hi_min[i] is not None and q[i] >= hi_min[i]:
-                    return True
-            else:
-                if lo_max[i] is not None and q[i] <= lo_max[i]:
-                    return True
-        return False
-
-    def viable(j):
-        q = exc[j]
-        out = []
-        for (i, s) in options[j]:
-            if s == _HIGH:
-                if lo_max[i] is None or q[i] - lo_max[i] > max_width:
-                    out.append((i, s))
-            else:
-                if hi_min[i] is None or hi_min[i] - q[i] > max_width:
-                    out.append((i, s))
-        return out
-
-    def dfs(remaining) -> bool:
-        if not remaining:
-            return True
-        best_j, best_viable = None, None
-        for j in remaining:
-            v = viable(j)
-            if not v:
-                return False
-            if best_viable is None or len(v) < len(best_viable):
-                best_j, best_viable = j, v
-                if len(v) == 1:
-                    break
-        q = exc[best_j]
-        for (i, s) in best_viable:
-            if s == _HIGH:
-                prev = hi_min[i]
-                hi_min[i] = q[i]
-            else:
-                prev = lo_max[i]
-                lo_max[i] = q[i]
-            rest = [j for j in remaining if j != best_j and not covered(j)]
-            if dfs(rest):
-                return True
-            if s == _HIGH:
-                hi_min[i] = prev
-            else:
-                lo_max[i] = prev
-        return False
-
-    if not dfs(order):
+    found = _cover(exc, lo, hi, at_edge=False, max_width=max_width)
+    if found is None:
         return None
-    return lo, hi, hi_min, lo_max, max_width
+    return (lo, hi) + found + (max_width,)
 
 
 def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
-    """Cover search with a shared-radius coupling.
+    """Cover search with every committed side at the excluded point.
 
     Containment of S' forces 2r >= every hull width; excluding a point via
     (axis, high) forces center + r below that point's coordinate, and dually.
-    Per axis only the tightest high and low thresholds matter, and an axis
-    carrying both forces 2r strictly below their gap.  The search assigns
-    excluded points to (axis, side) choices exactly like the degenerate-ball
-    cover, pruning when an axis gap stops exceeding the forced diameter.
+    An axis carrying both thresholds forces 2r strictly below their gap, so
+    the radius sits between half the widest hull side and half the least
+    such gap, and each center coordinate between its two bounds.
     """
     dim = ps.dim
     found = _cube_search(ps, mask)

@@ -3,7 +3,7 @@
 Exit-code protocol (stable, for shell harnesses):
 
 * 0 — success (feasible / shattered / all checks passed)
-* 1 — usage error (bad flags, malformed mask, dimension mismatch)
+* 1 — usage error (bad flags or --anchor, malformed mask, dimension mismatch)
 * 2 — I/O or input-parse error (unreadable file, floats in JSON, bad schema)
 * 3 — well-formed but negative verdict (infeasible carve, not shattered)
 * 4 — enumeration cap exceeded
@@ -22,7 +22,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .carve import (
     ClassDescriptor,
@@ -179,14 +180,12 @@ def _resolve_descriptor(args, ps: Optional[PointSet]) -> ClassDescriptor:
         if args.anchor is None:
             raise UsageError("--class anchored requires --anchor")
         try:
-            anchor = box_from_json(loads_exact(args.anchor))
-        except (ParseError, ValueError) as err:
+            desc = anchored(box_from_json(loads_exact(args.anchor)))
+        except VclabError as err:
             raise UsageError(f"bad --anchor: {err}")
-        if dim is not None and anchor.dim != dim:
-            raise UsageError(
-                f"anchor dimension {anchor.dim} does not match dimension {dim}"
-            )
-        return anchored(anchor)
+        if dim is not None and desc.dim != dim:
+            raise UsageError(f"anchor dimension {desc.dim} does not match dimension {dim}")
+        return desc
     if args.anchor is not None:
         raise UsageError("--anchor is only valid with --class anchored")
     if dim is None:
@@ -196,16 +195,65 @@ def _resolve_descriptor(args, ps: Optional[PointSet]) -> ClassDescriptor:
     return ClassDescriptor(ClassKind(args.klass), dim)
 
 
-def _emit(report: Dict[str, Any], out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _jobs(args) -> int:
     return args.jobs if args.jobs is not None else _default_jobs()
+
+
+@dataclass
+class _Parts:
+    """What a subcommand hands back; ``_run`` turns it into a report."""
+
+    result: Dict[str, Any]
+    ok: bool = True  # False: negative verdict (exit 3, or 6 for verify-paper)
+    descriptor: Optional[ClassDescriptor] = None
+    inputs: Any = None
+    seed: Optional[int] = None
+    counters: Optional[Dict[str, Any]] = None
+    over_budget: bool = False  # exit 5 with the partial result
+    points_out: Optional[Tuple[str, PointSet]] = None  # saved after the report
+
+
+def _run(args) -> int:
+    """Time one subcommand, emit its report, then map its verdict to an exit code."""
+    start = time.monotonic()
+    parts = args.fn(args)
+    report = make_report(
+        args.command,
+        parts.result,
+        descriptor=parts.descriptor,
+        inputs=parts.inputs,
+        counters=parts.counters,
+        seed=parts.seed,
+        wall_time=time.monotonic() - start,
+    )
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    if parts.points_out is not None:
+        save_point_set(*parts.points_out)
+    if parts.over_budget:
+        return EXIT_BUDGET
+    if parts.ok:
+        return EXIT_OK
+    return EXIT_VERIFY_FAILED if args.command == "verify-paper" else EXIT_INFEASIBLE
+
+
+def _over_budget(err: BudgetExceededError, desc: ClassDescriptor) -> _Parts:
+    print(f"vclab: budget exceeded: {err}", file=sys.stderr)
+    result: Dict[str, Any] = {"budget_exceeded": True}
+    partial = getattr(err, "report", None)
+    if isinstance(partial, VcSearchReport):
+        result["partial"] = vc_search_report_to_json(partial)
+    return _Parts(result, descriptor=desc, over_budget=True)
+
+
+def _points_and_class(args):
+    """Load --points, resolve the class against them, and the report inputs."""
+    ps = load_point_set(args.points)
+    desc = _resolve_descriptor(args, ps)
+    return ps, desc, {"points": point_set_to_json(ps), "class": descriptor_to_json(desc)}
 
 
 # ---------------------------------------------------------------------------
@@ -213,92 +261,47 @@ def _jobs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_carve(args) -> int:
-    ps = load_point_set(args.points)
-    desc = _resolve_descriptor(args, ps)
+def cmd_carve(args) -> _Parts:
+    ps, desc, inputs = _points_and_class(args)
     try:
         mask = parse_mask(args.mask, len(ps))
     except ParseError as err:
         raise UsageError(str(err))
-    start = time.monotonic()
+    inputs["mask"] = format_mask(mask, len(ps))
     witness = carve(ps, mask, desc)
     result = {
         "feasible": witness is not None,
-        "mask": format_mask(mask, len(ps)),
+        "mask": inputs["mask"],
         "witness": None if witness is None else witness_to_json(witness, len(ps)),
     }
-    report = make_report(
-        "carve",
-        result,
-        descriptor=desc,
-        inputs={
-            "points": point_set_to_json(ps),
-            "mask": format_mask(mask, len(ps)),
-            "class": descriptor_to_json(desc),
-        },
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if witness is not None else EXIT_INFEASIBLE
+    return _Parts(result, witness is not None, desc, inputs)
 
 
-def cmd_shatter(args) -> int:
-    ps = load_point_set(args.points)
-    desc = _resolve_descriptor(args, ps)
-    start = time.monotonic()
+def cmd_shatter(args) -> _Parts:
+    ps, desc, inputs = _points_and_class(args)
     verdict = is_shattered(ps, desc, cap=args.cap)
-    report = make_report(
-        "shatter",
-        verdict_to_json(verdict, include_certificate=not args.no_certificate),
-        descriptor=desc,
-        inputs={"points": point_set_to_json(ps), "class": descriptor_to_json(desc)},
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK if verdict.shattered else EXIT_INFEASIBLE
+    result = verdict_to_json(verdict, include_certificate=not args.no_certificate)
+    return _Parts(result, verdict.shattered, desc, inputs)
 
 
-def cmd_vcdim(args) -> int:
-    ps = load_point_set(args.points)
-    desc = _resolve_descriptor(args, ps)
-    start = time.monotonic()
+def cmd_vcdim(args) -> _Parts:
+    ps, desc, inputs = _points_and_class(args)
     bound = vc_lower_bound_on(ps, desc, cap=args.cap)
-    report = make_report(
-        "vcdim",
-        vc_lower_bound_to_json(bound),
-        descriptor=desc,
-        inputs={"points": point_set_to_json(ps), "class": descriptor_to_json(desc)},
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    return _Parts(vc_lower_bound_to_json(bound), True, desc, inputs)
 
 
-def cmd_coeff(args) -> int:
-    ps = load_point_set(args.points)
-    desc = _resolve_descriptor(args, ps)
-    start = time.monotonic()
+def cmd_coeff(args) -> _Parts:
+    ps, desc, inputs = _points_and_class(args)
     rep = shattering_count(ps, desc, cap=args.cap, include_masks=args.masks)
-    report = make_report(
-        "coeff",
-        coefficient_to_json(rep),
-        descriptor=desc,
-        inputs={"points": point_set_to_json(ps), "class": descriptor_to_json(desc)},
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    return _Parts(coefficient_to_json(rep), True, desc, inputs)
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> _Parts:
     d = args.dim
     if args.kind == "d0":
-        ps = origin_ball_witness(d)
-        desc = origin_anchored(d)
+        ps, desc = origin_ball_witness(d), origin_anchored(d)
     else:
-        ps = cube_witness(d)
-        desc = cubes(d)
-    start = time.monotonic()
+        ps, desc = cube_witness(d), cubes(d)
     result: Dict[str, Any] = {
         "kind": args.kind,
         "dim": d,
@@ -308,84 +311,42 @@ def cmd_witness(args) -> int:
     shattered = True
     if not args.no_verify:
         verdict = is_shattered(ps, desc, cap=args.cap)
-        shattered = verdict.shattered
-        result["verified"] = verdict.shattered
+        shattered = result["verified"] = verdict.shattered
         if verdict.certificate is not None:
             result["certificate"] = certificate_to_json(verdict.certificate)
-    report = make_report(
-        "witness",
-        result,
-        descriptor=desc,
-        inputs={"kind": args.kind, "dim": d},
-        wall_time=time.monotonic() - start,
+    points_out = (args.points_out, ps) if args.points_out else None
+    return _Parts(
+        result, shattered, desc, {"kind": args.kind, "dim": d}, points_out=points_out
     )
-    _emit(report, args.out)
-    if args.points_out:
-        save_point_set(args.points_out, ps)
-    return EXIT_OK if shattered else EXIT_INFEASIBLE
 
 
-def cmd_ordinal_vc(args) -> int:
+def cmd_ordinal_vc(args) -> _Parts:
     if args.klass not in ORDINAL_TOKENS:
         raise UsageError(
             f"--class must be one of {', '.join(ORDINAL_TOKENS)} for ordinal-vc"
         )
     desc = _resolve_descriptor(args, None)
-    start = time.monotonic()
     try:
         rep = exact_vc_ordinal(
             desc.kind, args.dim, n_max=args.n_max, budget=args.budget
         )
     except BudgetExceededError as err:
-        return _emit_partial(err, "ordinal-vc", desc, args, start)
-    report = make_report(
-        "ordinal-vc",
-        vc_search_report_to_json(rep),
-        descriptor=desc,
-        inputs={"class": descriptor_to_json(desc), "n_max": args.n_max},
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+        return _over_budget(err, desc)
+    inputs = {"class": descriptor_to_json(desc), "n_max": args.n_max}
+    return _Parts(vc_search_report_to_json(rep), True, desc, inputs)
 
 
-def _emit_partial(
-    err: BudgetExceededError, command: str, desc, args, start: float
-) -> int:
-    print(f"vclab: budget exceeded: {err}", file=sys.stderr)
-    partial = getattr(err, "report", None)
-    payload: Dict[str, Any] = {"budget_exceeded": True}
-    if isinstance(partial, VcSearchReport):
-        payload["partial"] = vc_search_report_to_json(partial)
-    report = make_report(
-        command,
-        payload,
-        descriptor=desc,
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_BUDGET
-
-
-def cmd_resolve_d2(args) -> int:
-    start = time.monotonic()
+def cmd_resolve_d2(args) -> _Parts:
+    desc = degenerate_balls(args.dim)
     try:
         rep = resolve_even_degenerate(args.dim, n_max=args.n_max, budget=args.budget)
     except BudgetExceededError as err:
-        return _emit_partial(err, "resolve-d2", degenerate_balls(args.dim), args, start)
-    report = make_report(
-        "resolve-d2",
-        resolve_report_to_json(rep),
-        descriptor=degenerate_balls(args.dim),
-        inputs={"dim": args.dim, "n_max": args.n_max},
-        wall_time=time.monotonic() - start,
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+        return _over_budget(err, desc)
+    inputs = {"dim": args.dim, "n_max": args.n_max}
+    return _Parts(resolve_report_to_json(rep), True, desc, inputs)
 
 
-def cmd_search_cubes(args) -> int:
-    start = time.monotonic()
+def cmd_search_cubes(args) -> _Parts:
     rep = random_cube_search(
         args.dim,
         args.n,
@@ -395,25 +356,13 @@ def cmd_search_cubes(args) -> int:
         jobs=_jobs(args),
         keep=args.keep,
     )
-    report = make_report(
-        "search-cubes",
-        cube_search_report_to_json(rep),
-        descriptor=cubes(args.dim),
-        inputs={
-            "dim": args.dim,
-            "n": args.n,
-            "trials": args.trials,
-            "range": args.range,
-        },
-        seed=args.seed,
-        wall_time=time.monotonic() - start,
+    inputs = {"dim": args.dim, "n": args.n, "trials": args.trials, "range": args.range}
+    return _Parts(
+        cube_search_report_to_json(rep), True, cubes(args.dim), inputs, seed=args.seed
     )
-    _emit(report, args.out)
-    return EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
-    start = time.monotonic()
+def cmd_verify_paper(args) -> _Parts:
     rep = run_verification(level=args.level, jobs=_jobs(args))
     width = max(len(r.name) for r in rep.items)
     for r in rep.items:
@@ -440,17 +389,13 @@ def cmd_verify_paper(args) -> int:
             for r in rep.items
         ],
     }
-    report = make_report(
-        "verify-paper",
+    seconds = {r.name: round(r.seconds, 3) for r in rep.items}
+    return _Parts(
         result,
+        rep.all_passed,
         inputs={"level": rep.level},
-        counters={
-            "seconds_per_item": {r.name: round(r.seconds, 3) for r in rep.items}
-        },
-        wall_time=time.monotonic() - start,
+        counters={"seconds_per_item": seconds},
     )
-    _emit(report, args.out)
-    return EXIT_OK if rep.all_passed else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +490,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.fn(args)
+        return _run(args)
     except UsageError as err:
         print(f"vclab: usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

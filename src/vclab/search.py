@@ -30,7 +30,7 @@ one with ``carve_feasible``, so the report bytes do not depend on it.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -624,42 +624,42 @@ def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandida
     dim, n, t0, t1, seed, rng_range, climb_steps, local_keep = args
     total = 1 << n
     evaluations = 0
+    kept: List[Tuple[tuple, SearchCandidate]] = []  # local top, sorted by rank
     shattered: List[SearchCandidate] = []
-
-    def candidates() -> Iterator[SearchCandidate]:
-        nonlocal evaluations
-        for t in range(t0, t1):
-            rng = _trial_rng(seed, t)
-            cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
-            score = cube_score(cols)
-            evaluations += 1
-            if total - 2 <= score < total:
-                for _ in range(climb_steps):
-                    j = rng.randrange(dim)
-                    i = rng.randrange(n)
-                    others = {cols[j][k] for k in range(n) if k != i}
-                    choices = [
-                        v for v in range(-rng_range, rng_range + 1) if v not in others
-                    ]
-                    old = cols[j][i]
-                    cols[j][i] = rng.choice(choices)
-                    trial_score = cube_score(cols)
-                    evaluations += 1
-                    if trial_score > score:
-                        score = trial_score
-                    else:
-                        cols[j][i] = old
-                    if score == total:
-                        break
-            ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
-            cand = SearchCandidate(ps, score, total, score == total, t)
-            if score == total:
-                shattered.append(cand)
-            yield cand
-
-    # only the local top-`local_keep` is held, not one candidate per trial
-    best = heapq.nsmallest(local_keep, candidates(), key=_rank)
-    return evaluations, best, shattered
+    for t in range(t0, t1):
+        rng = _trial_rng(seed, t)
+        cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
+        score = cube_score(cols)
+        evaluations += 1
+        if total - 2 <= score < total:
+            for _ in range(climb_steps):
+                j = rng.randrange(dim)
+                i = rng.randrange(n)
+                others = {cols[j][k] for k in range(n) if k != i}
+                choices = [
+                    v for v in range(-rng_range, rng_range + 1) if v not in others
+                ]
+                old = cols[j][i]
+                cols[j][i] = rng.choice(choices)
+                trial_score = cube_score(cols)
+                evaluations += 1
+                if trial_score > score:
+                    score = trial_score
+                else:
+                    cols[j][i] = old
+                if score == total:
+                    break
+        # a lower score than the local `local_keep`-th best cannot be kept (and
+        # is never shattered), so it needs no PointSet and no order key
+        if len(kept) == local_keep and -score > kept[-1][0][0]:
+            continue
+        ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
+        cand = SearchCandidate(ps, score, total, score == total, t)
+        if score == total:
+            shattered.append(cand)
+        bisect.insort(kept, (_rank(cand), cand))  # ranks are unique (trial)
+        del kept[local_keep:]
+    return evaluations, [cand for _, cand in kept], shattered
 
 
 def random_cube_search(
@@ -679,7 +679,8 @@ def random_cube_search(
     The score is ``cube_score``, one exact window-cover pass over the
     integer columns, equal to the count of masks ``carve_feasible`` accepts
     (so the reports are byte-identical to per-mask scoring); a
-    ``PointSet`` is built only for the set a trial keeps.
+    ``PointSet`` and an order key are built only for a trial whose score
+    can still enter its worker's local top.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker.  More than ``DEFAULT_MASK_CAP``

@@ -115,7 +115,7 @@ def point_set_from_json(data) -> PointSet:
         points.append(tuple(scalar_from_json(c) for c in row))
     if dim is None:
         dim = len(points[0])
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("'dim' must be a positive integer")
     for row in points:
         if len(row) != dim:
@@ -196,12 +196,21 @@ def box_to_json(box: Box) -> Dict[str, Any]:
     return {"type": "box", "intervals": [interval_to_json(iv) for iv in box.intervals]}
 
 
+def _field(data: Dict[str, Any], key: str, kind: type):
+    """``data[key]`` if it is a ``kind`` (booleans are never ints), else ParseError."""
+    value = data.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a list"
+        raise ParseError(f"field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def box_from_json(data) -> Box:
-    if isinstance(data, list):
-        return Box(tuple(interval_from_json(iv) for iv in data))
-    if not isinstance(data, dict) or data.get("type") != "box":
-        raise ParseError("expected a box object")
-    return Box(tuple(interval_from_json(iv) for iv in data["intervals"]))
+    if isinstance(data, dict) and data.get("type") == "box":
+        data = _field(data, "intervals", list)
+    if not isinstance(data, list):
+        raise ParseError("expected a box object or a list of intervals")
+    return Box(tuple(interval_from_json(iv) for iv in data))
 
 
 def concept_to_json(concept) -> Dict[str, Any]:
@@ -230,11 +239,11 @@ def concept_from_json(data):
         return box_from_json(data)
     if kind == "cube":
         return Cube(
-            tuple(scalar_from_json(c) for c in data["center"]),
-            scalar_from_json(data["radius"]),
+            tuple(scalar_from_json(c) for c in _field(data, "center", list)),
+            scalar_from_json(data.get("radius")),
         )
     if kind == "cut":
-        return AxisCut(int(data["axis"]), scalar_from_json(data["threshold"]))
+        return AxisCut(_field(data, "axis", int), scalar_from_json(data.get("threshold")))
     raise ParseError(f"unknown concept type {kind!r}")
 
 
@@ -253,7 +262,7 @@ def descriptor_from_json(data) -> ClassDescriptor:
     except (KeyError, ValueError) as err:
         raise ParseError(f"unknown class kind {data.get('kind')!r}") from err
     anchor = box_from_json(data["anchor"]) if "anchor" in data else None
-    return ClassDescriptor(kind, int(data["dim"]), anchor)
+    return ClassDescriptor(kind, _field(data, "dim", int), anchor)
 
 
 # ---------------------------------------------------------------------------

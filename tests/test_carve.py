@@ -1,5 +1,6 @@
 """Carve deciders: frozen examples, witness validity, class closure rules."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
+from vclab.serialize import canonical_dumps, concept_to_json
 
 from conftest import instances
 
@@ -221,3 +223,41 @@ def test_anchored_radius_large_cube_contains_degenerate_trace():
         mask = rng.randrange(1 << n)
         if carve_feasible(ps, mask, degenerate_balls(d)):
             assert carve_feasible(ps, mask, cubes(d))
+
+
+# ---------------------------------------------------------------------------
+# witness bytes of the cover-search deciders
+# ---------------------------------------------------------------------------
+
+
+def _tied_point_set(rng, d, n, rational):
+    # coordinates from a small range, so most axes carry ties
+    pts = set()
+    while len(pts) < n:
+        if rational:
+            pts.add(tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(d)))
+        else:
+            pts.add(tuple(rng.randint(-3, 3) for _ in range(d)))
+    return PointSet.of(sorted(pts))
+
+
+def _rational_anchor(rng, d):
+    lo = [Fraction(rng.randint(-6, 6), 3) for _ in range(d)]
+    return anchored(Box.from_bounds(lo, [x + Fraction(rng.randint(0, 6), 4) for x in lo]))
+
+
+def test_cover_search_witness_bytes_are_pinned():
+    # Which feasible side assignment the search reaches first decides the
+    # witness, so these bytes pin the branching order of the cover search.
+    rng = random.Random(4242)
+    h = hashlib.sha256()
+    makers = (degenerate_balls, origin_anchored, lambda d: _rational_anchor(rng, d), cubes)
+    for make in makers:
+        for k in range(40):
+            d, n = rng.randint(1, 4), rng.randint(1, 7)
+            ps = _tied_point_set(rng, d, n, rational=k % 3 == 2)
+            desc = make(d)
+            for mask in range(1 << n):
+                w = carve(ps, mask, desc)
+                h.update(canonical_dumps(None if w is None else concept_to_json(w.concept)).encode())
+    assert h.hexdigest() == "eb14cb87a81005a3273d5886bb4be386fd6ce904e89099491de5e316f6ff0947"

@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: exit codes, report schema, determinism."""
 
 import concurrent.futures
+import hashlib
 import json
 import os
+import shlex
 
 import pytest
 
 from vclab import PointSet, load_point_set, origin_ball_witness, save_point_set
 from vclab.cli import _default_jobs, main
-from vclab.serialize import concept_from_json
+from vclab.serialize import canonical_dumps, concept_from_json
 
 
 @pytest.fixture()
@@ -81,6 +83,27 @@ def test_carve_float_file_exit_2(capsys, tmp_path):
     )
     assert rc == 2
     assert "input error" in err or "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "anchor", ['{"type":"box"}', '{"type":"box","intervals":5}', "[[1,0]]", "[]"]
+)
+def test_malformed_anchor_is_a_usage_error(capsys, points_file, anchor):
+    path = points_file("pair.json", [(0, 0), (1, 1)])
+    argv = ["carve", "--class", "anchored", "--anchor", anchor, "--points", path, "--mask", "10"]
+    rc, rep, err = run(capsys, argv)
+    assert rc == 1
+    assert rep is None
+    assert "usage error: bad --anchor" in err
+
+
+def test_boolean_dim_in_point_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": true, "points": [[0], [1]]}')
+    rc, rep, err = run(capsys, ["carve", "--class", "boxes", "--points", str(path), "--mask", "10"])
+    assert rc == 2
+    assert rep is None
+    assert "input error" in err
 
 
 def test_dim_mismatch_exit_1(capsys, points_file):
@@ -306,3 +329,106 @@ def test_verify_paper_fast_passes(capsys):
 def test_verify_paper_level_validated(capsys):
     rc, _, _ = run(capsys, ["verify-paper", "--level", "turbo"])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# pinned report bytes
+# ---------------------------------------------------------------------------
+
+PINNED_POINTS = {
+    "w": [(-1, 1), (1, -1), (2, 1)],
+    "line": [(0,), (1,), (2,)],
+}
+
+# (command line with {w}/{line} for point files, exit code, sha256 of the report
+# without wall_time; verify-paper also drops its per-item timing counters)
+PINNED_RUNS = {
+    "carve-feasible": (
+        "carve --class d0 --points {w} --mask 101",
+        0,
+        "c544335ea38c7ba30e541833b41de8bc6dbbcfd44db1e706ea3a74e4ce2c9c4a",
+    ),
+    "carve-anchored": (
+        "carve --class anchored --anchor '[[\"-1/2\", 0], [0, \"1/3\"]]' --points {w} --mask [0]",
+        0,
+        "9b534246225de7ce2a0cde8421a647c3758c2f14c9ab5495e55550cd191858c9",
+    ),
+    "carve-infeasible": (
+        "carve --class cubes --points {line} --mask [0,2]",
+        3,
+        "d3e37a6052507106813aefbc77eaa42b252b3a1fb1cfa1bbfc5b7cac30347d5e",
+    ),
+    "shatter": (
+        "shatter --class d0 --points {w}",
+        0,
+        "15b77d3e756e170a2b03d6c02e344da4c80bca4ff6fdab96baebaecebd441d51",
+    ),
+    "vcdim": (
+        "vcdim --class cubes --points {w}",
+        0,
+        "50510f87f87739f2c26708a54ce71516547901422fa0aa5cee243d8f95ba90c1",
+    ),
+    "coeff": (
+        "coeff --class boxes --points {line} --masks",
+        0,
+        "26d026e23efb91458b0f28531ecdfb580d514002cab80e7003cde92a883a5bba",
+    ),
+    "witness": (
+        "witness --kind d0 --dim 3",
+        0,
+        "756d01760dd643a7fb15c213ca917870127e6ff52572ac6f831572862e92d922",
+    ),
+    "ordinal-vc": (
+        "ordinal-vc --class cuts --dim 2",
+        0,
+        "16f12055158a8b2166a016307f59d142e642add200256641d3bd6911c66f967e",
+    ),
+    "ordinal-vc-budget": (
+        "ordinal-vc --class boxes --dim 2 --budget 40",
+        5,
+        "49bfda79c30f8dec96853fbe8346e9dbf8e625b6a49e1a3fb80efa17c38de035",
+    ),
+    "resolve-d2": (
+        "resolve-d2",
+        0,
+        "5abe754365dfc3ce8e873abefaea27854f2f516ae65bb5555ab2409f58625c4b",
+    ),
+    "search-cubes": (
+        "search-cubes --dim 2 --n 3 --trials 30 --seed 5 --jobs 1",
+        0,
+        "ceb582346baff3badf11aef86f2edd6f63ade2b9efe9bf82783d8f4c5f2beb71",
+    ),
+    "verify-paper": (
+        "verify-paper --level fast",
+        0,
+        "06e6382d7ccd98711e654b7511a3c33d64da71594e1bb3e703466c6ce17a7fc1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_cli_report_bytes_are_pinned(name, capsys, monkeypatch, points_file, tmp_path):
+    template, want_rc, want_digest = PINNED_RUNS[name]
+    paths = {key: points_file(f"{key}.json", pts) for key, pts in PINNED_POINTS.items()}
+    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in shlex.split(template)]
+    out = tmp_path / "report.json"
+    argv += ["--out", str(out)]
+    if name == "witness":
+        saved = []
+
+        def save_after_emit(path, ps):
+            assert out.exists(), "--points-out is written after the report"
+            saved.append(path)
+            save_point_set(path, ps)
+
+        monkeypatch.setattr("vclab.cli.save_point_set", save_after_emit)
+        argv += ["--points-out", str(tmp_path / "pts.json")]
+    rc, rep, _ = run(capsys, argv)
+    assert rc == want_rc
+    assert json.loads(out.read_text()) == rep
+    if name == "witness":
+        assert len(load_point_set(saved[0])) == rep["result"]["size"]
+    del rep["wall_time"]
+    if name == "verify-paper":
+        del rep["counters"]
+    assert hashlib.sha256(canonical_dumps(rep).encode()).hexdigest() == want_digest

@@ -41,6 +41,7 @@ from vclab.search import (
     _axis_rows,
     _canonical,
     _is_canonical,
+    _order_key,
     _search_trials,
     cube_score,
     transform_config,
@@ -376,6 +377,16 @@ def test_cube_search_memory_does_not_grow_with_trials():
     _search_trials_peak(400)  # the first run pays one-off interpreter allocations
     small = _search_trials_peak(400)
     assert _search_trials_peak(4000) <= 2 * small
+
+
+def test_cube_search_keys_only_candidates_that_can_be_kept(monkeypatch):
+    # the order key is a full canonical form; a trial scoring below the local
+    # top 8 must not pay for one
+    calls = []
+    monkeypatch.setattr("vclab.search._order_key", lambda ps: calls.append(1) or _order_key(ps))
+    _, best, _ = _search_trials((2, 4, 0, 300, 2024, 16, 16, 8))
+    assert len(best) == 8
+    assert 8 <= len(calls) < 300
 
 
 def test_cube_search_report_shape():

@@ -114,6 +114,8 @@ def test_point_set_json_infers_dim():
         point_set_from_json({"dim": 3, "points": [[1, 2]]})
     with pytest.raises(ParseError):
         point_set_from_json({"points": []})
+    with pytest.raises(ParseError):
+        point_set_from_json({"dim": True, "points": [[0], [1]]})
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +180,31 @@ def test_descriptor_json_round_trip():
     for desc in (boxes(3), boxes(2, nondegenerate=True), cubes(1), origin_anchored(2)):
         again = descriptor_from_json(descriptor_to_json(desc))
         assert again == desc
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"type": "box"},
+        {"type": "box", "intervals": 5},
+        {"type": "cube", "radius": 1},
+        {"type": "cube", "center": 0, "radius": 1},
+        {"type": "cube", "center": [0]},
+        {"type": "cut", "threshold": 0},
+        {"type": "cut", "axis": "0", "threshold": 0},
+        {"type": "cut", "axis": True, "threshold": 0},
+    ],
+)
+def test_concept_json_missing_or_ill_typed_field_is_a_parse_error(data):
+    with pytest.raises(ParseError):
+        concept_from_json(data)
+
+
+def test_descriptor_json_rejects_missing_or_boolean_dim():
+    with pytest.raises(ParseError):
+        descriptor_from_json({"kind": "boxes"})
+    with pytest.raises(ParseError):
+        descriptor_from_json({"kind": "boxes", "dim": True})
 
 
 def test_witness_json_embeds_mask_both_ways():
