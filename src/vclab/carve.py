@@ -29,10 +29,23 @@ edge, which excludes every point beyond it; a cube commits it at the point
 being excluded.  A degenerate ball never closes both sides of an axis; a
 cube may, when their gap exceeds the widest hull side, the least diameter
 of a cube containing S'.
+
+Every class decides on the integer image of S (``PointSet.scaled``: the
+coordinates times their least common denominator L; anchor endpoints are
+scaled by L too, exactly).  A positive uniform scale keeps every comparison,
+every width and every gap, so the verdicts, and the branching order of the
+cover search, are those on S itself.  Each class splits into a search,
+which stops at that integer verdict (``carve_feasible`` never builds a
+concept), and a build step used by ``carve``, which maps the result back:
+a hull bound is looked up as the point's own coordinate object, while
+midpoints, radii and slacks are divided by L.  The re-check of a built
+concept (``_trace_mask``) runs on the original rationals, one difference
+of the per-axis prefix bitmasks (``PointSet.axis_prefix``) per axis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +57,7 @@ from .errors import (
     DomainError,
     UnboundedAnchorError,
 )
-from .geometry import Box, Cube, Interval, Point, PointSet, rect_hull
+from .geometry import Box, Cube, Interval, PointSet
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, midpoint
 
 SubsetMask = int
@@ -68,7 +81,7 @@ class ClassDescriptor:
     anchor: Optional[Box] = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise DomainError(f"class dimension must be a positive int: {self.dim!r}")
         if self.kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
             if self.anchor is None:
@@ -114,7 +127,7 @@ class AxisCut:
     threshold: Scalar
 
     def __post_init__(self):
-        if not isinstance(self.axis, int) or self.axis < 0:
+        if not isinstance(self.axis, int) or isinstance(self.axis, bool) or self.axis < 0:
             raise DomainError(f"cut axis must be a nonnegative int: {self.axis!r}")
         object.__setattr__(self, "threshold", as_scalar(self.threshold))
 
@@ -135,10 +148,33 @@ class CarveWitness:
 
 
 def _trace_mask(concept, ps: PointSet) -> int:
-    m = 0
-    for i, p in enumerate(ps.points):
-        if concept.contains(p):
-            m |= 1 << i
+    """The mask of the points of ps that concept contains, on the original rationals.
+
+    For a box, cube or cut it is read off ``ps.axis_prefix``: per axis, the
+    points between the concept's two bounds are one difference of prefix
+    masks.  Any other concept, or one of another dimension, is tested point
+    by point (which raises on a dimension mismatch).
+    """
+    if isinstance(concept, AxisCut) and concept.axis < ps.dim:
+        values, prefix = ps.axis_prefix[concept.axis]
+        return prefix[bisect_right(values, concept.threshold)]
+    if isinstance(concept, Box) and concept.dim == ps.dim:
+        bounds = [(iv.lo, iv.hi) for iv in concept.intervals]
+    elif isinstance(concept, Cube) and concept.dim == ps.dim:
+        r = concept.radius
+        bounds = [(c - r, c + r) for c in concept.center]
+    else:
+        m = 0
+        for i, p in enumerate(ps.points):
+            if concept.contains(p):
+                m |= 1 << i
+        return m
+    m = (1 << len(ps)) - 1
+    for (values, prefix), (lo, hi) in zip(ps.axis_prefix, bounds):
+        if hi is not POS_INF:
+            m &= prefix[bisect_right(values, hi)]
+        if lo is not NEG_INF:
+            m &= ~prefix[bisect_left(values, lo)]
     return m
 
 
@@ -182,11 +218,36 @@ def _checked(concept, ps: PointSet, mask: int, descriptor: ClassDescriptor) -> C
     return CarveWitness(descriptor, mask, concept)
 
 
-def _split(ps: PointSet, mask: int) -> Tuple[Tuple[Point, ...], Tuple[Point, ...]]:
+def _split(ps: PointSet, mask: int) -> Tuple[list, list]:
+    """The integer images (``ps.scaled``) of the points in and out of mask."""
     inc, exc = [], []
-    for i, p in enumerate(ps.points):
+    for i, p in enumerate(ps.scaled[1]):
         (inc if mask >> i & 1 else exc).append(p)
-    return tuple(inc), tuple(exc)
+    return inc, exc
+
+
+def _own(ps: PointSet, axis: int, v, default=None):
+    """The coordinate on axis of a point whose image is v, as that point's own
+    scalar object (witnesses share it rather than hold a copy); ``default``
+    when no point has that image."""
+    den, image = ps.scaled
+    if den == 1:
+        return v
+    for p, q in zip(ps.points, image):
+        if q[axis] == v:
+            return p[axis]
+    return default
+
+
+def _scale(v: Scalar, den: int) -> Scalar:
+    return v if den == 1 else as_scalar(v * den)
+
+
+def _unscale(v: Scalar, den: int) -> Scalar:
+    return v if den == 1 else as_scalar(Fraction(v, den))
+
+
+_EMPTY_TRACE = object()  # sentinel: empty subset, built without a hull
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +259,52 @@ def _far_low_box(ps: PointSet) -> Box:
     return Box.from_bounds([m - 2 for m in mins], [m - 1 for m in mins])
 
 
+def _box_search(ps: PointSet, mask: SubsetMask):
+    """Decision core for boxes: the hull test on the integer image.
+
+    Feasible results are _EMPTY_TRACE or ``(lo, hi, exc)``: the hull of the
+    image of S' and the images of the excluded points.
+    """
+    inc, exc = _split(ps, mask)
+    if not inc:
+        return _EMPTY_TRACE
+    axes = list(zip(*inc))
+    lo, hi = [min(a) for a in axes], [max(a) for a in axes]
+    for q in exc:
+        for l, x, h in zip(lo, q, hi):
+            if x < l or x > h:
+                break
+        else:
+            return None
+    return lo, hi, exc
+
+
+def _box_build(ps: PointSet, found, nondegenerate: bool) -> Box:
+    if found is _EMPTY_TRACE:
+        return _far_low_box(ps)
+    lo, hi, exc = found
+    lows = [_own(ps, i, v) for i, v in enumerate(lo)]
+    highs = [_own(ps, i, v) for i, v in enumerate(hi)]
+    if nondegenerate and any(l == h for l, h in zip(lo, hi)):
+        # inflate by half the least exclusion slack
+        if exc:
+            slack = min(
+                max(max(l - x, x - h) for l, x, h in zip(lo, q, hi)) for q in exc
+            )
+            eps = as_scalar(Fraction(slack, 2 * ps.scaled[0]))
+        else:
+            eps = 1
+        lows = [v - eps for v in lows]
+        highs = [v + eps for v in highs]
+    return Box.from_bounds(lows, highs)
+
+
 def carve_box(
     ps: PointSet, mask: SubsetMask, nondegenerate: bool = False
 ) -> Optional[Box]:
     """Feasible iff the rectangular hull of S' meets S exactly in S'."""
-    inc, exc = _split(ps, mask)
-    if not inc:
-        return _far_low_box(ps)
-    hull = rect_hull(inc)
-    for q in exc:
-        if hull.contains(q):
-            return None
-    if nondegenerate and any(iv.lo == iv.hi for iv in hull.intervals):
-        if exc:
-            slack = min(
-                max(
-                    max(iv.lo - x, x - iv.hi)
-                    for iv, x in zip(hull.intervals, q)
-                )
-                for q in exc
-            )
-            eps = as_scalar(Fraction(slack, 2))
-        else:
-            eps = 1
-        hull = Box.from_bounds(
-            [iv.lo - eps for iv in hull.intervals],
-            [iv.hi + eps for iv in hull.intervals],
-        )
-    return hull
+    found = _box_search(ps, mask)
+    return None if found is None else _box_build(ps, found, nondegenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +394,46 @@ def _cover(exc, lo, hi, at_edge: bool, max_width: Optional[Scalar]):
 # degenerate balls (optionally anchored)
 
 
+def _degenerate_search(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]):
+    """Decision core for degenerate balls: the cover search at the hull edges.
+
+    Feasible results are _EMPTY_TRACE (empty subset, no anchor) or
+    ``(lo, hi, hi_min, lo_max)``: the hull of the image of S' plus the
+    scaled anchor, and the committed sides.
+    """
+    inc, exc = _split(ps, mask)
+    if not inc and anchor is None:
+        return _EMPTY_TRACE
+    axes = list(zip(*inc)) or [()] * ps.dim
+    if anchor is None:
+        lo, hi = [min(a) for a in axes], [max(a) for a in axes]
+    else:  # the hull must contain the anchor box too
+        den = ps.scaled[0]
+        lo = [min((*a, _scale(iv.lo, den))) for a, iv in zip(axes, anchor.intervals)]
+        hi = [max((*a, _scale(iv.hi, den))) for a, iv in zip(axes, anchor.intervals)]
+    found = _cover(exc, lo, hi, at_edge=True, max_width=None)
+    return None if found is None else (lo, hi) + found
+
+
+def _degenerate_build(ps: PointSet, found, anchor: Optional[Box]) -> Box:
+    dim = ps.dim
+    if found is _EMPTY_TRACE:
+        top = max(p[0] for p in ps.points)
+        return Box(
+            (Interval(top + 1, POS_INF),)
+            + tuple(Interval.full_line() for _ in range(dim - 1))
+        )
+    lo, hi, hi_min, lo_max = found
+    # a hull edge that no point has is the anchor's (unanchored: never)
+    sides = anchor.intervals if anchor is not None else [Interval.full_line()] * dim
+    return Box(tuple(
+        Interval(_own(ps, i, lo[i], sides[i].lo), POS_INF) if lo_max[i] is not None
+        else Interval(NEG_INF, _own(ps, i, hi[i], sides[i].hi)) if hi_min[i] is not None
+        else Interval.full_line()
+        for i in range(dim)
+    ))
+
+
 def carve_degenerate(
     ps: PointSet, mask: SubsetMask, anchor: Optional[Box] = None
 ) -> Optional[Box]:
@@ -324,48 +443,20 @@ def carve_degenerate(
     side per axis; closing the low side at the hull minimum excludes exactly
     the points strictly below it, and dually.
     """
-    dim = ps.dim
-    inc, exc = _split(ps, mask)
-    if not inc and anchor is None:
-        if not exc:
-            return Box.full_space(dim)
-        top = max(q[0] for q in exc)
-        ivals = [Interval(top + 1, POS_INF)] + [
-            Interval.full_line() for _ in range(dim - 1)
-        ]
-        return Box(tuple(ivals))
-
-    axes = list(zip(*inc)) or [()] * dim
-    if anchor is None:
-        lo, hi = [min(a) for a in axes], [max(a) for a in axes]
-    else:  # the hull must contain the anchor box too
-        lo = [min((*a, iv.lo)) for a, iv in zip(axes, anchor.intervals)]
-        hi = [max((*a, iv.hi)) for a, iv in zip(axes, anchor.intervals)]
-    found = _cover(exc, lo, hi, at_edge=True, max_width=None)
-    if found is None:
-        return None
-    hi_min, lo_max = found
-    return Box(tuple(
-        Interval(lo[i], POS_INF) if lo_max[i] is not None
-        else Interval(NEG_INF, hi[i]) if hi_min[i] is not None
-        else Interval.full_line()
-        for i in range(dim)
-    ))
+    found = _degenerate_search(ps, mask, anchor)
+    return None if found is None else _degenerate_build(ps, found, anchor)
 
 
 # ---------------------------------------------------------------------------
 # cubes
 
 
-_EMPTY_TRACE = object()  # sentinel: empty subset, any faraway cube works
-
-
 def _cube_search(ps: PointSet, mask: SubsetMask):
     """Decision core for cubes: the cover search with sides at the points.
 
     Feasible results are either the _EMPTY_TRACE sentinel or a tuple
-    (lo, hi, hi_min, lo_max, max_width) with the subset hull and the tightest
-    exclusion threshold committed per (axis, side).
+    (lo, hi, hi_min, lo_max, max_width) with the hull of the image of S' and
+    the tightest exclusion threshold committed per (axis, side).
     """
     inc, exc = _split(ps, mask)
     if not inc:
@@ -379,19 +470,8 @@ def _cube_search(ps: PointSet, mask: SubsetMask):
     return (lo, hi) + found + (max_width,)
 
 
-def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
-    """Cover search with every committed side at the excluded point.
-
-    Containment of S' forces 2r >= every hull width; excluding a point via
-    (axis, high) forces center + r below that point's coordinate, and dually.
-    An axis carrying both thresholds forces 2r strictly below their gap, so
-    the radius sits between half the widest hull side and half the least
-    such gap, and each center coordinate between its two bounds.
-    """
+def _cube_build(ps: PointSet, found) -> Cube:
     dim = ps.dim
-    found = _cube_search(ps, mask)
-    if found is None:
-        return None
     if found is _EMPTY_TRACE:
         mins0 = min(p[0] for p in ps.points)
         center = [as_scalar(mins0 - 2)] + [0] * (dim - 1)
@@ -417,38 +497,64 @@ def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
         if hi_min[i] is not None and hi_min[i] - r < c_hi:
             c_hi = hi_min[i] - r
         center.append(midpoint(c_lo, c_hi))
-    return Cube(tuple(center), r)
+    den = ps.scaled[0]
+    return Cube(tuple(_unscale(c, den) for c in center), _unscale(r, den))
+
+
+def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
+    """Cover search with every committed side at the excluded point.
+
+    Containment of S' forces 2r >= every hull width; excluding a point via
+    (axis, high) forces center + r below that point's coordinate, and dually.
+    An axis carrying both thresholds forces 2r strictly below their gap, so
+    the radius sits between half the widest hull side and half the least
+    such gap, and each center coordinate between its two bounds.
+    """
+    found = _cube_search(ps, mask)
+    return None if found is None else _cube_build(ps, found)
 
 
 # ---------------------------------------------------------------------------
 # axis cuts
 
 
-def carve_axis_cut(ps: PointSet, mask: SubsetMask) -> Optional[AxisCut]:
-    """Feasible iff some axis strictly separates S' below from the rest."""
+def _cut_search(ps: PointSet, mask: SubsetMask):
+    """Decision core for axis cuts, on the integer image.
+
+    Feasible results are ``(axis, top, bottom)`` for the first such axis:
+    the images of the largest included and the least excluded coordinate,
+    None for an empty side.
+    """
     inc, exc = _split(ps, mask)
     for i in range(ps.dim):
         top = max(p[i] for p in inc) if inc else None
         bottom = min(q[i] for q in exc) if exc else None
-        if top is None:
-            return AxisCut(i, bottom - 1)
-        if bottom is None:
-            return AxisCut(i, top)
-        if top < bottom:
-            return AxisCut(i, midpoint(top, bottom))
+        if top is None or bottom is None or top < bottom:
+            return i, top, bottom
     return None
+
+
+def _cut_build(ps: PointSet, found) -> AxisCut:
+    i, top, bottom = found
+    if top is None:
+        return AxisCut(i, _own(ps, i, bottom) - 1)
+    if bottom is None:
+        return AxisCut(i, _own(ps, i, top))
+    return AxisCut(i, _unscale(midpoint(top, bottom), ps.scaled[0]))
+
+
+def carve_axis_cut(ps: PointSet, mask: SubsetMask) -> Optional[AxisCut]:
+    """Feasible iff some axis strictly separates S' below from the rest."""
+    found = _cut_search(ps, mask)
+    return None if found is None else _cut_build(ps, found)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _decide(
-    ps: PointSet,
-    mask: SubsetMask,
-    descriptor: ClassDescriptor,
-    want_witness: bool = True,
-):
+def _decide(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor):
+    """The integer verdict: None when infeasible, else what the build step needs."""
     if ps.dim != descriptor.dim:
         raise DimensionMismatchError(
             f"set dimension {ps.dim} != class dimension {descriptor.dim}"
@@ -458,33 +564,39 @@ def _decide(
         raise DomainError(f"mask {mask!r} out of range for {n} points")
 
     kind = descriptor.kind
-    if kind is ClassKind.BOXES:
-        return carve_box(ps, mask, nondegenerate=False)
-    if kind is ClassKind.BOXES_NONDEGENERATE:
-        return carve_box(ps, mask, nondegenerate=True)
+    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
+        return _box_search(ps, mask)
     if kind is ClassKind.CUBES:
-        if want_witness:
-            return carve_cube(ps, mask)
         return _cube_search(ps, mask)
-    if kind is ClassKind.DEGENERATE_BALLS:
-        return carve_degenerate(ps, mask, anchor=None)
-    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
-        return carve_degenerate(ps, mask, anchor=descriptor.anchor)
+    if kind in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
+        return _degenerate_search(ps, mask, descriptor.anchor)
     if kind is ClassKind.AXIS_CUTS:
-        return carve_axis_cut(ps, mask)
+        return _cut_search(ps, mask)
     raise DomainError(f"unknown class kind {kind!r}")
+
+
+def _build(ps: PointSet, found, descriptor: ClassDescriptor):
+    """The concept of a feasible verdict, in the coordinates of ps."""
+    kind = descriptor.kind
+    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
+        return _box_build(ps, found, kind is ClassKind.BOXES_NONDEGENERATE)
+    if kind is ClassKind.CUBES:
+        return _cube_build(ps, found)
+    if kind is ClassKind.AXIS_CUTS:
+        return _cut_build(ps, found)
+    return _degenerate_build(ps, found, descriptor.anchor)
 
 
 def carve(
     ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor
 ) -> Optional[CarveWitness]:
     """Decide one mask; return a validated witness or None (infeasible)."""
-    concept = _decide(ps, mask, descriptor)
-    if concept is None:
+    found = _decide(ps, mask, descriptor)
+    if found is None:
         return None
-    return _checked(concept, ps, mask, descriptor)
+    return _checked(_build(ps, found, descriptor), ps, mask, descriptor)
 
 
 def carve_feasible(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> bool:
-    """Feasibility only (still exact; skips witness construction/validation)."""
-    return _decide(ps, mask, descriptor, want_witness=False) is not None
+    """Feasibility only: the integer verdict, no concept built or re-checked."""
+    return _decide(ps, mask, descriptor) is not None

@@ -337,6 +337,8 @@ def cmd_ordinal_vc(args) -> _Parts:
 
 
 def cmd_resolve_d2(args) -> _Parts:
+    if args.dim % 2:
+        raise UsageError(f"--dim must be even for resolve-d2, got {args.dim}")
     desc = degenerate_balls(args.dim)
     try:
         rep = resolve_even_degenerate(args.dim, n_max=args.n_max, budget=args.budget)

@@ -13,6 +13,8 @@ through :func:`vclab.scalars.as_scalar` and reject floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Tuple
 
 from .errors import (
@@ -42,14 +44,16 @@ class PointSet:
     """An ordered, duplicate-free, finite set of points in R^dim.
 
     Order matters: subset masks index into it, bit i of a mask selecting
-    ``points[i]``.
+    ``points[i]``.  Two tables the carve deciders read are computed on first
+    use and kept on the instance (``scaled``, ``axis_prefix``); they are not
+    fields, so equality and hashing ignore them.
     """
 
     dim: int
     points: Tuple[Point, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise DomainError(f"dimension must be a positive int, got {self.dim!r}")
         pts = tuple(as_point(p) for p in self.points)
         if not pts:
@@ -74,6 +78,48 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """``(L, points * L)``: the least common denominator L of all
+        coordinates and the integer image of the points.
+
+        A positive uniform scale keeps every order and every ratio of
+        differences, so a carve decided on the image is the carve on the
+        points.  When L is 1 the image is ``points`` itself.
+        """
+        den = 1
+        for p in self.points:
+            for c in p:
+                if type(c) is not int:
+                    den = lcm(den, c.denominator)
+        if den == 1:
+            return 1, self.points
+        return den, tuple(
+            tuple(c * den if type(c) is int else c.numerator * (den // c.denominator) for c in p)
+            for p in self.points
+        )
+
+    @cached_property
+    def axis_prefix(self) -> Tuple[Tuple[Tuple[Scalar, ...], Tuple[int, ...]], ...]:
+        """Per axis, ``(values, prefix)``: the distinct coordinates in
+        increasing order, and ``prefix[k]``, the mask of the points whose
+        coordinate is among the first k values.
+
+        The points with ``lo <= x[axis] <= hi`` are then
+        ``prefix[bisect_right(values, hi)] & ~prefix[bisect_left(values, lo)]``.
+        """
+        tables = []
+        for axis in range(self.dim):
+            bits = {}
+            for i, p in enumerate(self.points):
+                bits[p[axis]] = bits.get(p[axis], 0) | 1 << i
+            values = tuple(sorted(bits))
+            prefix = [0]
+            for v in values:
+                prefix.append(prefix[-1] | bits[v])
+            tables.append((values, tuple(prefix)))
+        return tuple(tables)
 
     def __iter__(self):
         return iter(self.points)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .carve import CarveWitness, ClassDescriptor, carve, carve_feasible
+from .carve import CarveWitness, ClassDescriptor, _trace_mask, carve, carve_feasible
 from .errors import CapExceededError, DomainError
 from .geometry import PointSet
 
@@ -68,8 +68,6 @@ class ShatteringCertificate:
         return self.witnesses[mask]
 
     def validate(self) -> bool:
-        from .carve import _trace_mask  # local import to keep module load light
-
         for mask, w in enumerate(self.witnesses):
             if w.mask != mask:
                 return False
@@ -172,19 +170,15 @@ def vc_lower_bound_on(
 ) -> VcLowerBound:
     """Largest shattered subset of ps, by projecting the feasible mask set.
 
-    Every mask is decided once (with witnesses); a candidate subset T is
-    shattered iff the feasible masks restricted to T hit all 2^|T| patterns,
-    and the stored witnesses transfer because a concept's trace on T is its
-    trace on ps intersected with T.
+    Every mask is decided once (feasibility only); a candidate subset T is
+    shattered iff the feasible masks restricted to T hit all 2^|T| patterns.
+    Witnesses are built only for the 2^|T| masks the certificate uses, and
+    they transfer because a concept's trace on T is its trace on ps
+    intersected with T.
     """
     n = len(ps)
     _check_cap(n, cap)
-    witness_by_mask: Dict[int, CarveWitness] = {}
-    for mask in range(1 << n):
-        w = carve(ps, mask, descriptor)
-        if w is not None:
-            witness_by_mask[mask] = w
-    feasible = list(witness_by_mask)
+    feasible = [m for m in range(1 << n) if carve_feasible(ps, m, descriptor)]
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
             tmask = 0
@@ -196,15 +190,13 @@ def vc_lower_bound_on(
             if len(patterns) != 1 << k:
                 continue
             subset = ps.restrict(combo)
-            from .carve import _trace_mask
-
             local_witnesses = []
             for local in range(1 << k):
                 pattern = 0
                 for bit, i in enumerate(combo):
                     if local >> bit & 1:
                         pattern |= 1 << i
-                source = witness_by_mask[patterns[pattern]]
+                source = carve(ps, patterns[pattern], descriptor)
                 local_trace = _trace_mask(source.concept, subset)
                 if local_trace != local:
                     raise DomainError(

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given
 
 from vclab import (
+    NEG_INF,
+    POS_INF,
     AxisCut,
     Box,
     ClassDescriptor,
     ClassKind,
     Cube,
     DomainError,
+    Interval,
     PointSet,
     anchored,
     boxes,
@@ -23,6 +26,9 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
+from vclab.carve import _trace_mask
+from vclab.errors import DimensionMismatchError
+from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.serialize import canonical_dumps, concept_to_json
 
 from conftest import instances
@@ -204,6 +210,17 @@ def test_mask_out_of_range_rejected():
         carve(ps, -1, boxes(1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ClassDescriptor(ClassKind.BOXES, True),
+    lambda: PointSet(True, ((0,), (1,))),
+    lambda: AxisCut(True, 0),
+    lambda: AxisCut(False, 0),
+], ids=["descriptor-dim", "point-set-dim", "cut-axis-true", "cut-axis-false"])
+def test_boolean_dimension_or_axis_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_descriptor_dimension_must_match_points():
     ps = PointSet.of([(0, 0)])
     with pytest.raises(Exception):
@@ -261,3 +278,137 @@ def test_cover_search_witness_bytes_are_pinned():
                 w = carve(ps, mask, desc)
                 h.update(canonical_dumps(None if w is None else concept_to_json(w.concept)).encode())
     assert h.hexdigest() == "eb14cb87a81005a3273d5886bb4be386fd6ce904e89099491de5e316f6ff0947"
+
+
+def _cuts(d):
+    return ClassDescriptor(ClassKind.AXIS_CUTS, d)
+
+
+def _fraction_point_set(rng, d, n):
+    # denominators up to 12 over small numerators: common denominators up to
+    # 27 720, and ties on most axes (0, 1/2 = 2/4 = 3/6, ...)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(d)))
+    return PointSet.of(sorted(pts))
+
+
+def test_box_and_cut_witness_bytes_are_pinned():
+    # Digest taken with the deciders comparing the rationals themselves;
+    # deciding on the integer image must build the very same concepts.
+    rng = random.Random(1212)
+    h = hashlib.sha256()
+    for make in (boxes, lambda d: boxes(d, nondegenerate=True), _cuts):
+        for _ in range(40):
+            d, n = rng.randint(1, 4), rng.randint(1, 7)
+            ps = _fraction_point_set(rng, d, n)
+            desc = make(d)
+            for mask in range(1 << n):
+                w = carve(ps, mask, desc)
+                h.update(canonical_dumps(None if w is None else concept_to_json(w.concept)).encode())
+    assert h.hexdigest() == "7a4c198efdcd7de9006a6a5ea692a859cc1875a91a27333f0c00c1e8e5a90393"
+
+
+# ---------------------------------------------------------------------------
+# the integer image and the per-axis prefix masks
+# ---------------------------------------------------------------------------
+
+
+def test_scaled_image_is_integral_and_order_preserving():
+    ps = PointSet.of([(Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5, 4))])
+    den, image = ps.scaled
+    assert den == 12
+    assert image == ((6, 36), (-8, 15))
+    assert all(type(c) is int for p in image for c in p)
+    integral = PointSet.of([(0, 1), (2, -3)])
+    assert integral.scaled == (1, integral.points)
+
+
+def test_axis_prefix_masks_points_at_or_below_each_value():
+    ps = PointSet.of([(1, 0), (0, 0), (1, Fraction(1, 2))])
+    (xs, xmask), (ys, ymask) = ps.axis_prefix
+    assert xs == (0, 1) and xmask == (0, 0b010, 0b111)
+    assert ys == (0, Fraction(1, 2)) and ymask == (0, 0b011, 0b111)
+
+
+def test_cached_tables_leave_equality_and_hash_alone():
+    a, b = PointSet.of([(Fraction(1, 3),), (1,)]), PointSet.of([(Fraction(1, 3),), (1,)])
+    a.scaled, a.axis_prefix
+    assert a == b and hash(a) == hash(b)
+
+
+def test_trace_mask_matches_pointwise_membership():
+    rng = random.Random(77)
+    for _ in range(150):
+        d, n = rng.randint(1, 4), rng.randint(1, 8)
+        ps = _fraction_point_set(rng, d, n)
+        coords = [c for p in ps.points for c in p]
+
+        def value():
+            # half the bounds sit exactly on a coordinate, to exercise ties
+            if rng.random() < 0.5:
+                return rng.choice(coords)
+            return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+
+        concepts = [AxisCut(i, value()) for i in range(d)]
+        for _ in range(6):
+            sides = []
+            for _ in range(d):
+                lo, hi = sorted((value(), value()))
+                shape = rng.randrange(4)  # bounded, ray up, ray down, line
+                sides.append(Interval(
+                    NEG_INF if shape in (2, 3) else lo,
+                    POS_INF if shape in (1, 3) else hi,
+                ))
+            concepts.append(Box(tuple(sides)))
+            radius = rng.choice((0, abs(value())))
+            concepts.append(Cube(tuple(value() for _ in range(d)), radius))
+        for concept in concepts:
+            assert _trace_mask(concept, ps) == trace(concept, ps), concept
+
+
+def test_trace_mask_falls_back_on_a_dimension_mismatch():
+    ps = PointSet.of([(0, 0), (1, 1)])
+    with pytest.raises(DimensionMismatchError):
+        _trace_mask(Box.from_bounds([0], [1]), ps)
+    with pytest.raises(DimensionMismatchError):
+        _trace_mask(Cube((0, 0, 0), 1), ps)
+    with pytest.raises(IndexError):
+        _trace_mask(AxisCut(2, 0), ps)
+
+
+def _scaled_descriptor(desc, den):
+    if desc.anchor is None:
+        return desc
+    return anchored(Box.from_bounds(
+        [iv.lo * den for iv in desc.anchor.intervals],
+        [iv.hi * den for iv in desc.anchor.intervals],
+    ))
+
+
+@pytest.mark.parametrize("make", [
+    boxes,
+    lambda d: boxes(d, nondegenerate=True),
+    cubes,
+    degenerate_balls,
+    origin_anchored,
+    lambda d: _rational_anchor(random.Random(d), d),
+    _cuts,
+], ids=["boxes", "boxes-nondegenerate", "cubes", "degenerate", "d0", "anchored", "cuts"])
+def test_feasible_on_rationals_matches_integer_image_and_oracle(make):
+    rng = random.Random(31)
+    for _ in range(12):
+        d, n = rng.randint(1, 3), rng.randint(1, 5)
+        ps = _fraction_point_set(rng, d, n)
+        desc = make(d)
+        den, image = ps.scaled
+        integral = PointSet(d, image)
+        integral_desc = _scaled_descriptor(desc, den)
+        if desc.kind is ClassKind.CUBES:
+            oracle = {m for m in range(1 << n) if cube_feasible_unpruned(ps, m)}
+        else:
+            oracle = trace_set(ps, desc)
+        for mask in range(1 << n):
+            feasible = carve_feasible(ps, mask, desc)
+            assert feasible == carve_feasible(integral, mask, integral_desc)
+            assert feasible == (mask in oracle)

@@ -253,6 +253,14 @@ def test_resolve_d2(capsys):
     assert rep["result"]["value"] == 3
 
 
+@pytest.mark.parametrize("dim", ["1", "3"])
+def test_resolve_d2_odd_dim_is_a_usage_error(capsys, dim):
+    rc, rep, err = run(capsys, ["resolve-d2", "--dim", dim])
+    assert rc == 1
+    assert rep is None
+    assert "usage error" in err and "even" in err
+
+
 def test_mask_scans_run_in_process_and_ignore_jobs(capsys, monkeypatch, points_file):
     def no_pool(*args, **kwargs):
         raise RuntimeError("mask scans must not start a process pool")

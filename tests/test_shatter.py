@@ -14,6 +14,7 @@ from vclab import (
     PointSet,
     boxes,
     canonical_mask_order,
+    carve,
     cubes,
     is_shattered,
     origin_anchored,
@@ -107,6 +108,23 @@ def test_vc_lower_bound_full_on_witness():
     bound = vc_lower_bound_on(ps, origin_anchored(2))
     assert bound.size == 3
     assert bound.indices == (0, 1, 2)
+
+
+def test_vc_lower_bound_builds_witnesses_only_for_the_certificate(monkeypatch):
+    import vclab.shatter as shatter
+
+    ps = PointSet.of([(0,), (1,), (2,), (3,)])
+    calls = []
+
+    def counting_carve(*args):
+        calls.append(args[1])
+        return carve(*args)
+
+    monkeypatch.setattr(shatter, "carve", counting_carve)
+    bound = vc_lower_bound_on(ps, boxes(1))
+    assert bound.size == 2
+    assert len(calls) == len(set(calls)) == 1 << bound.size  # not 2^4
+    assert bound.certificate.validate()
 
 
 def test_sauer_bound_exact_rational():
