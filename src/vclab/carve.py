@@ -239,10 +239,6 @@ def _own(ps: PointSet, axis: int, v, default=None):
     return default
 
 
-def _scale(v: Scalar, den: int) -> Scalar:
-    return v if den == 1 else as_scalar(v * den)
-
-
 def _unscale(v: Scalar, den: int) -> Scalar:
     return v if den == 1 else as_scalar(Fraction(v, den))
 
@@ -408,9 +404,9 @@ def _degenerate_search(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]):
     if anchor is None:
         lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     else:  # the hull must contain the anchor box too
-        den = ps.scaled[0]
-        lo = [min((*a, _scale(iv.lo, den))) for a, iv in zip(axes, anchor.intervals)]
-        hi = [max((*a, _scale(iv.hi, den))) for a, iv in zip(axes, anchor.intervals)]
+        a_lo, a_hi = anchor.scaled(ps.scaled[0])
+        lo = [min((*a, v)) for a, v in zip(axes, a_lo)]
+        hi = [max((*a, v)) for a, v in zip(axes, a_hi)]
     found = _cover(exc, lo, hi, at_edge=True, max_width=None)
     return None if found is None else (lo, hi) + found
 

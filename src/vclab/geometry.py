@@ -245,6 +245,26 @@ class Box:
             a.contains_interval(b) for a, b in zip(self.intervals, other.intervals)
         )
 
+    @cached_property
+    def _scaled_by(self) -> dict:
+        return {}
+
+    def scaled(self, den: int) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
+        """``(lows * den, highs * den)`` of a bounded box: an anchor's bounds
+        on the integer image of a point set (``PointSet.scaled``), computed
+        once per den and kept on the instance (not a field, so equality and
+        hashing ignore it)."""
+        table = self._scaled_by
+        if den not in table:
+            def times(v: Scalar) -> Scalar:
+                return v if den == 1 else as_scalar(v * den)
+
+            table[den] = (
+                tuple(times(iv.lo) for iv in self.intervals),
+                tuple(times(iv.hi) for iv in self.intervals),
+            )
+        return table[den]
+
 
 @dataclass(frozen=True)
 class Cube:

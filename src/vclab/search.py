@@ -20,6 +20,15 @@ generation", J. Algorithms 26, 1998), instead of building all d!*2^d of
 them; ``_canonical`` builds them all and stays as the brute-force
 reference and as the order key of the cube search.
 
+Matrices are generated in an orderly way (Read, "Every one a winner",
+Ann. Discrete Math. 2, 1978): row by row, with each proper row prefix
+tested by ``_is_canonical`` under the same group on its own axes.  A
+prefix that is not least in its orbit has no canonical completion (the
+transform that lowers it, applied with the other axes fixed, lowers every
+completion), so its whole block of completions is skipped unbuilt.  The
+skipped configs still count as examined and are charged to the budget,
+so the counters and budget overruns are those of the raw scan.
+
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
 not proof.  The search scores a candidate with ``cube_score``: one exact
@@ -65,6 +74,10 @@ def symmetries_for(kind: ClassKind) -> SymmetryGroup:
     return SymmetryGroup()
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass
+
+
 @dataclass(frozen=True)
 class OrderConfig:
     """Rank matrix: ranks[axis][point] are distinct within an axis.
@@ -79,14 +92,16 @@ class OrderConfig:
     ranks: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.dim)):
+            raise DomainError(f"n and dim must be ints, got {self.n!r}, {self.dim!r}")
         m = self.n + (1 if self.with_origin else 0)
         if len(self.ranks) != self.dim:
             raise DomainError("one rank row per axis required")
         for row in self.ranks:
             if len(row) != self.n or len(set(row)) != self.n:
                 raise DomainError("ranks must be distinct per axis")
-            if not all(isinstance(v, int) and 0 <= v < m for v in row):
-                raise DomainError(f"ranks must lie in 0..{m - 1}")
+            if not all(_is_int(v) and 0 <= v < m for v in row):
+                raise DomainError(f"ranks must be ints in 0..{m - 1}")
 
     def origin_rank(self, axis: int) -> int:
         if not self.with_origin:
@@ -197,20 +212,29 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: Optional[int]):
+        if limit is not None and limit < 0:
+            raise DomainError(f"budget must be >= 0, got {limit}")
         self.limit = limit
         self.used = 0
 
-    def charge(self) -> None:
-        # the config that would exceed the limit is refused, not examined
-        if self.limit is not None and self.used >= self.limit:
+    def charge(self, counters: EnumerationCounters, count: int = 1) -> None:
+        """Examine ``count`` raw configs, as if one by one: those within the
+        limit are counted, and the first one beyond it is refused."""
+        take = count if self.limit is None else min(count, self.limit - self.used)
+        self.used += take
+        counters.examined += take
+        if take < count:
             raise BudgetExceededError(
                 f"examined {self.used} raw configurations; budget {self.limit}"
             )
-        self.used += 1
 
 
 @dataclass
 class EnumerationCounters:
+    """``examined``: raw configs covered, whether tested one by one or
+    skipped as the block of completions of a non-canonical row prefix;
+    ``emitted``: canonical representatives yielded."""
+
     examined: int = 0
     emitted: int = 0
 
@@ -233,18 +257,30 @@ def _enumerate(
     budget: _Budget,
     counters: EnumerationCounters,
 ) -> Iterator[OrderConfig]:
+    """Orderly generation: rank matrices are built row by row, and a row
+    prefix that is not least in its orbit is dropped with all its
+    completions (none of them is canonical either)."""
     m = n + 1 if with_origin else n
     first_rows = _axis_rows(n, with_origin, sym.point_relabel)
     other_rows = list(permutations(range(m), n))
-    for first in first_rows:
-        for rest in product(other_rows, repeat=dim - 1):
-            budget.charge()
-            counters.examined += 1
-            mat = (first,) + rest
-            if not _is_canonical(mat, m, sym):
-                continue
-            counters.emitted += 1
-            yield OrderConfig(n, dim, with_origin, mat)
+    # raw configs below a prefix of k rows
+    block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
+
+    def extend(prefix: Tuple[Tuple[int, ...], ...]) -> Iterator[OrderConfig]:
+        k = len(prefix) + 1
+        for row in other_rows if prefix else first_rows:
+            mat = prefix + (row,)
+            if k == dim:
+                budget.charge(counters)
+                if _is_canonical(mat, m, sym):
+                    counters.emitted += 1
+                    yield OrderConfig(n, dim, with_origin, mat)
+            elif _is_canonical(mat, m, sym):
+                yield from extend(mat)
+            else:
+                budget.charge(counters, block[k])
+
+    return extend(())
 
 
 def enumerate_order_types(
@@ -260,10 +296,16 @@ def enumerate_order_types(
     Representatives are the lexicographically least rank matrices of their
     orbits.  When point relabeling is on, enumeration is restricted to the
     slice with axis-0 ranks ascending, which every relabel-orbit meets
-    exactly once.  Each raw matrix is tested with the pruned minimality
-    search ``_is_canonical``, which returns the same verdict as comparing
-    it with its full canonical form ``_canonical`` (the reference), so the
-    emission order and the counters are those of the brute-force scan.
+    exactly once.  Matrices are built row by row; a row prefix that is not
+    least in its orbit is skipped with all its completions, and every full
+    matrix is tested with the pruned minimality search ``_is_canonical``.
+    Both give the verdict of comparing each raw matrix with its full
+    canonical form ``_canonical`` (the reference), so the emission order is
+    that of the brute-force scan.  ``counters.examined`` counts the raw
+    configs covered, whether tested one by one or skipped as a block, and
+    ``budget`` caps that count as if each were examined on its own: a
+    limit inside a skipped block raises after exactly ``budget`` of them.
+    A negative budget raises ``DomainError`` before any config is examined.
     """
     if n < 1 or dim < 1:
         raise DomainError("need n >= 1 and dim >= 1")

@@ -337,6 +337,16 @@ def test_cached_tables_leave_equality_and_hash_alone():
     assert a == b and hash(a) == hash(b)
 
 
+def test_anchor_bounds_are_scaled_once_per_denominator():
+    a = Box.from_bounds([Fraction(1, 3), -1], [Fraction(1, 2), 2])
+    b = Box.from_bounds([Fraction(1, 3), -1], [Fraction(1, 2), 2])
+    assert a.scaled(6) == ((2, -6), (3, 12))
+    assert all(type(v) is int for ends in a.scaled(6) for v in ends)
+    assert a.scaled(6) is a.scaled(6)  # kept, not recomputed
+    assert a.scaled(1) == ((Fraction(1, 3), -1), (Fraction(1, 2), 2))
+    assert a == b and hash(a) == hash(b)
+
+
 def test_trace_mask_matches_pointwise_membership():
     rng = random.Random(77)
     for _ in range(150):

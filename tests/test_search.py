@@ -15,6 +15,7 @@ from vclab import (
     ClassDescriptor,
     ClassKind,
     DomainError,
+    OrderConfig,
     PointSet,
     SymmetryGroup,
     anchored,
@@ -35,6 +36,7 @@ from vclab import (
     resolve_even_degenerate,
     symmetries_for,
 )
+from vclab import search as search_module
 from vclab.oracles import cube_feasible_unpruned
 from vclab.search import (
     EnumerationCounters,
@@ -156,6 +158,80 @@ def test_enumeration_emits_one_representative_per_orbit(n, dim, with_origin, var
     assert set(emitted) == orbits
 
 
+def _reference_scan(n, dim, with_origin, sym):
+    """Every raw config of the level in order, with the brute-force verdict."""
+    m = n + (1 if with_origin else 0)
+    return [
+        (mat, _canonical(mat, m, sym) == mat)
+        for mat in _raw_configs(n, dim, with_origin, sym.point_relabel)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,dim,with_origin,variant",
+    DIFFERENTIAL_CELLS + [(5, 3, False, "default"), (4, 4, False, "default")],
+)
+def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, variant):
+    sym = SYMMETRY_VARIANTS[variant]
+    scan = _reference_scan(n, dim, with_origin, sym)
+    counters = EnumerationCounters()
+    emitted = [
+        cfg.ranks
+        for cfg in enumerate_order_types(n, dim, with_origin, symmetry=sym, counters=counters)
+    ]
+    assert emitted == [mat for mat, keep in scan if keep]
+    assert (counters.examined, counters.emitted) == (len(scan), len(emitted))
+
+
+@pytest.mark.parametrize("n,dim,with_origin", [(4, 3, False), (3, 3, True)])
+def test_budget_overrun_matches_per_config_charging(n, dim, with_origin):
+    # a limit inside a skipped block is charged as if its configs were
+    # examined one by one: same emissions, count and message as the scan
+    scan = _reference_scan(n, dim, with_origin, SymmetryGroup())
+    for budget in range(len(scan) + 1):
+        counters = EnumerationCounters()
+        emitted, message = [], None
+        try:
+            for cfg in enumerate_order_types(
+                n, dim, with_origin, budget=budget, counters=counters
+            ):
+                emitted.append(cfg.ranks)
+        except BudgetExceededError as err:
+            message = str(err)
+        assert emitted == [mat for mat, keep in scan[:budget] if keep], budget
+        assert counters.examined == budget
+        if budget < len(scan):
+            assert message == f"examined {budget} raw configurations; budget {budget}"
+        else:
+            assert message is None
+
+
+def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
+    calls = []
+
+    def counting(mat, m, sym):
+        calls.append(len(mat))
+        return _is_canonical(mat, m, sym)
+
+    monkeypatch.setattr(search_module, "_is_canonical", counting)
+    counters = EnumerationCounters()
+    assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
+    assert counters.examined == 14400
+    assert len(calls) < 14400 / 4
+    assert {1, 2, 3} <= set(calls)  # every prefix length is tested
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2, 1, False, ((True, False),)), (True, 1, False, ((0,),)), (1, True, False, ((0,),))],
+    ids=["ranks", "n", "dim"],
+)
+def test_order_config_refuses_booleans(args):
+    with pytest.raises(DomainError):
+        OrderConfig(*args)
+    assert OrderConfig(2, 1, False, ((1, 0),)).ranks == ((1, 0),)
+
+
 def test_with_origin_adds_anchor_rank():
     counters = EnumerationCounters()
     cfgs = list(enumerate_order_types(1, 1, with_origin=True, counters=counters))
@@ -269,6 +345,33 @@ def test_exact_vc_budget_carries_partial_report():
 def test_non_positive_sizes_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+BUDGETED_CALLS = {
+    "enumerate": lambda budget: list(enumerate_order_types(3, 2, budget=budget)),
+    "vc": lambda budget: exact_vc_ordinal(ClassKind.BOXES, 1, budget=budget),
+    "coef": lambda budget: max_shattering_coefficient(ClassKind.BOXES, 2, 3, budget=budget),
+    "resolve": lambda budget: resolve_even_degenerate(2, budget=budget),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGETED_CALLS))
+def test_negative_budget_raises_domain_error_before_any_work(entry, monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("a config was examined")
+
+    monkeypatch.setattr(search_module, "_is_canonical", untouchable)
+    with pytest.raises(DomainError, match="budget must be >= 0"):
+        BUDGETED_CALLS[entry](-5)
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGETED_CALLS))
+def test_zero_budget_refuses_the_first_config(entry):
+    with pytest.raises(BudgetExceededError) as err:
+        BUDGETED_CALLS[entry](0)
+    assert str(err.value) == "examined 0 raw configurations; budget 0"
+    if entry != "enumerate":  # the bare enumerator attaches no report
+        assert err.value.report.configs_examined == 0
 
 
 def test_resolve_even_degenerate_d2():
