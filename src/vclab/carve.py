@@ -20,27 +20,40 @@ Supported classes:
   all of S while containing the anchor can genuinely be infeasible.
 * AXIS_CUTS: lower half-spaces {x : x_i <= a}, one coordinate at a time.
 
-Degenerate balls (anchored or not) and cubes share one cover search
-(``_cover``): every point outside hull(S') (plus anchor) must be excluded
-by a committed side, (axis, low) or (axis, high), of that hull, and per
-axis only the tightest committed threshold of each side matters.  The two
-classes differ in two rules.  A degenerate ball commits a side at the hull
-edge, which excludes every point beyond it; a cube commits it at the point
-being excluded.  A degenerate ball never closes both sides of an axis; a
-cube may, when their gap exceeds the widest hull side, the least diameter
-of a cube containing S'.
+One kernel (``_feasibility``) decides every order-driven class from the
+per-axis prefix bitmasks of S (``PointSet.axis_prefix``), built once per
+scan: per axis, the points strictly below hull(S') are the largest prefix
+mask disjoint from S', and those strictly above it are the complement of
+the least prefix mask containing S'.  A box carves S' when these sides
+together exclude every other point; a degenerate ball when one side per
+axis does; an axis cut when S' is itself a prefix mask.  That is a few
+word operations per axis and mask.  ``is_shattered`` (without a
+certificate), ``shattering_count`` and ``vc_lower_bound_on`` build the
+kernel once and call it on every mask.
 
-Every class decides on the integer image of S (``PointSet.scaled``: the
+Cubes are not order-driven: they are decided, and degenerate-ball
+witnesses are built, by one cover search (``_cover``).  Every point outside
+hull(S') (plus anchor) must be excluded by a committed side, (axis, low) or
+(axis, high), of that hull, and per axis only the tightest committed
+threshold of each side matters.  The two classes differ in two rules.  A
+degenerate ball commits a side at the hull edge, which excludes every point
+beyond it; a cube commits it at the point being excluded.  A degenerate
+ball never closes both sides of an axis; a cube may, when their gap exceeds
+the widest hull side, the least diameter of a cube containing S'.  For
+degenerate balls it runs only on masks the kernel has accepted, and finding
+nothing there is an internal error.
+
+The cover search runs on the integer image of S (``PointSet.scaled``: the
 coordinates times their least common denominator L; anchor endpoints are
 scaled by L too, exactly).  A positive uniform scale keeps every comparison,
 every width and every gap, so the verdicts, and the branching order of the
-cover search, are those on S itself.  Each class splits into a search,
-which stops at that integer verdict (``carve_feasible`` never builds a
-concept), and a build step used by ``carve``, which maps the result back:
-a hull bound is looked up as the point's own coordinate object, while
-midpoints, radii and slacks are divided by L.  The re-check of a built
-concept (``_trace_mask``) runs on the original rationals, one difference
-of the per-axis prefix bitmasks (``PointSet.axis_prefix``) per axis.
+cover search, are those on S itself.  ``carve`` maps a result back: a hull
+bound is the point's own coordinate object, while a cube's centre and radius
+are divided by L.  Box and cut witnesses are built from the kernel's
+indices into the sorted values of ``axis_prefix``, on the rationals
+themselves.  ``carve_feasible`` never builds a concept.  The re-check of a
+built concept (``_trace_mask``) runs on the original rationals, one
+difference of the per-axis prefix bitmasks per axis.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import (
     AnchorMissingError,
@@ -247,6 +260,107 @@ _EMPTY_TRACE = object()  # sentinel: empty subset, built without a hull
 
 
 # ---------------------------------------------------------------------------
+# the feasibility kernel
+
+
+def _hull_indices(prefix: Tuple[int, ...], mask: SubsetMask) -> Tuple[int, int]:
+    """``(a, b)`` for a nonempty mask on one axis (``prefix`` from
+    ``PointSet.axis_prefix``): a is the largest index with
+    ``prefix[a] & mask == 0``, b the least with ``prefix[b]`` a superset of
+    mask.  ``values[a]`` and ``values[b - 1]`` are the ends of the hull of
+    S'; ``prefix[a]`` holds the points strictly below it, and
+    ``prefix[b]`` every point up to its top."""
+    a = 0
+    while not prefix[a + 1] & mask:
+        a += 1
+    b = a + 1
+    while prefix[b] & mask != mask:
+        b += 1
+    return a, b
+
+
+def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetMask], bool]:
+    """The class's verdict on the masks of ps, as a function ``mask -> bool``,
+    its tables built once here (see the module docstring).
+
+    Per axis, ``sides`` gives the points strictly below and strictly above
+    hull(S') (every point, for an empty S'), each ANDed for an anchored
+    class with the points beyond the anchor, found once on the integer
+    image.  A degenerate ball is a depth-first search over the axes for one
+    side each that together exclude every point outside S'; when one side
+    excludes nothing still uncovered, it takes the other without branching.
+    """
+    if ps.dim != descriptor.dim:
+        raise DimensionMismatchError(
+            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
+        )
+    kind = descriptor.kind
+    if kind is ClassKind.CUBES:
+        return lambda mask: _cube_search(ps, mask) is not None
+    if kind is ClassKind.AXIS_CUTS:
+        return frozenset(m for _, prefix in ps.axis_prefix for m in prefix).__contains__
+    full = (1 << len(ps)) - 1
+    anchor = descriptor.anchor
+    if anchor is None:
+        fences = [(full, full)] * ps.dim
+    else:
+        den, image = ps.scaled
+        fences = []
+        for i, (lo, hi) in enumerate(zip(*anchor.scaled(den))):
+            below = above = 0
+            for j, q in enumerate(image):
+                if q[i] < lo:
+                    below |= 1 << j
+                elif q[i] > hi:
+                    above |= 1 << j
+            fences.append((below, above))
+    axes = [(prefix, low, high) for (_, prefix), (low, high) in zip(ps.axis_prefix, fences)]
+
+    def sides(mask):
+        if not mask:
+            return fences
+        out = []
+        for prefix, low, high in axes:
+            a, b = _hull_indices(prefix, mask)
+            out.append((prefix[a] & low, (full ^ prefix[b]) & high))
+        return out
+
+    def union(pairs, mask):
+        for below, above in pairs:
+            mask |= below | above
+        return mask
+
+    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
+        return lambda mask: union(sides(mask), mask) == full
+    if kind not in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
+        raise DomainError(f"unknown class kind {kind!r}")
+    dim = ps.dim
+
+    def ball(mask):
+        pairs = sides(mask)
+        if union(pairs, mask) != full:
+            return False
+
+        def covers(i, rest):
+            if not rest:
+                return True
+            if i == dim:
+                return False
+            below, above = pairs[i]
+            below &= rest
+            above &= rest
+            if not below:
+                return covers(i + 1, rest ^ above)
+            if not above:
+                return covers(i + 1, rest ^ below)
+            return covers(i + 1, rest ^ below) or covers(i + 1, rest ^ above)
+
+        return covers(0, full ^ mask)
+
+    return ball
+
+
+# ---------------------------------------------------------------------------
 # boxes
 
 
@@ -255,39 +369,22 @@ def _far_low_box(ps: PointSet) -> Box:
     return Box.from_bounds([m - 2 for m in mins], [m - 1 for m in mins])
 
 
-def _box_search(ps: PointSet, mask: SubsetMask):
-    """Decision core for boxes: the hull test on the integer image.
-
-    Feasible results are _EMPTY_TRACE or ``(lo, hi, exc)``: the hull of the
-    image of S' and the images of the excluded points.
-    """
-    inc, exc = _split(ps, mask)
-    if not inc:
-        return _EMPTY_TRACE
-    axes = list(zip(*inc))
-    lo, hi = [min(a) for a in axes], [max(a) for a in axes]
-    for q in exc:
-        for l, x, h in zip(lo, q, hi):
-            if x < l or x > h:
-                break
-        else:
-            return None
-    return lo, hi, exc
-
-
-def _box_build(ps: PointSet, found, nondegenerate: bool) -> Box:
-    if found is _EMPTY_TRACE:
+def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
+    if not mask:
         return _far_low_box(ps)
-    lo, hi, exc = found
-    lows = [_own(ps, i, v) for i, v in enumerate(lo)]
-    highs = [_own(ps, i, v) for i, v in enumerate(hi)]
-    if nondegenerate and any(l == h for l, h in zip(lo, hi)):
+    lows, highs = [], []
+    for values, prefix in ps.axis_prefix:
+        a, b = _hull_indices(prefix, mask)
+        lows.append(values[a])
+        highs.append(values[b - 1])
+    if nondegenerate and any(l == h for l, h in zip(lows, highs)):
         # inflate by half the least exclusion slack
+        exc = [p for i, p in enumerate(ps.points) if not mask >> i & 1]
         if exc:
             slack = min(
-                max(max(l - x, x - h) for l, x, h in zip(lo, q, hi)) for q in exc
+                max(max(l - x, x - h) for l, x, h in zip(lows, q, highs)) for q in exc
             )
-            eps = as_scalar(Fraction(slack, 2 * ps.scaled[0]))
+            eps = as_scalar(Fraction(slack, 2))
         else:
             eps = 1
         lows = [v - eps for v in lows]
@@ -299,8 +396,9 @@ def carve_box(
     ps: PointSet, mask: SubsetMask, nondegenerate: bool = False
 ) -> Optional[Box]:
     """Feasible iff the rectangular hull of S' meets S exactly in S'."""
-    found = _box_search(ps, mask)
-    return None if found is None else _box_build(ps, found, nondegenerate)
+    if not _feasibility(ps, boxes(ps.dim, nondegenerate))(mask):
+        return None
+    return _box_build(ps, mask, nondegenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +488,18 @@ def _cover(exc, lo, hi, at_edge: bool, max_width: Optional[Scalar]):
 # degenerate balls (optionally anchored)
 
 
-def _degenerate_search(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]):
-    """Decision core for degenerate balls: the cover search at the hull edges.
-
-    Feasible results are _EMPTY_TRACE (empty subset, no anchor) or
-    ``(lo, hi, hi_min, lo_max)``: the hull of the image of S' plus the
-    scaled anchor, and the committed sides.
-    """
+def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]) -> Box:
+    """The witness of a mask the kernel accepts: the cover search at the hull
+    edges of the image of S' plus the scaled anchor."""
+    dim = ps.dim
     inc, exc = _split(ps, mask)
     if not inc and anchor is None:
-        return _EMPTY_TRACE
-    axes = list(zip(*inc)) or [()] * ps.dim
+        top = max(p[0] for p in ps.points)
+        return Box(
+            (Interval(top + 1, POS_INF),)
+            + tuple(Interval.full_line() for _ in range(dim - 1))
+        )
+    axes = list(zip(*inc)) or [()] * dim
     if anchor is None:
         lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     else:  # the hull must contain the anchor box too
@@ -408,18 +507,9 @@ def _degenerate_search(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]):
         lo = [min((*a, v)) for a, v in zip(axes, a_lo)]
         hi = [max((*a, v)) for a, v in zip(axes, a_hi)]
     found = _cover(exc, lo, hi, at_edge=True, max_width=None)
-    return None if found is None else (lo, hi) + found
-
-
-def _degenerate_build(ps: PointSet, found, anchor: Optional[Box]) -> Box:
-    dim = ps.dim
-    if found is _EMPTY_TRACE:
-        top = max(p[0] for p in ps.points)
-        return Box(
-            (Interval(top + 1, POS_INF),)
-            + tuple(Interval.full_line() for _ in range(dim - 1))
-        )
-    lo, hi, hi_min, lo_max = found
+    if found is None:
+        raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
+    hi_min, lo_max = found
     # a hull edge that no point has is the anchor's (unanchored: never)
     sides = anchor.intervals if anchor is not None else [Interval.full_line()] * dim
     return Box(tuple(
@@ -433,14 +523,16 @@ def _degenerate_build(ps: PointSet, found, anchor: Optional[Box]) -> Box:
 def carve_degenerate(
     ps: PointSet, mask: SubsetMask, anchor: Optional[Box] = None
 ) -> Optional[Box]:
-    """Cover search with every committed side at the hull edge.
+    """Feasible iff one side per axis of hull(S' + anchor) excludes all of S - S'.
 
     A degenerate ball containing hull(S' + anchor) can close at most one
     side per axis; closing the low side at the hull minimum excludes exactly
     the points strictly below it, and dually.
     """
-    found = _degenerate_search(ps, mask, anchor)
-    return None if found is None else _degenerate_build(ps, found, anchor)
+    desc = degenerate_balls(ps.dim) if anchor is None else anchored(anchor)
+    if not _feasibility(ps, desc)(mask):
+        return None
+    return _degenerate_build(ps, mask, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -514,85 +606,61 @@ def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
 # axis cuts
 
 
-def _cut_search(ps: PointSet, mask: SubsetMask):
-    """Decision core for axis cuts, on the integer image.
-
-    Feasible results are ``(axis, top, bottom)`` for the first such axis:
-    the images of the largest included and the least excluded coordinate,
-    None for an empty side.
-    """
-    inc, exc = _split(ps, mask)
-    for i in range(ps.dim):
-        top = max(p[i] for p in inc) if inc else None
-        bottom = min(q[i] for q in exc) if exc else None
-        if top is None or bottom is None or top < bottom:
-            return i, top, bottom
-    return None
-
-
-def _cut_build(ps: PointSet, found) -> AxisCut:
-    i, top, bottom = found
-    if top is None:
-        return AxisCut(i, _own(ps, i, bottom) - 1)
-    if bottom is None:
-        return AxisCut(i, _own(ps, i, top))
-    return AxisCut(i, _unscale(midpoint(top, bottom), ps.scaled[0]))
+def _cut_build(ps: PointSet, mask: SubsetMask) -> AxisCut:
+    """The cut of the first axis on which mask is a prefix mask."""
+    for i, (values, prefix) in enumerate(ps.axis_prefix):
+        if mask in prefix:
+            break
+    k = prefix.index(mask)
+    if k == 0:
+        return AxisCut(i, values[0] - 1)
+    if k == len(values):
+        return AxisCut(i, values[-1])
+    return AxisCut(i, midpoint(values[k - 1], values[k]))
 
 
 def carve_axis_cut(ps: PointSet, mask: SubsetMask) -> Optional[AxisCut]:
     """Feasible iff some axis strictly separates S' below from the rest."""
-    found = _cut_search(ps, mask)
-    return None if found is None else _cut_build(ps, found)
+    if not _feasibility(ps, ClassDescriptor(ClassKind.AXIS_CUTS, ps.dim))(mask):
+        return None
+    return _cut_build(ps, mask)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _decide(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor):
-    """The integer verdict: None when infeasible, else what the build step needs."""
-    if ps.dim != descriptor.dim:
-        raise DimensionMismatchError(
-            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
-        )
+def _check_mask(ps: PointSet, mask: SubsetMask) -> None:
     n = len(ps)
     if not isinstance(mask, int) or not 0 <= mask < (1 << n):
         raise DomainError(f"mask {mask!r} out of range for {n} points")
-
-    kind = descriptor.kind
-    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        return _box_search(ps, mask)
-    if kind is ClassKind.CUBES:
-        return _cube_search(ps, mask)
-    if kind in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
-        return _degenerate_search(ps, mask, descriptor.anchor)
-    if kind is ClassKind.AXIS_CUTS:
-        return _cut_search(ps, mask)
-    raise DomainError(f"unknown class kind {kind!r}")
-
-
-def _build(ps: PointSet, found, descriptor: ClassDescriptor):
-    """The concept of a feasible verdict, in the coordinates of ps."""
-    kind = descriptor.kind
-    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        return _box_build(ps, found, kind is ClassKind.BOXES_NONDEGENERATE)
-    if kind is ClassKind.CUBES:
-        return _cube_build(ps, found)
-    if kind is ClassKind.AXIS_CUTS:
-        return _cut_build(ps, found)
-    return _degenerate_build(ps, found, descriptor.anchor)
 
 
 def carve(
     ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor
 ) -> Optional[CarveWitness]:
     """Decide one mask; return a validated witness or None (infeasible)."""
-    found = _decide(ps, mask, descriptor)
-    if found is None:
+    feasible = _feasibility(ps, descriptor)
+    _check_mask(ps, mask)
+    kind = descriptor.kind
+    if kind is ClassKind.CUBES:
+        found = _cube_search(ps, mask)
+        if found is None:
+            return None
+        concept = _cube_build(ps, found)
+    elif not feasible(mask):
         return None
-    return _checked(_build(ps, found, descriptor), ps, mask, descriptor)
+    elif kind is ClassKind.AXIS_CUTS:
+        concept = _cut_build(ps, mask)
+    elif kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
+        concept = _box_build(ps, mask, kind is ClassKind.BOXES_NONDEGENERATE)
+    else:
+        concept = _degenerate_build(ps, mask, descriptor.anchor)
+    return _checked(concept, ps, mask, descriptor)
 
 
 def carve_feasible(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> bool:
-    """Feasibility only: the integer verdict, no concept built or re-checked."""
-    return _decide(ps, mask, descriptor) is not None
+    """Feasibility only: the kernel's verdict, no concept built or re-checked."""
+    feasible = _feasibility(ps, descriptor)
+    _check_mask(ps, mask)
+    return feasible(mask)

@@ -44,6 +44,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .carve import ClassDescriptor, ClassKind, cubes, origin_anchored
@@ -76,6 +77,14 @@ def symmetries_for(kind: ClassKind) -> SymmetryGroup:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a value that is not an int (a bool included) or is below least."""
+    if not _is_int(value):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,23 +179,27 @@ def _is_canonical(
         for row in mat
     ]
 
-    def no_smaller(k: int, free: Tuple[int, ...], order) -> bool:
+    def pick(order):
+        # the row permuted by order; itemgetter of one index returns no tuple
+        return itemgetter(*order) if n > 1 else tuple
+
+    def no_smaller(k: int, free: Tuple[int, ...], permute) -> bool:
         if k == d:
             return True
         for a in free if sym.axis_permute else free[:1]:
             for row in images[a]:
                 if k == 0 and sym.point_relabel:
-                    order = sorted(range(n), key=row.__getitem__)
-                img = tuple(row[i] for i in order)
+                    permute = pick(sorted(range(n), key=row.__getitem__))
+                img = permute(row)
                 if img < mat[k]:
                     return False
                 if img == mat[k] and not no_smaller(
-                    k + 1, tuple(b for b in free if b != a), order
+                    k + 1, tuple(b for b in free if b != a), permute
                 ):
                     return False
         return True
 
-    return no_smaller(0, tuple(range(d)), range(n))
+    return no_smaller(0, tuple(range(d)), pick(range(n)))
 
 
 def transform_config(
@@ -212,8 +225,8 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: Optional[int]):
-        if limit is not None and limit < 0:
-            raise DomainError(f"budget must be >= 0, got {limit}")
+        if limit is not None:
+            _check_int("budget", limit, 0)
         self.limit = limit
         self.used = 0
 
@@ -307,8 +320,8 @@ def enumerate_order_types(
     limit inside a skipped block raises after exactly ``budget`` of them.
     A negative budget raises ``DomainError`` before any config is examined.
     """
-    if n < 1 or dim < 1:
-        raise DomainError("need n >= 1 and dim >= 1")
+    _check_int("n", n, 1)
+    _check_int("dim", dim, 1)
     sym = symmetry if symmetry is not None else SymmetryGroup()
     tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
@@ -400,8 +413,7 @@ def exact_vc_ordinal(
     raised.  ``jobs`` is accepted but currently unused: every level runs
     in-process.
     """
-    if dim < 1:
-        raise DomainError("dimension must be positive")
+    _check_int("dim", dim, 1)
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(
             f"{kind.value} is not order-driven in dimension {dim}; "
@@ -409,8 +421,7 @@ def exact_vc_ordinal(
         )
     if n_max is None:
         n_max = _default_n_max(kind, dim)
-    if n_max < 1:
-        raise DomainError("need n_max >= 1")
+    _check_int("n_max", n_max, 1)
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
     sym = symmetries_for(kind)
     descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
@@ -728,10 +739,11 @@ def random_cube_search(
     scratch by the shattering checker.  More than ``DEFAULT_MASK_CAP``
     points raise ``CapExceededError`` before anything is scored.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    if n < 1 or dim < 1:
-        raise DomainError("need n >= 1 and dim >= 1")
+    _check_int("trials", trials, 1)
+    _check_int("n", n, 1)
+    _check_int("dim", dim, 1)
+    _check_int("keep", keep, 1)
+    _check_int("climb_steps", climb_steps, 0)
     _check_cap(n, DEFAULT_MASK_CAP)  # cube_score tabulates 2^n masks per axis
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
@@ -809,8 +821,8 @@ def max_shattering_coefficient(
     far, or ``None`` fields when no config was scored) is raised.  ``jobs``
     is accepted but currently unused: every config runs in-process.
     """
-    if n < 1 or dim < 1:
-        raise DomainError("need n >= 1 and dim >= 1")
+    _check_int("n", n, 1)
+    _check_int("dim", dim, 1)
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .carve import CarveWitness, ClassDescriptor, _trace_mask, carve, carve_feasible
+from .carve import CarveWitness, ClassDescriptor, _feasibility, _trace_mask, carve
 from .errors import CapExceededError, DomainError
 from .geometry import PointSet
 
@@ -126,14 +126,15 @@ def is_shattered(
     """
     n = len(ps)
     _check_cap(n, cap)
+    decide = None if want_certificate else _feasibility(ps, descriptor)
     witnesses: Dict[int, CarveWitness] = {}
     for checked, mask in enumerate(canonical_mask_order(n), 1):
-        if want_certificate:
+        if decide is None:
             w = carve(ps, mask, descriptor)
             feasible = w is not None
             witnesses[mask] = w
         else:
-            feasible = carve_feasible(ps, mask, descriptor)
+            feasible = decide(mask)
         if not feasible:
             return ShatterVerdict(ps, descriptor, False, checked, failing_mask=mask)
     cert = None
@@ -153,7 +154,7 @@ def shattering_count(
     """Number of subsets realizable as intersections with class concepts."""
     n = len(ps)
     _check_cap(n, cap)
-    feasible = [m for m in range(1 << n) if carve_feasible(ps, m, descriptor)]
+    feasible = list(filter(_feasibility(ps, descriptor), range(1 << n)))
     return CoefficientReport(
         ps,
         descriptor,
@@ -178,7 +179,7 @@ def vc_lower_bound_on(
     """
     n = len(ps)
     _check_cap(n, cap)
-    feasible = [m for m in range(1 << n) if carve_feasible(ps, m, descriptor)]
+    feasible = list(filter(_feasibility(ps, descriptor), range(1 << n)))
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
             tmask = 0

@@ -1,6 +1,7 @@
 """Carve deciders: frozen examples, witness validity, class closure rules."""
 
 import hashlib
+import importlib
 import random
 from fractions import Fraction
 
@@ -26,12 +27,14 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
-from vclab.carve import _trace_mask
+from vclab.carve import _feasibility, _trace_mask
 from vclab.errors import DimensionMismatchError
 from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.serialize import canonical_dumps, concept_to_json
 
 from conftest import instances
+
+carve_module = importlib.import_module("vclab.carve")
 
 
 def mask_of(indices, n=None):
@@ -422,3 +425,55 @@ def test_feasible_on_rationals_matches_integer_image_and_oracle(make):
             feasible = carve_feasible(ps, mask, desc)
             assert feasible == carve_feasible(integral, mask, integral_desc)
             assert feasible == (mask in oracle)
+
+
+# ---------------------------------------------------------------------------
+# the feasibility kernel
+# ---------------------------------------------------------------------------
+
+# class makers, each called as make(rng, d)
+ORDER_DRIVEN = {
+    "boxes": lambda rng, d: boxes(d),
+    "boxes-nondegenerate": lambda rng, d: boxes(d, nondegenerate=True),
+    "degenerate": lambda rng, d: degenerate_balls(d),
+    "d0": lambda rng, d: origin_anchored(d),
+    "anchored": _rational_anchor,
+    "cuts": lambda rng, d: _cuts(d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_DRIVEN))
+def test_kernel_matches_witness_search_and_oracle_on_every_mask(name):
+    make = ORDER_DRIVEN[name]
+    rng = random.Random("kernel-" + name)
+    for k in range(100):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        ps = _tied_point_set(rng, d, n, rational=k % 2 == 1)
+        desc = make(rng, d)
+        decide = _feasibility(ps, desc)
+        oracle = trace_set(ps, desc)
+        for mask in range(1 << n):
+            feasible = decide(mask)
+            assert feasible == (carve(ps, mask, desc) is not None), (ps, desc, mask)
+            assert feasible == (mask in oracle), (ps, desc, mask)
+            assert feasible == carve_feasible(ps, mask, desc)
+
+
+def test_degenerate_carve_decides_infeasible_masks_without_the_cover_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover search ran on an infeasible mask")
+
+    monkeypatch.setattr(carve_module, "_cover", refuse)
+    ps3 = PointSet.of([(0,), (1,), (2,)])
+    assert carve(ps3, mask_of([1]), degenerate_balls(1)) is None
+    assert carve(PointSet.of([(-1,), (1,)]), 0, origin_anchored(1)) is None
+    anchor = anchored(Box.from_bounds([0, 0], [1, 1]))
+    assert carve(PointSet.of([(Fraction(1, 2), Fraction(1, 2))]), 0, anchor) is None
+
+
+def test_cover_search_failing_on_an_accepted_mask_is_an_internal_error(monkeypatch):
+    ps = PointSet.of([(0,), (2,)])
+    assert carve(ps, mask_of([0]), degenerate_balls(1)) is not None
+    monkeypatch.setattr(carve_module, "_cover", lambda *args, **kwargs: None)
+    with pytest.raises(RuntimeError, match="no witness"):
+        carve(ps, mask_of([0]), degenerate_balls(1))

@@ -146,6 +146,16 @@ def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin,
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
+@pytest.mark.parametrize("dim,with_origin", [(1, False), (3, False), (2, True), (4, True)])
+def test_pruned_minimality_test_on_a_single_point(dim, with_origin, variant):
+    # one point: an image row is a 1-tuple, however the point is relabeled
+    sym = SYMMETRY_VARIANTS[variant]
+    m = 2 if with_origin else 1
+    for mat in _raw_configs(1, dim, with_origin, sym.point_relabel):
+        assert _is_canonical(mat, m, sym) == (_canonical(mat, m, sym) == mat), mat
+
+
+@pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
 @pytest.mark.parametrize(
     "n,dim,with_origin", [(3, 2, False), (4, 2, False), (3, 2, True), (2, 3, True)]
 )
@@ -363,6 +373,49 @@ def test_negative_budget_raises_domain_error_before_any_work(entry, monkeypatch)
     monkeypatch.setattr(search_module, "_is_canonical", untouchable)
     with pytest.raises(DomainError, match="budget must be >= 0"):
         BUDGETED_CALLS[entry](-5)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "3"], ids=["fraction", "bool", "str"])
+@pytest.mark.parametrize("entry", sorted(BUDGETED_CALLS))
+def test_non_int_budget_raises_domain_error(entry, budget):
+    with pytest.raises(DomainError, match="budget must be an int"):
+        BUDGETED_CALLS[entry](budget)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(enumerate_order_types(2.5, 2)),
+        lambda: list(enumerate_order_types(True, 2)),
+        lambda: exact_vc_ordinal(ClassKind.BOXES, 1, n_max=2.5),
+        lambda: exact_vc_ordinal(ClassKind.BOXES, 1, n_max=True),
+        lambda: resolve_even_degenerate(2, n_max=2.5),
+        lambda: max_shattering_coefficient(ClassKind.BOXES, 2, 2.5),
+        lambda: max_shattering_coefficient(ClassKind.BOXES, 2, True),
+    ],
+    ids=["enumerate-n", "enumerate-n-bool", "vc-nmax", "vc-nmax-bool", "resolve-nmax",
+         "coef-n", "coef-n-bool"],
+)
+def test_non_int_sizes_raise_domain_error(call):
+    with pytest.raises(DomainError, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"keep": -1}, {"keep": 0}, {"keep": True}, {"keep": 2.0},
+     {"climb_steps": -1}, {"climb_steps": False}, {"climb_steps": 1.5}],
+    ids=["keep-neg", "keep-zero", "keep-bool", "keep-float",
+         "climb-neg", "climb-bool", "climb-float"],
+)
+def test_cube_search_refuses_ill_typed_keep_and_climb_steps(kwargs):
+    with pytest.raises(DomainError):
+        random_cube_search(2, 4, 10, seed=1, **kwargs)
+
+
+def test_cube_search_accepts_zero_climb_steps_and_keep_one():
+    rep = random_cube_search(2, 4, 10, seed=1, keep=1, climb_steps=0)
+    assert len(rep.best) == 1
 
 
 @pytest.mark.parametrize("entry", sorted(BUDGETED_CALLS))

@@ -1,5 +1,7 @@
 """Shattering verdicts, certificates, coefficients, and the growth bound."""
 
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from vclab import (
     canonical_mask_order,
     carve,
     cubes,
+    degenerate_balls,
     is_shattered,
     origin_anchored,
     origin_ball_witness,
@@ -23,6 +26,8 @@ from vclab import (
     shattering_count,
     vc_lower_bound_on,
 )
+
+carve_module = importlib.import_module("vclab.carve")
 
 
 @given(st.integers(min_value=1, max_value=6))
@@ -125,6 +130,50 @@ def test_vc_lower_bound_builds_witnesses_only_for_the_certificate(monkeypatch):
     assert bound.size == 2
     assert len(calls) == len(set(calls)) == 1 << bound.size  # not 2^4
     assert bound.certificate.validate()
+
+
+def _scan_with_carve(ps, desc):
+    """(failing mask, masks checked) of a per-mask ``carve`` scan in canonical order."""
+    for checked, mask in enumerate(canonical_mask_order(len(ps)), 1):
+        if carve(ps, mask, desc) is None:
+            return mask, checked
+    return None, 1 << len(ps)
+
+
+def test_scan_verdict_matches_a_per_mask_carve_scan():
+    rng = random.Random(606)
+    descs = (boxes, degenerate_balls, origin_anchored, lambda d: ClassDescriptor(ClassKind.AXIS_CUTS, d))
+    seen = set()
+    for _ in range(120):
+        d, n = rng.randint(1, 3), rng.randint(1, 6)
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(d)))
+        ps = PointSet.of(sorted(pts))
+        desc = rng.choice(descs)(d)
+        fast = is_shattered(ps, desc, want_certificate=False)
+        slow = is_shattered(ps, desc, want_certificate=True)
+        want_mask, want_checked = _scan_with_carve(ps, desc)
+        for verdict in (fast, slow):
+            assert verdict.shattered == (want_mask is None)
+            assert (verdict.failing_mask, verdict.masks_checked) == (want_mask, want_checked)
+        seen.add(fast.shattered)
+    assert seen == {True, False}
+    for d in (1, 2, 3):  # shattered witnesses
+        ps = origin_ball_witness(d)
+        assert is_shattered(ps, origin_anchored(d), want_certificate=False).masks_checked == 1 << len(ps)
+
+
+def test_shattering_count_on_degenerate_balls_skips_the_cover_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover search ran in a feasibility scan")
+
+    ps = PointSet.of([(0, 2, 1), (1, 0, 2), (2, 1, 0), (3, 3, 3), (-1, 4, 1)])
+    want = shattering_count(ps, degenerate_balls(3), include_masks=True)
+    monkeypatch.setattr(carve_module, "_cover", refuse)
+    got = shattering_count(ps, degenerate_balls(3), include_masks=True)
+    assert got == want
+    assert 0 < got.realized < got.total_masks
 
 
 def test_sauer_bound_exact_rational():
