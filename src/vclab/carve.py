@@ -20,40 +20,47 @@ Supported classes:
   all of S while containing the anchor can genuinely be infeasible.
 * AXIS_CUTS: lower half-spaces {x : x_i <= a}, one coordinate at a time.
 
-One kernel (``_feasibility``) decides every order-driven class from the
-per-axis prefix bitmasks of S (``PointSet.axis_prefix``), built once per
-scan: per axis, the points strictly below hull(S') are the largest prefix
-mask disjoint from S', and those strictly above it are the complement of
-the least prefix mask containing S'.  A box carves S' when these sides
-together exclude every other point; a degenerate ball when one side per
-axis does; an axis cut when S' is itself a prefix mask.  That is a few
-word operations per axis and mask.  ``is_shattered`` (without a
-certificate), ``shattering_count`` and ``vc_lower_bound_on`` build the
-kernel once and call it on every mask.
+Every carve is decided first and built second.  The class kernel
+(``_feasibility``) is built once per point set and scan and decides a mask
+in a few word operations per axis; ``carve_feasible`` stops there.  Only
+for a mask the kernel accepted does ``carve`` call the class's builder,
+and ``_checked`` re-validates what it builds.  ``is_shattered``,
+``shattering_count`` and ``vc_lower_bound_on`` build the kernel once per
+scan and call the builders directly.
 
-Cubes are not order-driven: they are decided, and degenerate-ball
-witnesses are built, by one cover search (``_cover``).  Every point outside
-hull(S') (plus anchor) must be excluded by a committed side, (axis, low) or
-(axis, high), of that hull, and per axis only the tightest committed
-threshold of each side matters.  The two classes differ in two rules.  A
-degenerate ball commits a side at the hull edge, which excludes every point
-beyond it; a cube commits it at the point being excluded.  A degenerate
-ball never closes both sides of an axis; a cube may, when their gap exceeds
-the widest hull side, the least diameter of a cube containing S'.  For
-degenerate balls it runs only on masks the kernel has accepted, and finding
-nothing there is an internal error.
+The order-driven classes are decided from the per-axis prefix bitmasks of
+S (``PointSet.axis_prefix``): per axis, the points strictly below hull(S')
+are the largest prefix mask disjoint from S', and those strictly above it
+are the complement of the least prefix mask containing S'.  A box carves S'
+when these sides together exclude every other point; a degenerate ball when
+one side per axis does; an axis cut when S' is itself a prefix mask.
 
-The cover search runs on the integer image of S (``PointSet.scaled``: the
-coordinates times their least common denominator L; anchor endpoints are
-scaled by L too, exactly).  A positive uniform scale keeps every comparison,
-every width and every gap, so the verdicts, and the branching order of the
-cover search, are those on S itself.  ``carve`` maps a result back: a hull
-bound is the point's own coordinate object, while a cube's centre and radius
-are divided by L.  Box and cut witnesses are built from the kernel's
-indices into the sorted values of ``axis_prefix``, on the rationals
-themselves.  ``carve_feasible`` never builds a concept.  The re-check of a
-built concept (``_trace_mask``) runs on the original rationals, one
-difference of the per-axis prefix bitmasks per axis.
+Cubes are decided by a window rule on the same tables of the integer image
+of S (``PointSet.scaled``: the coordinates times their least common
+denominator L; a positive uniform scale keeps every comparison, width and
+gap).  Containing S' forces 2r >= w, the widest side of hull(S'), and
+shrinking a carving cube to r = w/2 keeps S' inside and excludes at least
+as much, so the radius is fixed.  Each axis then slides a closed window of
+length w; the points inside form a run of that axis's sorted values
+(``_runs``), and S' is carved iff one run per axis intersects to exactly
+S'.  ``cube_score`` counts every carved subset of a set with the same rule
+in one pass.
+
+Degenerate-ball and cube witnesses come from one cover search (``_cover``)
+on the integer image.  Every point outside hull(S') (plus anchor) must be
+excluded by a committed side, (axis, low) or (axis, high), of that hull,
+and per axis only the tightest committed threshold of each side matters.
+The two classes differ in two rules.  A degenerate ball commits a side at
+the hull edge, which excludes every point beyond it; a cube commits it at
+the point being excluded.  A degenerate ball never closes both sides of an
+axis; a cube may, when their gap exceeds w.  The search runs only on
+accepted masks, so finding nothing is an internal error.  A hull bound of
+the witness is the point's own coordinate object, while a cube's centre
+and radius are divided by L.  Box and cut witnesses are built from the
+kernel's indices into the sorted values of ``axis_prefix``, on the
+rationals themselves.  The re-check of a built concept (``_trace_mask``)
+runs on the original rationals, one difference of the per-axis prefix
+bitmasks per axis.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     AnchorMissingError,
@@ -70,7 +77,7 @@ from .errors import (
     DomainError,
     UnboundedAnchorError,
 )
-from .geometry import Box, Cube, Interval, PointSet
+from .geometry import Box, Cube, Interval, PointSet, prefix_table
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, midpoint
 
 SubsetMask = int
@@ -256,9 +263,6 @@ def _unscale(v: Scalar, den: int) -> Scalar:
     return v if den == 1 else as_scalar(Fraction(v, den))
 
 
-_EMPTY_TRACE = object()  # sentinel: empty subset, built without a hull
-
-
 # ---------------------------------------------------------------------------
 # the feasibility kernel
 
@@ -289,17 +293,31 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
     image.  A degenerate ball is a depth-first search over the axes for one
     side each that together exclude every point outside S'; when one side
     excludes nothing still uncovered, it takes the other without branching.
+    A cube intersects the runs of the integer image's per-axis tables.
     """
     if ps.dim != descriptor.dim:
         raise DimensionMismatchError(
             f"set dimension {ps.dim} != class dimension {descriptor.dim}"
         )
     kind = descriptor.kind
+    full = (1 << len(ps)) - 1
     if kind is ClassKind.CUBES:
-        return lambda mask: _cube_search(ps, mask) is not None
+        tables = [prefix_table(col) for col in zip(*ps.scaled[1])]
+
+        def cube(mask):
+            if not mask:
+                return True  # a faraway cube
+            spans = [_hull_indices(prefix, mask) for _, prefix in tables]
+            w = max(v[b - 1] - v[a] for (v, _), (a, b) in zip(tables, spans))
+            reach = {full}
+            for (v, prefix), (a, b) in zip(tables, spans):
+                runs = _runs(v, prefix, a, b - 1, w)
+                reach = {m & o for m in reach for o in runs}
+            return mask in reach
+
+        return cube
     if kind is ClassKind.AXIS_CUTS:
         return frozenset(m for _, prefix in ps.axis_prefix for m in prefix).__contains__
-    full = (1 << len(ps)) - 1
     anchor = descriptor.anchor
     if anchor is None:
         fences = [(full, full)] * ps.dim
@@ -360,6 +378,81 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
     return ball
 
 
+def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) -> List[int]:
+    """The cube window rule on one axis: the points a closed window of
+    length w can hold together with values s..t (indices into the distinct
+    ``values``; ``prefix`` as in ``prefix_table``), as bitmasks.
+
+    The window holds a run l..r of values iff
+    ``values[r] - values[l] <= w < values[r + 1] - values[l - 1]``
+    (missing neighbours are -inf/+inf).  For a fixed left end the shortest
+    such run reaching t dominates the longer ones, so only it is kept.
+    """
+    out = []
+    last = len(values) - 1
+    for l in range(s, -1, -1):
+        if values[t] - values[l] > w:
+            break
+        # extend while the window cannot clear values[l - 1] and
+        # values[r + 1] at once; values[l - 1] < values[l] keeps
+        # values[r] - values[l] <= w
+        r = t
+        if l:
+            while r < last and values[r + 1] - values[l - 1] <= w:
+                r += 1
+        out.append(prefix[r + 1] ^ prefix[l])
+    return out
+
+
+def cube_score(columns: Sequence[Sequence[int]]) -> int:
+    """Number of subsets of a point set carved by cubes, in one exact pass.
+
+    ``columns[axis][point]`` are integer coordinates of distinct points;
+    projections may tie.  The empty set, the full set and every singleton
+    count without a test (a faraway cube, the bounding cube, a small cube
+    around the point).  Each other subset S' is decided by the cube
+    kernel's window rule (``_runs``), with its hull's indices per axis, and
+    so its widest side w, from a DP over the masks on their lowest set bit.
+
+    This whole-set count is what the randomized search scores with.  It
+    equals the number of masks the cube kernel accepts (the tests compare
+    the two) and needs no ``PointSet``.
+    """
+    n = len(columns[0])
+    full = (1 << n) - 1
+    axes = []
+    widths = []
+    for col in columns:
+        v, prefix = prefix_table(col)
+        index = {x: k for k, x in enumerate(v)}
+        rank = [index[x] for x in col]
+        lo = [len(v) - 1] * full  # entry 0 is neutral for min/max over ranks
+        hi = [0] * full
+        for mask in range(1, full):
+            low = mask & -mask
+            rest = mask ^ low
+            k = rank[low.bit_length() - 1]
+            lo[mask] = k if k < lo[rest] else lo[rest]
+            hi[mask] = k if k > hi[rest] else hi[rest]
+        widths.append([v[h] - v[l] for l, h in zip(lo, hi)])
+        axes.append((v, prefix, lo, hi))
+    ws = list(map(max, *widths)) if len(widths) > 1 else widths[0]
+
+    score = 2 + n if n > 1 else 2
+    for mask in range(3, full):
+        if not mask & (mask - 1):
+            continue
+        w = ws[mask]
+        v, prefix, lo, hi = axes[0]
+        reach = _runs(v, prefix, lo[mask], hi[mask], w)
+        for v, prefix, lo, hi in axes[1:]:
+            opts = _runs(v, prefix, lo[mask], hi[mask], w)
+            reach = {m & o for m in reach for o in opts}
+        if mask in reach:
+            score += 1
+    return score
+
+
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -390,15 +483,6 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
         lows = [v - eps for v in lows]
         highs = [v + eps for v in highs]
     return Box.from_bounds(lows, highs)
-
-
-def carve_box(
-    ps: PointSet, mask: SubsetMask, nondegenerate: bool = False
-) -> Optional[Box]:
-    """Feasible iff the rectangular hull of S' meets S exactly in S'."""
-    if not _feasibility(ps, boxes(ps.dim, nondegenerate))(mask):
-        return None
-    return _box_build(ps, mask, nondegenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -520,51 +604,34 @@ def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]) -> 
     ))
 
 
-def carve_degenerate(
-    ps: PointSet, mask: SubsetMask, anchor: Optional[Box] = None
-) -> Optional[Box]:
-    """Feasible iff one side per axis of hull(S' + anchor) excludes all of S - S'.
-
-    A degenerate ball containing hull(S' + anchor) can close at most one
-    side per axis; closing the low side at the hull minimum excludes exactly
-    the points strictly below it, and dually.
-    """
-    desc = degenerate_balls(ps.dim) if anchor is None else anchored(anchor)
-    if not _feasibility(ps, desc)(mask):
-        return None
-    return _degenerate_build(ps, mask, anchor)
-
-
 # ---------------------------------------------------------------------------
 # cubes
 
 
-def _cube_search(ps: PointSet, mask: SubsetMask):
-    """Decision core for cubes: the cover search with sides at the points.
+def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
+    """The witness of a mask the kernel accepts: the cover search at the
+    excluded points of the image of S', then a radius and centre between
+    the bounds that search committed.
 
-    Feasible results are either the _EMPTY_TRACE sentinel or a tuple
-    (lo, hi, hi_min, lo_max, max_width) with the hull of the image of S' and
-    the tightest exclusion threshold committed per (axis, side).
+    Containment of S' forces 2r >= every hull width; excluding a point via
+    (axis, high) forces center + r below that point's coordinate, and dually.
+    An axis carrying both thresholds forces 2r strictly below their gap, so
+    the radius sits between half the widest hull side and half the least
+    such gap, and each center coordinate between its two bounds.
     """
+    dim = ps.dim
     inc, exc = _split(ps, mask)
     if not inc:
-        return _EMPTY_TRACE
+        mins0 = min(p[0] for p in ps.points)
+        center = [as_scalar(mins0 - 2)] + [0] * (dim - 1)
+        return Cube(tuple(center), Fraction(1, 2))
     axes = list(zip(*inc))
     lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
     found = _cover(exc, lo, hi, at_edge=False, max_width=max_width)
     if found is None:
-        return None
-    return (lo, hi) + found + (max_width,)
-
-
-def _cube_build(ps: PointSet, found) -> Cube:
-    dim = ps.dim
-    if found is _EMPTY_TRACE:
-        mins0 = min(p[0] for p in ps.points)
-        center = [as_scalar(mins0 - 2)] + [0] * (dim - 1)
-        return Cube(tuple(center), Fraction(1, 2))
-    lo, hi, hi_min, lo_max, max_width = found
+        raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
+    hi_min, lo_max = found
 
     r0 = Fraction(max_width, 2)
     pair_bounds = [
@@ -589,19 +656,6 @@ def _cube_build(ps: PointSet, found) -> Cube:
     return Cube(tuple(_unscale(c, den) for c in center), _unscale(r, den))
 
 
-def carve_cube(ps: PointSet, mask: SubsetMask) -> Optional[Cube]:
-    """Cover search with every committed side at the excluded point.
-
-    Containment of S' forces 2r >= every hull width; excluding a point via
-    (axis, high) forces center + r below that point's coordinate, and dually.
-    An axis carrying both thresholds forces 2r strictly below their gap, so
-    the radius sits between half the widest hull side and half the least
-    such gap, and each center coordinate between its two bounds.
-    """
-    found = _cube_search(ps, mask)
-    return None if found is None else _cube_build(ps, found)
-
-
 # ---------------------------------------------------------------------------
 # axis cuts
 
@@ -619,13 +673,6 @@ def _cut_build(ps: PointSet, mask: SubsetMask) -> AxisCut:
     return AxisCut(i, midpoint(values[k - 1], values[k]))
 
 
-def carve_axis_cut(ps: PointSet, mask: SubsetMask) -> Optional[AxisCut]:
-    """Feasible iff some axis strictly separates S' below from the rest."""
-    if not _feasibility(ps, ClassDescriptor(ClassKind.AXIS_CUTS, ps.dim))(mask):
-        return None
-    return _cut_build(ps, mask)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -636,27 +683,27 @@ def _check_mask(ps: PointSet, mask: SubsetMask) -> None:
         raise DomainError(f"mask {mask!r} out of range for {n} points")
 
 
-def carve(
-    ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor
-) -> Optional[CarveWitness]:
-    """Decide one mask; return a validated witness or None (infeasible)."""
-    feasible = _feasibility(ps, descriptor)
-    _check_mask(ps, mask)
+def _witness(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> CarveWitness:
+    """The validated witness of a mask the class kernel accepted."""
     kind = descriptor.kind
-    if kind is ClassKind.CUBES:
-        found = _cube_search(ps, mask)
-        if found is None:
-            return None
-        concept = _cube_build(ps, found)
-    elif not feasible(mask):
-        return None
-    elif kind is ClassKind.AXIS_CUTS:
+    if kind is ClassKind.AXIS_CUTS:
         concept = _cut_build(ps, mask)
+    elif kind is ClassKind.CUBES:
+        concept = _cube_build(ps, mask)
     elif kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
         concept = _box_build(ps, mask, kind is ClassKind.BOXES_NONDEGENERATE)
     else:
         concept = _degenerate_build(ps, mask, descriptor.anchor)
     return _checked(concept, ps, mask, descriptor)
+
+
+def carve(
+    ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor
+) -> Optional[CarveWitness]:
+    """Decide one mask; return a validated witness or None (infeasible)."""
+    if not carve_feasible(ps, mask, descriptor):
+        return None
+    return _witness(ps, mask, descriptor)
 
 
 def carve_feasible(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> bool:

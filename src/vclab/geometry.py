@@ -35,6 +35,20 @@ from .scalars import (
 Point = Tuple[Scalar, ...]
 
 
+def prefix_table(column: Sequence) -> Tuple[Tuple, Tuple[int, ...]]:
+    """``(values, prefix)`` of one coordinate column: its distinct values in
+    increasing order, and ``prefix[k]``, the mask of the points (bit i for
+    ``column[i]``) whose value is among the first k."""
+    bits = {}
+    for i, x in enumerate(column):
+        bits[x] = bits.get(x, 0) | 1 << i
+    values = tuple(sorted(bits))
+    prefix = [0]
+    for x in values:
+        prefix.append(prefix[-1] | bits[x])
+    return values, tuple(prefix)
+
+
 def as_point(coords: Sequence) -> Point:
     return tuple(as_scalar(c) for c in coords)
 
@@ -109,17 +123,7 @@ class PointSet:
         The points with ``lo <= x[axis] <= hi`` are then
         ``prefix[bisect_right(values, hi)] & ~prefix[bisect_left(values, lo)]``.
         """
-        tables = []
-        for axis in range(self.dim):
-            bits = {}
-            for i, p in enumerate(self.points):
-                bits[p[axis]] = bits.get(p[axis], 0) | 1 << i
-            values = tuple(sorted(bits))
-            prefix = [0]
-            for v in values:
-                prefix.append(prefix[-1] | bits[v])
-            tables.append((values, tuple(prefix)))
-        return tuple(tables)
+        return tuple(prefix_table(col) for col in zip(*self.points))
 
     def __iter__(self):
         return iter(self.points)

@@ -31,10 +31,10 @@ so the counters and budget overruns are those of the raw scan.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
-not proof.  The search scores a candidate with ``cube_score``: one exact
-window-cover pass over its integer coordinate columns that counts every
-carved subset at once, with the same result as deciding the masks one by
-one with ``carve_feasible``, so the report bytes do not depend on it.
+not proof.  The search scores a candidate with ``carve.cube_score``: one
+exact pass over its integer coordinate columns that counts every carved
+subset at once with the cube kernel's window rule, so the score is the
+number of masks ``carve_feasible`` accepts.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import permutations, product
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .carve import ClassDescriptor, ClassKind, cubes, origin_anchored
+from .carve import ClassDescriptor, ClassKind, cube_score, cubes, origin_anchored
 from .errors import BudgetExceededError, DomainError
 from .geometry import PointSet
 from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered, shattering_count
@@ -575,92 +575,6 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 0x9E3779B1 + trial)
 
 
-def cube_score(columns: Sequence[Sequence[int]]) -> int:
-    """Number of subsets of a point set carved by cubes, in one exact pass.
-
-    ``columns[axis][point]`` are integer coordinates of distinct points;
-    projections may tie.  The empty set, the full set and every singleton
-    count without a test (a faraway cube, the bounding cube, a small cube
-    around the point).  Each other subset S' is decided as follows.  Containing S'
-    forces 2r >= w, the widest side of its hull, and shrinking a feasible
-    cube to r = w/2 keeps S' inside and excludes at least as much, so the
-    radius is fixed.  Each axis then slides a closed window of length w over
-    [hi_i - w, lo_i]; the points inside form a contiguous run of that axis's
-    sorted order, and S' is carved iff one run per axis intersects to
-    exactly S'.
-
-    Runs are bitmasks over the sorted order.  A run [l..r] is placeable iff
-    v[r] - v[l] <= w < v[r+1] - v[l-1] (missing neighbours are -inf/+inf)
-    and it splits no group of equal values.  For a fixed left end the
-    shortest placeable run holding the span of S' dominates the longer
-    ones, so only that run is kept.  Hull spans, in ranks, come from a DP
-    over the masks on their lowest set bit.
-
-    This whole-set count is what the randomized search scores with.  It
-    equals ``2 + sum(carve_feasible(ps, m, cubes(d)))`` over the proper
-    masks (the tests compare the two) but builds no witness.  The
-    single-mask decider in ``carve`` stays separate: it takes any rational
-    coordinates, and its committed thresholds fix the center and radius of
-    the cube ``carve`` returns and re-validates, which reports and their
-    digests carry.  A count needs neither.
-    """
-    n = len(columns[0])
-    full = (1 << n) - 1
-    axes = []
-    widths = []
-    for col in columns:
-        order = sorted(range(n), key=col.__getitem__)
-        v = [col[p] for p in order]
-        rank = [0] * n
-        prefix = [0] * (n + 1)  # prefix[k]: the k lowest-ranked points
-        for k, p in enumerate(order):
-            rank[p] = k
-            prefix[k + 1] = prefix[k] | 1 << p
-        lo = [n - 1] * full  # entry 0 is neutral for min/max over ranks
-        hi = [0] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            rest = mask ^ low
-            k = rank[low.bit_length() - 1]
-            lo[mask] = k if k < lo[rest] else lo[rest]
-            hi[mask] = k if k > hi[rest] else hi[rest]
-        widths.append([v[h] - v[l] for l, h in zip(lo, hi)])
-        axes.append((v, prefix, lo, hi))
-    ws = list(map(max, *widths)) if len(widths) > 1 else widths[0]
-
-    def runs(v: List[int], prefix: List[int], s: int, t: int, w: int) -> List[int]:
-        # minimal placeable run [l..r] holding ranks s..t, one per left end l
-        out = []
-        for l in range(s, -1, -1):
-            if v[t] - v[l] > w:
-                break
-            if l and v[l - 1] == v[l]:
-                continue
-            # extend past ties and while the window cannot clear v[l - 1]
-            # and v[r + 1] at once; v[l - 1] < v[l] keeps v[r] - v[l] <= w
-            r = t
-            while r + 1 < n and (
-                v[r + 1] == v[r] or (l and v[r + 1] - v[l - 1] <= w)
-            ):
-                r += 1
-            out.append(prefix[r + 1] ^ prefix[l])
-        return out
-
-    score = 2 + n if n > 1 else 2
-    for mask in range(3, full):
-        if not mask & (mask - 1):
-            continue
-        w = ws[mask]
-        v, prefix, lo, hi = axes[0]
-        reach = runs(v, prefix, lo[mask], hi[mask], w)
-        for v, prefix, lo, hi in axes[1:]:
-            opts = runs(v, prefix, lo[mask], hi[mask], w)
-            reach = {m & o for m in reach for o in opts}
-        if mask in reach:
-            score += 1
-    return score
-
-
 def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
     ranked = rank_realization(ps)
     mat = tuple(
@@ -729,11 +643,11 @@ def random_cube_search(
 
     Each trial draws integer coordinates with injective projections; trials
     whose mask-coverage score comes within 2 of full get a short hill climb.
-    The score is ``cube_score``, one exact window-cover pass over the
-    integer columns, equal to the count of masks ``carve_feasible`` accepts
-    (so the reports are byte-identical to per-mask scoring); a
-    ``PointSet`` and an order key are built only for a trial whose score
-    can still enter its worker's local top.
+    The score is ``cube_score``, one exact pass over the integer columns
+    with the cube kernel's window rule, equal to the count of masks
+    ``carve_feasible`` accepts (so the reports are byte-identical to
+    per-mask scoring); a ``PointSet`` and an order key are built only for a
+    trial whose score can still enter its worker's local top.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker.  More than ``DEFAULT_MASK_CAP``

@@ -14,7 +14,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .carve import CarveWitness, ClassDescriptor, _feasibility, _trace_mask, carve
+from .carve import (
+    CarveWitness,
+    ClassDescriptor,
+    _concept_in_class,
+    _feasibility,
+    _trace_mask,
+    _witness,
+)
 from .errors import CapExceededError, DomainError
 from .geometry import PointSet
 
@@ -68,8 +75,11 @@ class ShatteringCertificate:
         return self.witnesses[mask]
 
     def validate(self) -> bool:
+        """Every witness is of this certificate's class and has its mask as trace."""
         for mask, w in enumerate(self.witnesses):
-            if w.mask != mask:
+            if w.mask != mask or w.descriptor != self.descriptor:
+                return False
+            if not _concept_in_class(w.concept, self.descriptor):
                 return False
             if _trace_mask(w.concept, self.points) != mask:
                 return False
@@ -121,27 +131,22 @@ def is_shattered(
 ) -> ShatterVerdict:
     """Decide every subset mask; report the first failing mask in canonical order.
 
-    On success, optionally carries a full certificate (one validated witness
-    per mask).
+    The kernel is built once; on success the verdict optionally carries a
+    full certificate (one validated witness per mask, built as each mask is
+    accepted).
     """
     n = len(ps)
     _check_cap(n, cap)
-    decide = None if want_certificate else _feasibility(ps, descriptor)
-    witnesses: Dict[int, CarveWitness] = {}
+    decide = _feasibility(ps, descriptor)
+    witnesses: List[Optional[CarveWitness]] = [None] * (1 << n)
     for checked, mask in enumerate(canonical_mask_order(n), 1):
-        if decide is None:
-            w = carve(ps, mask, descriptor)
-            feasible = w is not None
-            witnesses[mask] = w
-        else:
-            feasible = decide(mask)
-        if not feasible:
+        if not decide(mask):
             return ShatterVerdict(ps, descriptor, False, checked, failing_mask=mask)
+        if want_certificate:
+            witnesses[mask] = _witness(ps, mask, descriptor)
     cert = None
     if want_certificate:
-        cert = ShatteringCertificate(
-            ps, descriptor, tuple(witnesses[m] for m in range(1 << n))
-        )
+        cert = ShatteringCertificate(ps, descriptor, tuple(witnesses))
     return ShatterVerdict(ps, descriptor, True, 1 << n, certificate=cert)
 
 
@@ -171,10 +176,10 @@ def vc_lower_bound_on(
 ) -> VcLowerBound:
     """Largest shattered subset of ps, by projecting the feasible mask set.
 
-    Every mask is decided once (feasibility only); a candidate subset T is
+    Every mask is decided once, by one kernel; a candidate subset T is
     shattered iff the feasible masks restricted to T hit all 2^|T| patterns.
-    Witnesses are built only for the 2^|T| masks the certificate uses, and
-    they transfer because a concept's trace on T is its trace on ps
+    Witnesses are built, without a second decision, only for the 2^|T|
+    masks the certificate uses, and they transfer because a concept's trace on T is its trace on ps
     intersected with T.
     """
     n = len(ps)
@@ -197,7 +202,7 @@ def vc_lower_bound_on(
                 for bit, i in enumerate(combo):
                     if local >> bit & 1:
                         pattern |= 1 << i
-                source = carve(ps, patterns[pattern], descriptor)
+                source = _witness(ps, patterns[pattern], descriptor)
                 local_trace = _trace_mask(source.concept, subset)
                 if local_trace != local:
                     raise DomainError(

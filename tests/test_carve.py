@@ -27,7 +27,7 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
-from vclab.carve import _feasibility, _trace_mask
+from vclab.carve import _cover, _feasibility, _split, _trace_mask
 from vclab.errors import DimensionMismatchError
 from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.serialize import canonical_dumps, concept_to_json
@@ -432,9 +432,10 @@ def test_feasible_on_rationals_matches_integer_image_and_oracle(make):
 # ---------------------------------------------------------------------------
 
 # class makers, each called as make(rng, d)
-ORDER_DRIVEN = {
+KERNEL_CLASSES = {
     "boxes": lambda rng, d: boxes(d),
     "boxes-nondegenerate": lambda rng, d: boxes(d, nondegenerate=True),
+    "cubes": lambda rng, d: cubes(d),
     "degenerate": lambda rng, d: degenerate_balls(d),
     "d0": lambda rng, d: origin_anchored(d),
     "anchored": _rational_anchor,
@@ -442,16 +443,23 @@ ORDER_DRIVEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ORDER_DRIVEN))
+def _oracle(ps, desc):
+    if desc.kind is ClassKind.CUBES:
+        return {m for m in range(1 << len(ps)) if cube_feasible_unpruned(ps, m)}
+    return trace_set(ps, desc)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CLASSES))
 def test_kernel_matches_witness_search_and_oracle_on_every_mask(name):
-    make = ORDER_DRIVEN[name]
+    make = KERNEL_CLASSES[name]
     rng = random.Random("kernel-" + name)
+    n_max = 6 if name == "cubes" else 7  # the cube oracle tries (2d)^|S - S'| sides
     for k in range(100):
-        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        d, n = rng.randint(1, 4), rng.randint(1, n_max)
         ps = _tied_point_set(rng, d, n, rational=k % 2 == 1)
         desc = make(rng, d)
         decide = _feasibility(ps, desc)
-        oracle = trace_set(ps, desc)
+        oracle = _oracle(ps, desc)
         for mask in range(1 << n):
             feasible = decide(mask)
             assert feasible == (carve(ps, mask, desc) is not None), (ps, desc, mask)
@@ -477,3 +485,40 @@ def test_cover_search_failing_on_an_accepted_mask_is_an_internal_error(monkeypat
     monkeypatch.setattr(carve_module, "_cover", lambda *args, **kwargs: None)
     with pytest.raises(RuntimeError, match="no witness"):
         carve(ps, mask_of([0]), degenerate_balls(1))
+
+
+def test_cube_cover_search_finds_a_witness_on_exactly_the_accepted_masks():
+    # the kernel decides cubes by the window rule, the builder by the cover
+    # search with sides at the excluded points: the two must agree
+    rng = random.Random("cube-cover")
+    for k in range(120):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        ps = _tied_point_set(rng, d, n, rational=k % 2 == 1)
+        decide = _feasibility(ps, cubes(d))
+        assert decide(0)
+        for mask in range(1, 1 << n):
+            inc, exc = _split(ps, mask)
+            axes = list(zip(*inc))
+            lo, hi = [min(a) for a in axes], [max(a) for a in axes]
+            width = max(h - l for h, l in zip(hi, lo))
+            found = _cover(exc, lo, hi, at_edge=False, max_width=width)
+            assert decide(mask) == (found is not None), (ps, mask)
+
+
+def test_cube_cover_search_failing_on_an_accepted_mask_is_an_internal_error(monkeypatch):
+    ps = PointSet.of([(0, 0), (3, 0)])
+    assert carve(ps, mask_of([0]), cubes(2)) is not None
+    monkeypatch.setattr(carve_module, "_cover", lambda *args, **kwargs: None)
+    with pytest.raises(RuntimeError, match="no witness"):
+        carve(ps, mask_of([0]), cubes(2))
+    assert carve(ps, 0, cubes(2)) is not None  # the empty trace needs no search
+
+
+def test_cube_carve_decides_infeasible_masks_without_the_cover_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover search ran on an infeasible mask")
+
+    monkeypatch.setattr(carve_module, "_cover", refuse)
+    assert carve(PointSet.of([(0,), (1,), (2,)]), mask_of([0, 2]), cubes(1)) is None
+    ps = PointSet.of([(0, 0), (2, 2), (1, 1)])
+    assert carve(ps, mask_of([0, 1]), cubes(2)) is None

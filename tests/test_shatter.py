@@ -8,15 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vclab
 from vclab import (
     CapExceededError,
+    CarveWitness,
     ClassDescriptor,
     ClassKind,
     DomainError,
     PointSet,
+    ShatteringCertificate,
     boxes,
     canonical_mask_order,
     carve,
+    cube_witness,
     cubes,
     degenerate_balls,
     is_shattered,
@@ -120,12 +124,13 @@ def test_vc_lower_bound_builds_witnesses_only_for_the_certificate(monkeypatch):
 
     ps = PointSet.of([(0,), (1,), (2,), (3,)])
     calls = []
+    build = shatter._witness
 
-    def counting_carve(*args):
+    def counting_build(*args):
         calls.append(args[1])
-        return carve(*args)
+        return build(*args)
 
-    monkeypatch.setattr(shatter, "carve", counting_carve)
+    monkeypatch.setattr(shatter, "_witness", counting_build)
     bound = vc_lower_bound_on(ps, boxes(1))
     assert bound.size == 2
     assert len(calls) == len(set(calls)) == 1 << bound.size  # not 2^4
@@ -174,6 +179,67 @@ def test_shattering_count_on_degenerate_balls_skips_the_cover_search(monkeypatch
     got = shattering_count(ps, degenerate_balls(3), include_masks=True)
     assert got == want
     assert 0 < got.realized < got.total_masks
+
+
+def test_shattering_count_on_cubes_skips_the_cover_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover search ran in a feasibility scan")
+
+    ps = PointSet.of([(0, 2), (1, 0), (2, 3), (3, 1), (1, 1)])
+    want = shattering_count(ps, cubes(2), include_masks=True)
+    monkeypatch.setattr(carve_module, "_cover", refuse)
+    got = shattering_count(ps, cubes(2), include_masks=True)
+    assert got == want
+    assert 0 < got.realized < got.total_masks
+    assert is_shattered(cube_witness(2), cubes(2), want_certificate=False).shattered
+
+
+@pytest.mark.parametrize("scan", [
+    lambda ps, desc: is_shattered(ps, desc, want_certificate=True),
+    vc_lower_bound_on,
+], ids=["is_shattered", "vc_lower_bound_on"])
+@pytest.mark.parametrize("make", [boxes, cubes, origin_anchored])
+def test_certificate_scans_build_the_kernel_once(monkeypatch, scan, make):
+    import vclab.shatter as shatter
+
+    calls = []
+    kernel = carve_module._feasibility
+
+    def counting_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # carve() reads the module's own binding, the scans their imported one
+    monkeypatch.setattr(carve_module, "_feasibility", counting_kernel)
+    monkeypatch.setattr(shatter, "_feasibility", counting_kernel)
+    ps = origin_ball_witness(2)
+    out = scan(ps, make(2))
+    assert out.certificate is not None and out.certificate.validate()
+    assert len(calls) == 1
+
+
+def _shattered_pair():
+    ps = PointSet.of([(0,), (1,)])
+    cert = is_shattered(ps, cubes(1)).certificate
+    assert cert.validate()
+    return ps, cert
+
+
+def test_certificate_rejects_witnesses_outside_its_class():
+    ps, cert = _shattered_pair()
+    boxed = tuple(carve(ps, m, boxes(1)) for m in range(4))
+    # box witnesses filed under the cube class, and then relabelled as cubes
+    assert not ShatteringCertificate(ps, cubes(1), boxed).validate()
+    relabelled = tuple(CarveWitness(cubes(1), w.mask, w.concept) for w in boxed)
+    assert not ShatteringCertificate(ps, cubes(1), relabelled).validate()
+    # cube witnesses are cubes, but a certificate of boxes must carry box witnesses
+    assert not ShatteringCertificate(ps, boxes(1), cert.witnesses).validate()
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in vclab.__all__ if not hasattr(vclab, name)]
+    assert missing == []
+    assert len(set(vclab.__all__)) == len(vclab.__all__)
 
 
 def test_sauer_bound_exact_rational():
