@@ -279,8 +279,10 @@ def cmd_carve(args) -> _Parts:
 
 def cmd_shatter(args) -> _Parts:
     ps, desc, inputs = _points_and_class(args)
-    verdict = is_shattered(ps, desc, cap=args.cap)
-    result = verdict_to_json(verdict, include_certificate=not args.no_certificate)
+    verdict = is_shattered(
+        ps, desc, cap=args.cap, want_certificate=not args.no_certificate
+    )
+    result = verdict_to_json(verdict)
     return _Parts(result, verdict.shattered, desc, inputs)
 
 
@@ -425,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p)
     p.add_argument("--points", required=True, metavar="FILE")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_MASK_CAP)
-    p.add_argument("--no-certificate", action="store_true")
+    p.add_argument(
+        "--no-certificate",
+        action="store_true",
+        help="build no witnesses: report the verdict without a certificate",
+    )
     _add_common(p)
     p.set_defaults(fn=cmd_shatter)
 

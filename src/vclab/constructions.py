@@ -35,7 +35,7 @@ from .errors import (
 )
 from .geometry import Box, Interval, Point, PointSet, project, rect_hull
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar
-from .shatter import DEFAULT_MASK_CAP, ShatterVerdict, is_shattered
+from .shatter import ShatterVerdict, is_shattered
 
 DELTA_FLOOR = Fraction(1, 2**64)
 
@@ -185,11 +185,7 @@ _PERTURBABLE = (
 )
 
 
-def perturb_to_injective(
-    ps: PointSet,
-    descriptor: ClassDescriptor,
-    cap: int = DEFAULT_MASK_CAP,
-) -> PointSet:
+def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
     """Perturb a shattered set so every coordinate projection is injective.
 
     Verify-and-shrink: points are revisited one at a time; a candidate
@@ -198,11 +194,14 @@ def perturb_to_injective(
     concept here tolerates a small enough outward fattening without catching
     excluded points, so some positive delta always works; hitting the floor
     2**-64 therefore signals a bug (or an astronomically tiny input scale)
-    and raises rather than returning silently.
+    and raises rather than returning silently.  The input must shatter
+    (``NotShatteredError`` otherwise), and every check decides all 2^n
+    masks, so more than ``DEFAULT_MASK_CAP`` points raise
+    ``CapExceededError`` before any perturbation.
     """
     if descriptor.kind not in _PERTURBABLE:
         raise DomainError(f"perturbation not supported for {descriptor.kind.value}")
-    verdict = is_shattered(ps, descriptor, cap=cap, want_certificate=False)
+    verdict = is_shattered(ps, descriptor, want_certificate=False)
     if not verdict.shattered:
         raise NotShatteredError(
             f"input not shattered; first failing mask {verdict.failing_mask}",
@@ -240,7 +239,7 @@ def perturb_to_injective(
             candidate = fresh_proposal(t, delta)
             if candidate is not None:
                 trial = PointSet(d, tuple(candidate if i == t else p for i, p in enumerate(pts)))
-                v = is_shattered(trial, descriptor, cap=cap, want_certificate=False)
+                v = is_shattered(trial, descriptor, want_certificate=False)
                 if v.shattered:
                     pts[t] = candidate
                     break
@@ -359,18 +358,16 @@ class DownwardProjection:
     verdict: ShatterVerdict
 
 
-def cube_downward_projection(
-    ps: PointSet,
-    cap: int = DEFAULT_MASK_CAP,
-    check_shattered: bool = True,
-) -> DownwardProjection:
+def cube_downward_projection(ps: PointSet) -> DownwardProjection:
     """Drop the widest axis of a cube-shattered set.
 
     Chooses the axis of maximum hull width (least index on ties), removes the
     two points attaining its min and max, projects the rest onto the other
     axes, and checks shattering by degenerate balls anchored at the hull of
-    the two projected poles.  For genuinely cube-shattered inputs with
-    injective projections the verdict is always positive.
+    the two projected poles.  The input is checked first: it must have
+    injective projections (``DomainError``) and be shattered by cubes
+    (``NotShatteredError``), and more than ``DEFAULT_MASK_CAP`` points raise
+    ``CapExceededError``.  For such inputs the verdict is always positive.
     """
     n = len(ps)
     d = ps.dim
@@ -383,13 +380,12 @@ def cube_downward_projection(
             raise DomainError(
                 "projections must be injective on every axis (perturb first)"
             )
-    if check_shattered:
-        v = is_shattered(ps, cubes(d), cap=cap, want_certificate=False)
-        if not v.shattered:
-            raise NotShatteredError(
-                f"input not cube-shattered; first failing mask {v.failing_mask}",
-                mask=v.failing_mask,
-            )
+    v = is_shattered(ps, cubes(d), want_certificate=False)
+    if not v.shattered:
+        raise NotShatteredError(
+            f"input not cube-shattered; first failing mask {v.failing_mask}",
+            mask=v.failing_mask,
+        )
     hull = rect_hull(ps.points)
     widths = [iv.hi - iv.lo for iv in hull.intervals]
     axis = max(range(d), key=lambda j: (widths[j], -j))
@@ -403,7 +399,7 @@ def cube_downward_projection(
     pole_hi_img = tuple(ps.points[i_hi][j] for j in keep_axes)
     anchor = rect_hull([pole_lo_img, pole_hi_img])
     descriptor = anchored(anchor)
-    verdict = is_shattered(projected, descriptor, cap=cap)
+    verdict = is_shattered(projected, descriptor)
     return DownwardProjection(
         axis=axis,
         pole_low=ps.points[i_lo],

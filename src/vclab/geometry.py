@@ -83,12 +83,12 @@ class PointSet:
 
     @classmethod
     def of(cls, points: Iterable[Sequence], dim: int | None = None) -> "PointSet":
-        pts = [as_point(p) for p in points]
+        pts = tuple(points)  # __post_init__ normalizes each point
         if dim is None:
             if not pts:
                 raise EmptySetError("cannot infer dimension of an empty point set")
             dim = len(pts[0])
-        return cls(dim=dim, points=tuple(pts))
+        return cls(dim=dim, points=pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -186,11 +186,6 @@ class Interval:
     def is_degenerate_side(self) -> bool:
         """Unbounded in at least one direction (a degenerate-ball factor)."""
         return self.unbounded_below or self.unbounded_above
-
-    def width(self) -> Scalar:
-        if not self.is_bounded:
-            raise DomainError("width of an unbounded interval")
-        return as_scalar(self.hi - self.lo)
 
     def contains(self, x: Scalar) -> bool:
         return self.lo <= x <= self.hi

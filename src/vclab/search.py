@@ -10,9 +10,11 @@ distinct ranks per axis, one representative per symmetry orbit, realizing
 ranks as integer coordinates, and running the exact shattering checker.
 
 Symmetries: relabeling points, permuting axes, and reflecting an axis
-(rank r -> m-1-r).  Reflection is dropped for axis cuts, which are
-one-sided.  Origin-anchored classes get an extra phantom entity for the
-origin, which participates in the ranking but is pinned to coordinate 0.
+(rank r -> m-1-r).  Carve verdicts of products of intervals keep under all
+three, so the group is fixed by the class: the one choice is ``reflect``,
+False only for axis cuts, which are one-sided.  Origin-anchored classes
+get an extra phantom entity for the origin, which participates in the
+ranking but is pinned to coordinate 0.
 A raw rank matrix is kept when it is the least image in its orbit.
 ``_is_canonical`` decides that by a pruned depth-first search over the
 images, row by row (in the spirit of McKay, "Isomorph-free exhaustive
@@ -56,23 +58,13 @@ EVIDENCE_NOTE = (
     "randomized search: absence of a shattered configuration is evidence, not proof"
 )
 
+# hill-climb moves for a cube-search trial whose score comes within 2 of full
+CLIMB_STEPS = 16
+
 
 # ---------------------------------------------------------------------------
 # Order types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    point_relabel: bool = True
-    axis_permute: bool = True
-    axis_reflect: bool = True
-
-
-def symmetries_for(kind: ClassKind) -> SymmetryGroup:
-    if kind is ClassKind.AXIS_CUTS:
-        return SymmetryGroup(axis_reflect=False)
-    return SymmetryGroup()
 
 
 def _is_int(v) -> bool:
@@ -137,34 +129,26 @@ def _relabel_sorted(mat: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], 
 
 
 def _canonical(
-    mat: Tuple[Tuple[int, ...], ...], m: int, sym: SymmetryGroup
+    mat: Tuple[Tuple[int, ...], ...], m: int, reflect: bool
 ) -> Tuple[Tuple[int, ...], ...]:
     d = len(mat)
-    axis_orders = permutations(range(d)) if sym.axis_permute else [tuple(range(d))]
     best = None
-    for tau in axis_orders:
-        reflect_choices = (
-            product((False, True), repeat=d) if sym.axis_reflect else [(False,) * d]
-        )
-        for refl in reflect_choices:
+    for tau in permutations(range(d)):
+        for refl in product((False, True), repeat=d) if reflect else [(False,) * d]:
             rows = []
             for new_axis, old_axis in enumerate(tau):
                 row = mat[old_axis]
                 if refl[new_axis]:
                     row = tuple(m - 1 - v for v in row)
                 rows.append(row)
-            cand = tuple(rows)
-            if sym.point_relabel:
-                cand = _relabel_sorted(cand)
+            cand = _relabel_sorted(tuple(rows))
             if best is None or cand < best:
                 best = cand
     return best
 
 
-def _is_canonical(
-    mat: Tuple[Tuple[int, ...], ...], m: int, sym: SymmetryGroup
-) -> bool:
-    """``_canonical(mat, m, sym) == mat``, decided without building every image.
+def _is_canonical(mat: Tuple[Tuple[int, ...], ...], m: int, reflect: bool) -> bool:
+    """``_canonical(mat, m, reflect) == mat``, decided without building every image.
 
     Images are built row by row: new axis 0 from one of the (axis,
     reflection) choices, which also fixes the point relabeling (its
@@ -175,21 +159,17 @@ def _is_canonical(
     """
     d, n = len(mat), len(mat[0])
     images = [
-        (row, tuple(m - 1 - v for v in row)) if sym.axis_reflect else (row,)
-        for row in mat
+        (row, tuple(m - 1 - v for v in row)) if reflect else (row,) for row in mat
     ]
-
-    def pick(order):
-        # the row permuted by order; itemgetter of one index returns no tuple
-        return itemgetter(*order) if n > 1 else tuple
 
     def no_smaller(k: int, free: Tuple[int, ...], permute) -> bool:
         if k == d:
             return True
-        for a in free if sym.axis_permute else free[:1]:
+        for a in free:
             for row in images[a]:
-                if k == 0 and sym.point_relabel:
-                    permute = pick(sorted(range(n), key=row.__getitem__))
+                if k == 0:  # relabel points so that the new axis 0 ascends
+                    order = sorted(range(n), key=row.__getitem__)
+                    permute = itemgetter(*order) if n > 1 else tuple  # 1 index: no tuple
                 img = permute(row)
                 if img < mat[k]:
                     return False
@@ -199,7 +179,7 @@ def _is_canonical(
                     return False
         return True
 
-    return no_smaller(0, tuple(range(d)), pick(range(n)))
+    return no_smaller(0, tuple(range(d)), None)
 
 
 def transform_config(
@@ -252,12 +232,10 @@ class EnumerationCounters:
     emitted: int = 0
 
 
-def _axis_rows(n: int, with_origin: bool, relabel_slice: bool) -> List[Tuple[int, ...]]:
-    m = n + 1 if with_origin else n
-    if not relabel_slice:
-        return list(permutations(range(m), n))
+def _axis_rows(n: int, with_origin: bool) -> List[Tuple[int, ...]]:
+    """Axis-0 rows of the relabel slice: ranks ascending, so every orbit
+    meets the slice; with an origin, the origin occupies slot s."""
     if with_origin:
-        # axis-0 ranks ascending; the origin occupies slot s
         return [tuple(i if i < s else i + 1 for i in range(n)) for s in range(n + 1)]
     return [tuple(range(n))]
 
@@ -266,7 +244,7 @@ def _enumerate(
     n: int,
     dim: int,
     with_origin: bool,
-    sym: SymmetryGroup,
+    reflect: bool,
     budget: _Budget,
     counters: EnumerationCounters,
 ) -> Iterator[OrderConfig]:
@@ -274,7 +252,7 @@ def _enumerate(
     prefix that is not least in its orbit is dropped with all its
     completions (none of them is canonical either)."""
     m = n + 1 if with_origin else n
-    first_rows = _axis_rows(n, with_origin, sym.point_relabel)
+    first_rows = _axis_rows(n, with_origin)
     other_rows = list(permutations(range(m), n))
     # raw configs below a prefix of k rows
     block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
@@ -285,10 +263,10 @@ def _enumerate(
             mat = prefix + (row,)
             if k == dim:
                 budget.charge(counters)
-                if _is_canonical(mat, m, sym):
+                if _is_canonical(mat, m, reflect):
                     counters.emitted += 1
                     yield OrderConfig(n, dim, with_origin, mat)
-            elif _is_canonical(mat, m, sym):
+            elif _is_canonical(mat, m, reflect):
                 yield from extend(mat)
             else:
                 budget.charge(counters, block[k])
@@ -300,32 +278,34 @@ def enumerate_order_types(
     n: int,
     dim: int,
     with_origin: bool = False,
-    symmetry: Optional[SymmetryGroup] = None,
+    reflect: bool = True,
     budget: Optional[int] = None,
     counters: Optional[EnumerationCounters] = None,
 ) -> Iterator[OrderConfig]:
     """One representative per symmetry orbit, in a deterministic order.
 
-    Representatives are the lexicographically least rank matrices of their
-    orbits.  When point relabeling is on, enumeration is restricted to the
-    slice with axis-0 ranks ascending, which every relabel-orbit meets
-    exactly once.  Matrices are built row by row; a row prefix that is not
-    least in its orbit is skipped with all its completions, and every full
-    matrix is tested with the pruned minimality search ``_is_canonical``.
-    Both give the verdict of comparing each raw matrix with its full
-    canonical form ``_canonical`` (the reference), so the emission order is
-    that of the brute-force scan.  ``counters.examined`` counts the raw
-    configs covered, whether tested one by one or skipped as a block, and
-    ``budget`` caps that count as if each were examined on its own: a
-    limit inside a skipped block raises after exactly ``budget`` of them.
-    A negative budget raises ``DomainError`` before any config is examined.
+    The group relabels points, permutes axes and, when ``reflect`` is set,
+    reflects axes; ``exact_vc_ordinal`` and ``max_shattering_coefficient``
+    clear it only for axis cuts.  Representatives are the
+    lexicographically least rank matrices of their orbits.  Enumeration is
+    restricted to the slice with axis-0 ranks ascending, which every
+    relabel-orbit meets exactly once.  Matrices are built row by row; a row
+    prefix that is not least in its orbit is skipped with all its
+    completions, and every full matrix is tested with the pruned
+    minimality search ``_is_canonical``.  Both give the verdict of
+    comparing each raw matrix with its full canonical form ``_canonical``
+    (the reference), so the emission order is that of the brute-force
+    scan.  ``counters.examined`` counts the raw configs covered, whether
+    tested one by one or skipped as a block, and ``budget`` caps that count
+    as if each were examined on its own: a limit inside a skipped block
+    raises after exactly ``budget`` of them.  A negative budget raises
+    ``DomainError`` before any config is examined.
     """
     _check_int("n", n, 1)
     _check_int("dim", dim, 1)
-    sym = symmetry if symmetry is not None else SymmetryGroup()
     tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
-    return _enumerate(n, dim, with_origin, sym, tracker, ctr)
+    return _enumerate(n, dim, with_origin, reflect, tracker, ctr)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +403,7 @@ def exact_vc_ordinal(
         n_max = _default_n_max(kind, dim)
     _check_int("n_max", n_max, 1)
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
-    sym = symmetries_for(kind)
+    reflect = kind is not ClassKind.AXIS_CUTS  # cuts are one-sided
     descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
     tracker = _Budget(budget)
     levels: List[LevelOutcome] = []
@@ -445,7 +425,7 @@ def exact_vc_ordinal(
         found: Optional[OrderConfig] = None
         found_points: Optional[PointSet] = None
         try:
-            for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
+            for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
                 ps = config.realize()
                 verdict = is_shattered(ps, descriptor, want_certificate=False)
                 if verdict.shattered:
@@ -580,7 +560,7 @@ def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
     mat = tuple(
         tuple(p[j] for p in ranked.points) for j in range(ranked.dim)
     )
-    return _canonical(mat, len(ps), SymmetryGroup())
+    return _canonical(mat, len(ps), True)
 
 
 def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]:
@@ -588,7 +568,7 @@ def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]
 
 
 def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandidate]]:
-    dim, n, t0, t1, seed, rng_range, climb_steps, local_keep = args
+    dim, n, t0, t1, seed, rng_range, local_keep = args
     total = 1 << n
     evaluations = 0
     kept: List[Tuple[tuple, SearchCandidate]] = []  # local top, sorted by rank
@@ -599,7 +579,7 @@ def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandida
         score = cube_score(cols)
         evaluations += 1
         if total - 2 <= score < total:
-            for _ in range(climb_steps):
+            for _ in range(CLIMB_STEPS):
                 j = rng.randrange(dim)
                 i = rng.randrange(n)
                 others = {cols[j][k] for k in range(n) if k != i}
@@ -637,12 +617,13 @@ def random_cube_search(
     coordinate_range: int = 16,
     jobs: int = 1,
     keep: int = 3,
-    climb_steps: int = 16,
 ) -> CubeSearchReport:
     """Seeded random search for cube-shattered n-point sets in dimension dim.
 
     Each trial draws integer coordinates with injective projections; trials
-    whose mask-coverage score comes within 2 of full get a short hill climb.
+    whose mask-coverage score comes within 2 of full get a hill climb of
+    ``CLIMB_STEPS`` (16) single-coordinate moves, each kept only when it
+    raises the score, stopping early at a full score.
     The score is ``cube_score``, one exact pass over the integer columns
     with the cube kernel's window rule, equal to the count of masks
     ``carve_feasible`` accepts (so the reports are byte-identical to
@@ -657,7 +638,6 @@ def random_cube_search(
     _check_int("n", n, 1)
     _check_int("dim", dim, 1)
     _check_int("keep", keep, 1)
-    _check_int("climb_steps", climb_steps, 0)
     _check_cap(n, DEFAULT_MASK_CAP)  # cube_score tabulates 2^n masks per axis
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
@@ -671,7 +651,7 @@ def random_cube_search(
     # independent of how trials were partitioned.
     local_keep = max(8, keep)
     work = [
-        (dim, n, t0, t1, seed, coordinate_range, climb_steps, local_keep)
+        (dim, n, t0, t1, seed, coordinate_range, local_keep)
         for t0, t1 in ranges
     ]
     if jobs == 1 or len(work) == 1:
@@ -740,7 +720,7 @@ def max_shattering_coefficient(
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
     with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
-    sym = symmetries_for(kind)
+    reflect = kind is not ClassKind.AXIS_CUTS  # cuts are one-sided
     descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
     counters = EnumerationCounters()
     tracker = _Budget(budget)
@@ -759,7 +739,7 @@ def max_shattering_coefficient(
         )
 
     try:
-        for config in _enumerate(n, dim, with_origin, sym, tracker, counters):
+        for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
             ps = config.realize()
             report = shattering_count(ps, descriptor)
             if best[0] is None or report.realized > best[0]:

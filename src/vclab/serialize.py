@@ -287,7 +287,7 @@ def certificate_to_json(cert: ShatteringCertificate) -> Dict[str, Any]:
     }
 
 
-def verdict_to_json(v: ShatterVerdict, include_certificate: bool = True) -> Dict[str, Any]:
+def verdict_to_json(v: ShatterVerdict) -> Dict[str, Any]:
     n = len(v.points)
     out: Dict[str, Any] = {
         "shattered": v.shattered,
@@ -297,7 +297,7 @@ def verdict_to_json(v: ShatterVerdict, include_certificate: bool = True) -> Dict
         if v.failing_mask is None
         else format_mask(v.failing_mask, n),
     }
-    if include_certificate and v.certificate is not None:
+    if v.certificate is not None:
         out["certificate"] = certificate_to_json(v.certificate)
     return out
 

@@ -139,6 +139,22 @@ def test_shatter_witness_set(capsys, points_file):
     assert len(rep["result"]["certificate"]["witnesses"]) == 8
 
 
+def test_shatter_no_certificate_builds_no_witness(capsys, monkeypatch, points_file):
+    path = points_file("w3.json", [(-1, 1), (1, -1), (2, 1)])
+    argv = ["shatter", "--class", "d0", "--points", path]
+    _, full, _ = run(capsys, argv)
+
+    def no_witness(*args, **kwargs):
+        raise AssertionError("--no-certificate built a witness")
+
+    monkeypatch.setattr("vclab.shatter._witness", no_witness)
+    rc, rep, _ = run(capsys, argv + ["--no-certificate"])
+    assert rc == 0
+    assert "certificate" not in rep["result"]
+    del full["result"]["certificate"]
+    assert rep["result"] == full["result"]
+
+
 def test_shatter_negative_exit_3(capsys, points_file):
     path = points_file("line3.json", [(0,), (1,), (2,)])
     rc, rep, _ = run(capsys, ["shatter", "--class", "boxes", "--points", path])

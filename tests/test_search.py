@@ -17,7 +17,6 @@ from vclab import (
     DomainError,
     OrderConfig,
     PointSet,
-    SymmetryGroup,
     anchored,
     boxes,
     canonical_dumps,
@@ -34,7 +33,6 @@ from vclab import (
     random_cube_search,
     rank_realization,
     resolve_even_degenerate,
-    symmetries_for,
 )
 from vclab import search as search_module
 from vclab.oracles import cube_feasible_unpruned
@@ -57,9 +55,6 @@ from vclab.serialize import (
 
 from conftest import random_point_set
 
-NO_SYMMETRY = SymmetryGroup(point_relabel=False, axis_permute=False, axis_reflect=False)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -68,11 +63,8 @@ NO_SYMMETRY = SymmetryGroup(point_relabel=False, axis_permute=False, axis_reflec
 def test_enumerate_counts_small():
     assert sum(1 for _ in enumerate_order_types(1, 1)) == 1
     c = EnumerationCounters()
-    assert sum(1 for _ in enumerate_order_types(2, 2, symmetry=NO_SYMMETRY, counters=c)) == 4
-    assert c.examined == 4
-    c2 = EnumerationCounters()
-    assert sum(1 for _ in enumerate_order_types(2, 2, counters=c2)) == 1
-    assert c2.examined == 2  # relabel slice halves the raw space
+    assert sum(1 for _ in enumerate_order_types(2, 2, counters=c)) == 1
+    assert c.examined == 2  # relabel slice halves the raw space
 
 
 def test_enumerate_is_deterministic():
@@ -98,7 +90,7 @@ def test_symmetry_orbits_collapse_to_one_representative():
                 reflect = [rng.random() < 0.5 for _ in range(dim)]
                 point_order = rng.sample(range(n), n)
                 moved = transform_config(cfg, axis_order, reflect, point_order)
-                assert _canonical(moved.ranks, m, SymmetryGroup()) == cfg.ranks
+                assert _canonical(moved.ranks, m, True) == cfg.ranks
                 # realized sets of a transformed config have identical box verdicts
                 mask = rng.randrange(1 << n)
                 perm_mask = 0
@@ -110,49 +102,45 @@ def test_symmetry_orbits_collapse_to_one_representative():
                 ) == carve_feasible(moved.realize(), perm_mask, boxes(dim))
 
 
-SYMMETRY_VARIANTS = {
-    "default": SymmetryGroup(),
-    "no-reflect": symmetries_for(ClassKind.AXIS_CUTS),
-    "no-axis-permute": SymmetryGroup(axis_permute=False),
-    "no-relabel": SymmetryGroup(point_relabel=False),
-}
+# the group's one choice: reflect axes (every class but axis cuts) or not
+SYMMETRY_VARIANTS = {"default": True, "no-reflect": False}
 
 
-def _raw_configs(n, dim, with_origin, relabel_slice):
+def _raw_configs(n, dim, with_origin, sliced=True):
+    """Raw configs in scan order, axis 0 restricted to the relabel slice
+    unless ``sliced`` is False."""
     m = n + (1 if with_origin else 0)
     others = list(permutations(range(m), n))
-    for first in _axis_rows(n, with_origin, relabel_slice):
+    for first in _axis_rows(n, with_origin) if sliced else others:
         for rest in product(others, repeat=dim - 1):
             yield (first,) + rest
 
 
-# without relabeling the raw space is unsliced, so only cells with n*dim <= 8
 DIFFERENTIAL_CELLS = [
     (n, dim, with_origin, variant)
     for n, dim, with_origin in [
         (3, 2, False), (4, 2, True), (5, 2, False), (4, 3, False), (3, 3, True), (3, 4, False)
     ]
     for variant in sorted(SYMMETRY_VARIANTS)
-    if SYMMETRY_VARIANTS[variant].point_relabel or n * dim <= 8
 ]
 
 
 @pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
 def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
-    sym = SYMMETRY_VARIANTS[variant]
+    reflect = SYMMETRY_VARIANTS[variant]
     m = n + (1 if with_origin else 0)
-    for mat in _raw_configs(n, dim, with_origin, sym.point_relabel):
-        assert _is_canonical(mat, m, sym) == (_canonical(mat, m, sym) == mat), mat
+    for mat in _raw_configs(n, dim, with_origin):
+        assert _is_canonical(mat, m, reflect) == (_canonical(mat, m, reflect) == mat), mat
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
 @pytest.mark.parametrize("dim,with_origin", [(1, False), (3, False), (2, True), (4, True)])
 def test_pruned_minimality_test_on_a_single_point(dim, with_origin, variant):
     # one point: an image row is a 1-tuple, however the point is relabeled
-    sym = SYMMETRY_VARIANTS[variant]
+    reflect = SYMMETRY_VARIANTS[variant]
     m = 2 if with_origin else 1
-    for mat in _raw_configs(1, dim, with_origin, sym.point_relabel):
-        assert _is_canonical(mat, m, sym) == (_canonical(mat, m, sym) == mat), mat
+    for mat in _raw_configs(1, dim, with_origin):
+        assert _is_canonical(mat, m, reflect) == (_canonical(mat, m, reflect) == mat), mat
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
@@ -160,21 +148,44 @@ def test_pruned_minimality_test_on_a_single_point(dim, with_origin, variant):
     "n,dim,with_origin", [(3, 2, False), (4, 2, False), (3, 2, True), (2, 3, True)]
 )
 def test_enumeration_emits_one_representative_per_orbit(n, dim, with_origin, variant):
-    sym = SYMMETRY_VARIANTS[variant]
+    reflect = SYMMETRY_VARIANTS[variant]
     m = n + (1 if with_origin else 0)
-    orbits = {_canonical(mat, m, sym) for mat in _raw_configs(n, dim, with_origin, False)}
-    emitted = [cfg.ranks for cfg in enumerate_order_types(n, dim, with_origin, symmetry=sym)]
+    orbits = {_canonical(mat, m, reflect) for mat in _raw_configs(n, dim, with_origin, False)}
+    emitted = [cfg.ranks for cfg in enumerate_order_types(n, dim, with_origin, reflect)]
     assert len(emitted) == len(orbits)
     assert set(emitted) == orbits
 
 
-def _reference_scan(n, dim, with_origin, sym):
-    """Every raw config of the level in order, with the brute-force verdict."""
+def _sliced_images(mat, m, reflect):
+    """Every group image of ``mat``, its points relabeled into the slice
+    (axis-0 ranks ascending): each member of its orbit that the raw scan meets."""
+    d = len(mat)
+    for axes in permutations(range(d)):
+        for flips in product((False, True), repeat=d) if reflect else [(False,) * d]:
+            rows = [
+                tuple(m - 1 - v for v in mat[a]) if flip else mat[a]
+                for a, flip in zip(axes, flips)
+            ]
+            order = sorted(range(len(mat[0])), key=rows[0].__getitem__)
+            yield tuple(tuple(row[i] for i in order) for row in rows)
+
+
+def _reference_scan(n, dim, with_origin, reflect):
+    """Every raw config of the level in order, with the brute-force verdict.
+
+    The first config met of each orbit gets every group element applied
+    once, and each member of its orbit is mapped to the orbit's least image;
+    a config is kept when it is that image."""
     m = n + (1 if with_origin else 0)
-    return [
-        (mat, _canonical(mat, m, sym) == mat)
-        for mat in _raw_configs(n, dim, with_origin, sym.point_relabel)
-    ]
+    least = {}
+    scan = []
+    for mat in _raw_configs(n, dim, with_origin):
+        if mat not in least:
+            orbit = set(_sliced_images(mat, m, reflect))
+            low = min(orbit)
+            least.update(dict.fromkeys(orbit, low))
+        scan.append((mat, least[mat] == mat))
+    return scan
 
 
 @pytest.mark.parametrize(
@@ -182,12 +193,12 @@ def _reference_scan(n, dim, with_origin, sym):
     DIFFERENTIAL_CELLS + [(5, 3, False, "default"), (4, 4, False, "default")],
 )
 def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, variant):
-    sym = SYMMETRY_VARIANTS[variant]
-    scan = _reference_scan(n, dim, with_origin, sym)
+    reflect = SYMMETRY_VARIANTS[variant]
+    scan = _reference_scan(n, dim, with_origin, reflect)
     counters = EnumerationCounters()
     emitted = [
         cfg.ranks
-        for cfg in enumerate_order_types(n, dim, with_origin, symmetry=sym, counters=counters)
+        for cfg in enumerate_order_types(n, dim, with_origin, reflect, counters=counters)
     ]
     assert emitted == [mat for mat, keep in scan if keep]
     assert (counters.examined, counters.emitted) == (len(scan), len(emitted))
@@ -197,7 +208,7 @@ def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, varian
 def test_budget_overrun_matches_per_config_charging(n, dim, with_origin):
     # a limit inside a skipped block is charged as if its configs were
     # examined one by one: same emissions, count and message as the scan
-    scan = _reference_scan(n, dim, with_origin, SymmetryGroup())
+    scan = _reference_scan(n, dim, with_origin, True)
     for budget in range(len(scan) + 1):
         counters = EnumerationCounters()
         emitted, message = [], None
@@ -219,9 +230,9 @@ def test_budget_overrun_matches_per_config_charging(n, dim, with_origin):
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     calls = []
 
-    def counting(mat, m, sym):
+    def counting(mat, m, reflect):
         calls.append(len(mat))
-        return _is_canonical(mat, m, sym)
+        return _is_canonical(mat, m, reflect)
 
     monkeypatch.setattr(search_module, "_is_canonical", counting)
     counters = EnumerationCounters()
@@ -402,19 +413,15 @@ def test_non_int_sizes_raise_domain_error(call):
 
 
 @pytest.mark.parametrize(
-    "kwargs",
-    [{"keep": -1}, {"keep": 0}, {"keep": True}, {"keep": 2.0},
-     {"climb_steps": -1}, {"climb_steps": False}, {"climb_steps": 1.5}],
-    ids=["keep-neg", "keep-zero", "keep-bool", "keep-float",
-         "climb-neg", "climb-bool", "climb-float"],
+    "keep", [-1, 0, True, 2.0], ids=["keep-neg", "keep-zero", "keep-bool", "keep-float"]
 )
-def test_cube_search_refuses_ill_typed_keep_and_climb_steps(kwargs):
+def test_cube_search_refuses_ill_typed_keep(keep):
     with pytest.raises(DomainError):
-        random_cube_search(2, 4, 10, seed=1, **kwargs)
+        random_cube_search(2, 4, 10, seed=1, keep=keep)
 
 
-def test_cube_search_accepts_zero_climb_steps_and_keep_one():
-    rep = random_cube_search(2, 4, 10, seed=1, keep=1, climb_steps=0)
+def test_cube_search_accepts_keep_one():
+    rep = random_cube_search(2, 4, 10, seed=1, keep=1)
     assert len(rep.best) == 1
 
 
@@ -522,7 +529,7 @@ def _search_trials_peak(trials):
     tracemalloc.start()
     try:
         # 4 points on a line: no trial is shattered and none climbs
-        _search_trials((1, 4, 0, trials, 2024, 16, 16, 8))
+        _search_trials((1, 4, 0, trials, 2024, 16, 8))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,7 +547,7 @@ def test_cube_search_keys_only_candidates_that_can_be_kept(monkeypatch):
     # top 8 must not pay for one
     calls = []
     monkeypatch.setattr("vclab.search._order_key", lambda ps: calls.append(1) or _order_key(ps))
-    _, best, _ = _search_trials((2, 4, 0, 300, 2024, 16, 16, 8))
+    _, best, _ = _search_trials((2, 4, 0, 300, 2024, 16, 8))
     assert len(best) == 8
     assert 8 <= len(calls) < 300
 
