@@ -413,11 +413,18 @@ def test_non_int_sizes_raise_domain_error(call):
 
 
 @pytest.mark.parametrize(
-    "keep", [-1, 0, True, 2.0], ids=["keep-neg", "keep-zero", "keep-bool", "keep-float"]
+    "kwargs, error",
+    [({"keep": -1}, DomainError), ({"keep": 0}, DomainError),
+     ({"keep": True}, DomainError), ({"keep": 2.0}, DomainError),
+     # the climb is the fixed CLIMB_STEPS: no climb_steps value is accepted
+     ({"climb_steps": -1}, TypeError), ({"climb_steps": False}, TypeError),
+     ({"climb_steps": 1.5}, TypeError)],
+    ids=["keep-neg", "keep-zero", "keep-bool", "keep-float",
+         "climb-neg", "climb-bool", "climb-float"],
 )
-def test_cube_search_refuses_ill_typed_keep(keep):
-    with pytest.raises(DomainError):
-        random_cube_search(2, 4, 10, seed=1, keep=keep)
+def test_cube_search_refuses_ill_typed_keep_and_climb_steps(kwargs, error):
+    with pytest.raises(error):
+        random_cube_search(2, 4, 10, seed=1, **kwargs)
 
 
 def test_cube_search_accepts_keep_one():
