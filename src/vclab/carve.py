@@ -43,8 +43,9 @@ shrinking a carving cube to r = w/2 keeps S' inside and excludes at least
 as much, so the radius is fixed.  Each axis then slides a closed window of
 length w; the points inside form a run of that axis's sorted values
 (``_runs``), and S' is carved iff one run per axis intersects to exactly
-S'.  ``cube_score`` counts every carved subset of a set with the same rule
-in one pass.
+S'.  ``cube_score`` counts the carved subsets of a set with the same rule;
+``cube_scorer`` counts them only up to the miss that puts the count below a
+floor, which is all a hill-climb step needs to know.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
 on the integer image.  Every point outside hull(S') (plus anchor) must be
@@ -69,6 +70,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -404,53 +406,85 @@ def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) 
     return out
 
 
+def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
+    """A bounded ``cube_score``: ``score(columns, floor)`` is the exact
+    score when that is at least floor, and some value below floor otherwise.
+
+    A score of 2^n - k has k missed masks, so a pass stops at its
+    (2^n - floor + 1)-th miss.  The empty set, the full set and every
+    singleton count without a test (a faraway cube, the bounding cube, a
+    small cube around the point).  Each other subset S' is decided by the
+    cube kernel's window rule (``_runs``); its hull's indices per axis, and
+    so its widest side w, come from its members' ranks, only for the masks
+    a pass decides.
+
+    The masks that missed in the last pass that reached its floor are tried
+    first.  A hill climb keeps exactly the moves whose score reaches its
+    floor, so these are the misses of the columns the next move starts
+    from, and a single-coordinate move seldom changes which mask fails: the
+    miss that settles a rejected move is usually the first mask tried.  The
+    order changes only how soon a pass stops, never what it returns.  The
+    per-axis tables of the last two calls' columns are kept too, since a
+    move changes one column.
+    """
+    memory: List[int] = []  # the misses of the last pass that reached its floor
+    tables = [{}, {}]  # column -> (values, prefix masks, ranks), last two calls
+
+    def score(columns: Sequence[Sequence[int]], floor: int) -> int:
+        n = len(columns[0])
+        full = (1 << n) - 1
+        axes = []
+        now = {}
+        for col in columns:
+            key = tuple(col)
+            axis = tables[0].get(key) or tables[1].get(key)
+            if axis is None:
+                v, prefix = prefix_table(col)
+                index = {x: k for k, x in enumerate(v)}
+                axis = v, prefix, [index[x] for x in col]
+            axes.append(axis)
+            now[key] = axis
+        tables[:] = now, tables[0]
+        points = range(n)
+        slack = full + 1 - floor  # misses an exact score >= floor can have
+        misses: List[int] = []
+        remembered = [mask for mask in memory if mask < full]
+        tried = set(remembered)
+        rest = (m for m in range(3, full) if m & (m - 1) and m not in tried)
+        for mask in chain(remembered, rest):
+            members = [i for i in points if mask >> i & 1]
+            spans = []
+            w = 0
+            for v, _, rank in axes:
+                ks = [rank[i] for i in members]
+                a, b = min(ks), max(ks)
+                spans.append((a, b))
+                if v[b] - v[a] > w:
+                    w = v[b] - v[a]
+            reach = None
+            for (v, prefix, _), (a, b) in zip(axes, spans):
+                runs = _runs(v, prefix, a, b, w)
+                reach = runs if reach is None else {m & o for m in reach for o in runs}
+            if mask not in reach:
+                misses.append(mask)
+                if len(misses) > slack:
+                    return full + 1 - len(misses)
+        memory[:] = misses
+        return full + 1 - len(misses)
+
+    return score
+
+
 def cube_score(columns: Sequence[Sequence[int]]) -> int:
-    """Number of subsets of a point set carved by cubes, in one exact pass.
+    """Number of subsets of a point set carved by cubes, exactly.
 
     ``columns[axis][point]`` are integer coordinates of distinct points;
-    projections may tie.  The empty set, the full set and every singleton
-    count without a test (a faraway cube, the bounding cube, a small cube
-    around the point).  Each other subset S' is decided by the cube
-    kernel's window rule (``_runs``), with its hull's indices per axis, and
-    so its widest side w, from a DP over the masks on their lowest set bit.
-
-    This whole-set count is what the randomized search scores with.  It
-    equals the number of masks the cube kernel accepts (the tests compare
-    the two) and needs no ``PointSet``.
+    projections may tie.  It is ``cube_scorer``'s pass with floor 0, which
+    decides every mask.  This whole-set count is what the randomized search
+    scores with.  It equals the number of masks the cube kernel accepts
+    (the tests compare the two) and needs no ``PointSet``.
     """
-    n = len(columns[0])
-    full = (1 << n) - 1
-    axes = []
-    widths = []
-    for col in columns:
-        v, prefix = prefix_table(col)
-        index = {x: k for k, x in enumerate(v)}
-        rank = [index[x] for x in col]
-        lo = [len(v) - 1] * full  # entry 0 is neutral for min/max over ranks
-        hi = [0] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            rest = mask ^ low
-            k = rank[low.bit_length() - 1]
-            lo[mask] = k if k < lo[rest] else lo[rest]
-            hi[mask] = k if k > hi[rest] else hi[rest]
-        widths.append([v[h] - v[l] for l, h in zip(lo, hi)])
-        axes.append((v, prefix, lo, hi))
-    ws = list(map(max, *widths)) if len(widths) > 1 else widths[0]
-
-    score = 2 + n if n > 1 else 2
-    for mask in range(3, full):
-        if not mask & (mask - 1):
-            continue
-        w = ws[mask]
-        v, prefix, lo, hi = axes[0]
-        reach = _runs(v, prefix, lo[mask], hi[mask], w)
-        for v, prefix, lo, hi in axes[1:]:
-            opts = _runs(v, prefix, lo[mask], hi[mask], w)
-            reach = {m & o for m in reach for o in opts}
-        if mask in reach:
-            score += 1
-    return score
+    return cube_scorer()(columns, 0)
 
 
 # ---------------------------------------------------------------------------

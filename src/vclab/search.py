@@ -33,10 +33,15 @@ so the counters and budget overruns are those of the raw scan.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
-not proof.  The search scores a candidate with ``carve.cube_score``: one
-exact pass over its integer coordinate columns that counts every carved
-subset at once with the cube kernel's window rule, so the score is the
-number of masks ``carve_feasible`` accepts.
+not proof.  A candidate's score is the number of masks ``carve_feasible``
+accepts, counted on its integer coordinate columns with the cube kernel's
+window rule (``carve.cube_score``).  The search asks only whether a score
+reaches a floor: a hill-climb move is kept only if it beats the current
+score, and a first score matters only if the trial climbs or can enter the
+local top.  So it scores with ``carve.cube_scorer``, which is exact at or
+above the floor and otherwise stops at the miss that settles it, trying
+first the masks the current columns missed; every score a report holds is
+exact.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from itertools import permutations, product
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .carve import ClassDescriptor, ClassKind, cube_score, cubes, origin_anchored
+from .carve import ClassDescriptor, ClassKind, cube_score, cube_scorer, cubes, origin_anchored
 from .errors import BudgetExceededError, DomainError
 from .geometry import PointSet
 from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered, shattering_count
@@ -567,28 +572,33 @@ def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]
     return (-cand.score, _order_key(cand.points), cand.trial)
 
 
-def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandidate]]:
+def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
+    """One worker's trials: the score evaluations, and its local top
+    ``local_keep`` and its shattered finds as ``(rank, candidate)`` pairs."""
     dim, n, t0, t1, seed, rng_range, local_keep = args
     total = 1 << n
+    span = range(-rng_range, rng_range + 1)
+    score_at_least = cube_scorer()
     evaluations = 0
     kept: List[Tuple[tuple, SearchCandidate]] = []  # local top, sorted by rank
-    shattered: List[SearchCandidate] = []
+    shattered: List[Tuple[tuple, SearchCandidate]] = []
     for t in range(t0, t1):
         rng = _trial_rng(seed, t)
-        cols = [rng.sample(range(-rng_range, rng_range + 1), n) for _ in range(dim)]
-        score = cube_score(cols)
+        cols = [rng.sample(span, n) for _ in range(dim)]
+        # a first score is needed exactly if the trial climbs or can be kept
+        floor = min(total - 2, -kept[-1][0][0]) if len(kept) == local_keep else 0
+        score = score_at_least(cols, floor)
         evaluations += 1
         if total - 2 <= score < total:
             for _ in range(CLIMB_STEPS):
                 j = rng.randrange(dim)
                 i = rng.randrange(n)
                 others = {cols[j][k] for k in range(n) if k != i}
-                choices = [
-                    v for v in range(-rng_range, rng_range + 1) if v not in others
-                ]
+                choices = [v for v in span if v not in others]
                 old = cols[j][i]
                 cols[j][i] = rng.choice(choices)
-                trial_score = cube_score(cols)
+                # a move is kept only if it raises the score
+                trial_score = score_at_least(cols, score + 1)
                 evaluations += 1
                 if trial_score > score:
                     score = trial_score
@@ -602,11 +612,12 @@ def _search_trials(args) -> Tuple[int, List[SearchCandidate], List[SearchCandida
             continue
         ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
         cand = SearchCandidate(ps, score, total, score == total, t)
+        pair = (_rank(cand), cand)  # ranks are unique (trial)
         if score == total:
-            shattered.append(cand)
-        bisect.insort(kept, (_rank(cand), cand))  # ranks are unique (trial)
+            shattered.append(pair)
+        bisect.insort(kept, pair)
         del kept[local_keep:]
-    return evaluations, [cand for _, cand in kept], shattered
+    return evaluations, kept, shattered
 
 
 def random_cube_search(
@@ -624,21 +635,26 @@ def random_cube_search(
     whose mask-coverage score comes within 2 of full get a hill climb of
     ``CLIMB_STEPS`` (16) single-coordinate moves, each kept only when it
     raises the score, stopping early at a full score.
-    The score is ``cube_score``, one exact pass over the integer columns
-    with the cube kernel's window rule, equal to the count of masks
-    ``carve_feasible`` accepts (so the reports are byte-identical to
-    per-mask scoring); a ``PointSet`` and an order key are built only for a
-    trial whose score can still enter its worker's local top.
+    The score is the count of masks ``carve_feasible`` accepts (so the
+    reports are byte-identical to per-mask scoring).  One ``cube_scorer``
+    per worker computes it exactly only where it can matter: a move's score
+    only when it beats the current one, a trial's first score only when the
+    trial climbs or can enter the worker's local top; otherwise the pass
+    stops at the miss that settles it.  A ``PointSet`` and an order key are
+    built once, only for a trial whose score can enter that top, and the
+    merge sorts on the workers' keys.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
-    scratch by the shattering checker.  More than ``DEFAULT_MASK_CAP``
-    points raise ``CapExceededError`` before anything is scored.
+    scratch by the shattering checker.  ``coordinate_range`` must be an int
+    >= 0 (else ``DomainError``), and more than ``DEFAULT_MASK_CAP`` points
+    raise ``CapExceededError``, both before anything is scored.
     """
     _check_int("trials", trials, 1)
     _check_int("n", n, 1)
     _check_int("dim", dim, 1)
     _check_int("keep", keep, 1)
-    _check_cap(n, DEFAULT_MASK_CAP)  # cube_score tabulates 2^n masks per axis
+    _check_int("coordinate_range", coordinate_range, 0)
+    _check_cap(n, DEFAULT_MASK_CAP)  # a full score decides every one of the 2^n masks
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
     jobs = max(1, jobs)
@@ -660,14 +676,15 @@ def random_cube_search(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_search_trials, work))
     evaluations = 0
-    merged: List[SearchCandidate] = []
-    shattered: List[SearchCandidate] = []
+    merged: List[Tuple[tuple, SearchCandidate]] = []
+    found: List[Tuple[tuple, SearchCandidate]] = []
     for ev, cands, shat in parts:
         evaluations += ev
         merged.extend(cands)
-        shattered.extend(shat)
-    merged.sort(key=_rank)
-    shattered.sort(key=_rank)
+        found.extend(shat)
+    merged.sort(key=itemgetter(0))
+    found.sort(key=itemgetter(0))
+    shattered = [cand for _, cand in found]
     for cand in shattered:
         verdict = is_shattered(cand.points, cubes(dim), want_certificate=False)
         if not verdict.shattered:
@@ -679,7 +696,7 @@ def random_cube_search(
         seed=seed,
         coordinate_range=coordinate_range,
         evaluations=evaluations,
-        best=tuple(merged[:keep]),
+        best=tuple(cand for _, cand in merged[:keep]),
         shattered_found=tuple(shattered),
     )
 

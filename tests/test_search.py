@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from importlib import import_module
 from itertools import permutations, product
 from math import lcm
 
@@ -35,6 +36,7 @@ from vclab import (
     resolve_even_degenerate,
 )
 from vclab import search as search_module
+from vclab.carve import cube_scorer
 from vclab.oracles import cube_feasible_unpruned
 from vclab.search import (
     EnumerationCounters,
@@ -427,6 +429,20 @@ def test_cube_search_refuses_ill_typed_keep_and_climb_steps(kwargs, error):
         random_cube_search(2, 4, 10, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize("value", [1.5, True, "16", -1], ids=["float", "bool", "str", "neg"])
+def test_cube_search_refuses_ill_typed_coordinate_range(monkeypatch, value):
+    # refused before any trial is scored
+    monkeypatch.setattr(search_module, "cube_scorer", None)
+    with pytest.raises(DomainError, match="coordinate_range"):
+        random_cube_search(2, 4, 10, seed=1, coordinate_range=value)
+
+
+def test_cube_search_refuses_a_range_too_small_for_injective_projections():
+    random_cube_search(1, 3, 2, coordinate_range=1)
+    with pytest.raises(DomainError, match="too small"):
+        random_cube_search(1, 4, 2, coordinate_range=1)
+
+
 def test_cube_search_accepts_keep_one():
     rep = random_cube_search(2, 4, 10, seed=1, keep=1)
     assert len(rep.best) == 1
@@ -527,7 +543,7 @@ def test_cube_search_negative_control_small():
 
 
 def test_cube_search_caps_the_point_count():
-    # cube_score tabulates 2^n masks per axis; 21 points are refused up front
+    # a full score decides every one of the 2^n masks; 21 points are refused up front
     with pytest.raises(CapExceededError):
         random_cube_search(2, 21, 1)
 
@@ -557,6 +573,22 @@ def test_cube_search_keys_only_candidates_that_can_be_kept(monkeypatch):
     _, best, _ = _search_trials((2, 4, 0, 300, 2024, 16, 8))
     assert len(best) == 8
     assert 8 <= len(calls) < 300
+
+
+def test_cube_search_keys_each_kept_candidate_once(monkeypatch):
+    # the merge sorts on the ranks the workers computed, not on fresh keys
+    keyed = []
+    monkeypatch.setattr("vclab.search._order_key", lambda ps: keyed.append(ps) or _order_key(ps))
+    rep = random_cube_search(2, 4, 300, seed=2024, jobs=1)
+    assert len({id(ps) for ps in keyed}) == len(keyed)
+    assert all(any(c.points is ps for ps in keyed) for c in rep.best)
+
+
+def test_cube_search_keeps_low_scores_while_its_top_is_not_full():
+    # four points on a line score 11 of 16, below the climb threshold, yet
+    # each of the first trials enters the top with its exact score
+    rep = random_cube_search(1, 4, 5, seed=3, keep=3)
+    assert [c.score for c in rep.best] == [11, 11, 11]
 
 
 def test_cube_search_report_shape():
@@ -590,7 +622,7 @@ def test_cube_search_report_bytes_are_pinned(args, evaluations, digest):
 
 
 # ---------------------------------------------------------------------------
-# one-pass cube score
+# whole-set and bounded cube scores
 # ---------------------------------------------------------------------------
 
 
@@ -638,3 +670,51 @@ def test_cube_score_small_and_shattered_sets():
         cols = [[int(p[j] * scale) for p in ps.points] for j in range(dim)]
         assert all(len(set(col)) == len(ps) for col in cols)
         assert cube_score(cols) == 1 << len(ps)
+
+
+def test_bounded_cube_score_is_exact_at_or_above_its_floor():
+    rng = random.Random(1300)
+    sets = []
+    for dim in (1, 2, 3):
+        for n in range(1, 8):
+            for k in range(4):
+                spread = n // 2 + 1 if k % 2 else 16  # half with tied projections
+                sets.append(_random_columns(rng, dim, n, spread))
+    calls = []
+    for cols in sets:
+        score = cube_score(cols)
+        for floor in range((1 << len(cols[0])) + 2):
+            got = cube_scorer()(cols, floor)
+            assert got == score if score >= floor else got < floor, (cols, floor, got)
+            calls.append((cols, floor, got))
+    # the miss memory of a reused scorer changes no value
+    rng.shuffle(calls)
+    shared = cube_scorer()
+    for cols, floor, got in calls:
+        assert shared(cols, floor) == got, (cols, floor)
+
+
+def test_bounded_cube_score_stops_at_the_miss_that_settles_it(monkeypatch):
+    # a seeded plane set that misses one mask, late in increasing mask order
+    rng = random.Random(2024)
+    missed = []
+    while len(missed) != 1 or missed[0] < 9:
+        cols = [rng.sample(range(-16, 17), 4) for _ in range(2)]
+        ps = PointSet.of(list(zip(*cols)))
+        missed = [m for m in range(16) if not carve_feasible(ps, m, cubes(2))]
+    carve_module = import_module("vclab.carve")
+    runs = carve_module._runs
+    calls = []
+    monkeypatch.setattr(carve_module, "_runs", lambda *args: calls.append(1) or runs(*args))
+    assert cube_scorer()(cols, 0) == 15
+    exact = len(calls)
+    assert exact == 2 * 10  # both axes of the ten masks that need a test
+    del calls[:]
+    assert cube_scorer()(cols, 16) < 16
+    assert 0 < len(calls) < exact
+    # a scorer that has seen the miss decides that one mask first
+    scorer = cube_scorer()
+    assert scorer(cols, 0) == 15
+    del calls[:]
+    assert scorer(cols, 16) < 16
+    assert len(calls) == 2
