@@ -291,10 +291,11 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
 
     Per axis, ``sides`` gives the points strictly below and strictly above
     hull(S') (every point, for an empty S'), each ANDed for an anchored
-    class with the points beyond the anchor, found once on the integer
-    image.  A degenerate ball is a depth-first search over the axes for one
-    side each that together exclude every point outside S'; when one side
-    excludes nothing still uncovered, it takes the other without branching.
+    class with the points strictly below and above the anchor's side, read
+    once off the same prefix masks.  A degenerate ball is a depth-first
+    search over the axes for one side each that together exclude every
+    point outside S'; when one side excludes nothing still uncovered, it
+    takes the other without branching.
     A cube intersects the runs of the integer image's per-axis tables.
     """
     if ps.dim != descriptor.dim:
@@ -324,16 +325,10 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
     if anchor is None:
         fences = [(full, full)] * ps.dim
     else:
-        den, image = ps.scaled
-        fences = []
-        for i, (lo, hi) in enumerate(zip(*anchor.scaled(den))):
-            below = above = 0
-            for j, q in enumerate(image):
-                if q[i] < lo:
-                    below |= 1 << j
-                elif q[i] > hi:
-                    above |= 1 << j
-            fences.append((below, above))
+        fences = [
+            (prefix[bisect_left(values, iv.lo)], full ^ prefix[bisect_right(values, iv.hi)])
+            for (values, prefix), iv in zip(ps.axis_prefix, anchor.intervals)
+        ]
     axes = [(prefix, low, high) for (_, prefix), (low, high) in zip(ps.axis_prefix, fences)]
 
     def sides(mask):
@@ -525,13 +520,14 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
 _LOW, _HIGH = 0, 1
 
 
-def _cover(exc, lo, hi, at_edge: bool, max_width: Optional[Scalar]):
+def _cover(exc, lo, hi, max_width: Optional[Scalar]):
     """Commit (axis, side) thresholds of hull [lo, hi] excluding every point of exc.
 
-    The two rules are the module docstring's: ``at_edge`` commits a side at
-    the hull edge (degenerate balls), else at the excluded point (cubes);
-    an axis closes both sides only when their gap exceeds ``max_width``,
-    and never when it is None (degenerate balls).  Depth-first search
+    ``max_width`` picks the module docstring's two rules.  None means
+    degenerate balls: a side is committed at the hull edge, and an axis
+    never closes both sides.  A width means cubes: a side is committed at
+    the excluded point, and an axis closes both sides only when their gap
+    exceeds that width (a singleton hull has width 0).  Depth-first search
     branching on the point with the fewest viable options (axis by axis,
     low before high).  Returns the tightest committed thresholds
     ``(hi_min, lo_max)`` per axis, or None.
@@ -542,9 +538,9 @@ def _cover(exc, lo, hi, at_edge: bool, max_width: Optional[Scalar]):
         opts = []
         for i in range(dim):
             if q[i] < lo[i]:
-                opts.append((i, _LOW, lo[i] if at_edge else q[i]))
+                opts.append((i, _LOW, lo[i] if max_width is None else q[i]))
             if q[i] > hi[i]:
-                opts.append((i, _HIGH, hi[i] if at_edge else q[i]))
+                opts.append((i, _HIGH, hi[i] if max_width is None else q[i]))
         if not opts:
             return None
         options.append(opts)
@@ -624,7 +620,7 @@ def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]) -> 
         a_lo, a_hi = anchor.scaled(ps.scaled[0])
         lo = [min((*a, v)) for a, v in zip(axes, a_lo)]
         hi = [max((*a, v)) for a, v in zip(axes, a_hi)]
-    found = _cover(exc, lo, hi, at_edge=True, max_width=None)
+    found = _cover(exc, lo, hi, max_width=None)
     if found is None:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found
@@ -662,7 +658,7 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
     axes = list(zip(*inc))
     lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
-    found = _cover(exc, lo, hi, at_edge=False, max_width=max_width)
+    found = _cover(exc, lo, hi, max_width)
     if found is None:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found

@@ -5,10 +5,11 @@ rational: a Python ``int`` or a ``fractions.Fraction`` in lowest terms.
 Floats are rejected at the boundary, never silently converted, so that
 membership tests and carve decisions are bit-reproducible.
 
-``NEG_INF`` and ``POS_INF`` are interned sentinels that extend the rational
-order to unbounded interval endpoints.  They support the comparison
-operators against rationals and each other, so ``min``/``max``/``sorted``
-work on mixed values.
+``NEG_INF`` and ``POS_INF`` are the two interned instances of one class, told
+apart by a sign, that extend the rational order to unbounded interval
+endpoints.  They support the comparison operators against rationals and
+each other, so ``min``/``max``/``sorted`` work on mixed values; they stay
+singletons across pickle and copy.
 """
 
 from __future__ import annotations
@@ -20,109 +21,76 @@ from typing import Union
 from .errors import DomainError, ParseError
 
 
-class _NegInf:
-    __slots__ = ()
+class _End:
+    """One end of the extended line: ``NEG_INF`` (sign -1) or ``POS_INF``
+    (sign +1).  An end equals only itself; against any other rational or
+    end, every comparison follows from the sign."""
 
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    # the concrete types come first, so ints and Fractions never reach the
+    # slow numbers.Rational check; any other operand is NotImplemented
     def __lt__(self, other):
-        if other is NEG_INF:
+        if other is self:
             return False
-        if other is POS_INF or isinstance(other, numbers.Rational):
-            return True
+        if isinstance(other, (int, Fraction, _End, numbers.Rational)):
+            return self.sign < 0
         return NotImplemented
 
     def __le__(self, other):
-        if other is NEG_INF or other is POS_INF or isinstance(other, numbers.Rational):
+        if other is self:
             return True
+        if isinstance(other, (int, Fraction, _End, numbers.Rational)):
+            return self.sign < 0
         return NotImplemented
 
     def __gt__(self, other):
-        if other is NEG_INF or other is POS_INF or isinstance(other, numbers.Rational):
+        if other is self:
             return False
+        if isinstance(other, (int, Fraction, _End, numbers.Rational)):
+            return self.sign > 0
         return NotImplemented
 
     def __ge__(self, other):
-        if other is NEG_INF:
+        if other is self:
             return True
-        if other is POS_INF or isinstance(other, numbers.Rational):
-            return False
+        if isinstance(other, (int, Fraction, _End, numbers.Rational)):
+            return self.sign > 0
         return NotImplemented
 
     def __eq__(self, other):
-        return other is NEG_INF
+        return other is self
 
     def __hash__(self):
-        return hash("vclab.NEG_INF")
+        return hash("vclab.POS_INF" if self.sign > 0 else "vclab.NEG_INF")
 
     def __neg__(self):
-        return POS_INF
+        return _end(-self.sign)
 
     def __repr__(self):
-        return "-inf"
+        return "+inf" if self.sign > 0 else "-inf"
 
     def __reduce__(self):
-        return (_restore_neg_inf, ())
+        return (_end, (self.sign,))
 
 
-class _PosInf:
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if other is POS_INF or other is NEG_INF or isinstance(other, numbers.Rational):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if other is POS_INF:
-            return True
-        if other is NEG_INF or isinstance(other, numbers.Rational):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other is POS_INF:
-            return False
-        if other is NEG_INF or isinstance(other, numbers.Rational):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other is POS_INF or other is NEG_INF or isinstance(other, numbers.Rational):
-            return True
-        return NotImplemented
-
-    def __eq__(self, other):
-        return other is POS_INF
-
-    def __hash__(self):
-        return hash("vclab.POS_INF")
-
-    def __neg__(self):
-        return NEG_INF
-
-    def __repr__(self):
-        return "+inf"
-
-    def __reduce__(self):
-        return (_restore_pos_inf, ())
+NEG_INF = _End(-1)
+POS_INF = _End(1)
 
 
-NEG_INF = _NegInf()
-POS_INF = _PosInf()
+def _end(sign: int) -> _End:
+    # Also the pickle hook: an end stays a process-wide singleton, so identity
+    # checks hold for values that crossed a process boundary.
+    return POS_INF if sign > 0 else NEG_INF
 
-
-def _restore_neg_inf():
-    # Pickle hook: keep NEG_INF a process-wide singleton so identity checks
-    # hold for values that crossed a process boundary.
-    return NEG_INF
-
-
-def _restore_pos_inf():
-    return POS_INF
 
 # Exact rational.  Integral values are stored as plain ints; Fraction and int
 # interoperate exactly under comparison, arithmetic and hashing.
 Scalar = Union[int, Fraction]
-ExtendedScalar = Union[Scalar, _NegInf, _PosInf]
+ExtendedScalar = Union[Scalar, _End]
 
 
 def as_scalar(value) -> Scalar:

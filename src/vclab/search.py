@@ -382,6 +382,23 @@ def _default_n_max(kind: ClassKind, dim: int) -> int:
     raise DomainError(f"no default search depth for {kind.value}")
 
 
+def _order_driven(kind: ClassKind, dim: int) -> Tuple[ClassDescriptor, bool, bool]:
+    """``(descriptor, with_origin, reflect)`` for an order-type scan of kind
+    in dimension dim, after refusing a class whose carves do not depend on
+    coordinate order alone there.  An anchored class scans with an origin
+    slot against the origin-anchored descriptor; cuts, being one-sided,
+    scan without axis reflections."""
+    _check_int("dim", dim, 1)
+    if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
+        raise DomainError(
+            f"{kind.value} is not order-driven in dimension {dim}; "
+            "use the randomized cube search instead"
+        )
+    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+        return origin_anchored(dim), True, True
+    return ClassDescriptor(kind, dim), False, kind is not ClassKind.AXIS_CUTS
+
+
 def exact_vc_ordinal(
     kind: ClassKind,
     dim: int,
@@ -398,18 +415,10 @@ def exact_vc_ordinal(
     raised.  ``jobs`` is accepted but currently unused: every level runs
     in-process.
     """
-    _check_int("dim", dim, 1)
-    if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
-        raise DomainError(
-            f"{kind.value} is not order-driven in dimension {dim}; "
-            "use the randomized cube search instead"
-        )
+    descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:
         n_max = _default_n_max(kind, dim)
     _check_int("n_max", n_max, 1)
-    with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
-    reflect = kind is not ClassKind.AXIS_CUTS  # cuts are one-sided
-    descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
     tracker = _Budget(budget)
     levels: List[LevelOutcome] = []
     vc_exact: Optional[int] = None
@@ -662,14 +671,10 @@ def random_cube_search(
     step = -(-trials // jobs)
     for t0 in range(0, trials, step):
         ranges.append((t0, min(trials, t0 + step)))
-    # Each worker keeps at least its local top-`keep`; any globally top-`keep`
+    # Each worker keeps its local top-`keep`; any globally top-`keep`
     # candidate is in its own worker's local top-`keep`, so the merge below is
     # independent of how trials were partitioned.
-    local_keep = max(8, keep)
-    work = [
-        (dim, n, t0, t1, seed, coordinate_range, local_keep)
-        for t0, t1 in ranges
-    ]
+    work = [(dim, n, t0, t1, seed, coordinate_range, keep) for t0, t1 in ranges]
     if jobs == 1 or len(work) == 1:
         parts = [_search_trials(w) for w in work]
     else:
@@ -733,12 +738,7 @@ def max_shattering_coefficient(
     is accepted but currently unused: every config runs in-process.
     """
     _check_int("n", n, 1)
-    _check_int("dim", dim, 1)
-    if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
-        raise DomainError(f"{kind.value} is not order-driven in dimension {dim}")
-    with_origin = kind is ClassKind.ANCHORED_DEGENERATE_BALLS
-    reflect = kind is not ClassKind.AXIS_CUTS  # cuts are one-sided
-    descriptor = origin_anchored(dim) if with_origin else ClassDescriptor(kind, dim)
+    descriptor, with_origin, reflect = _order_driven(kind, dim)
     counters = EnumerationCounters()
     tracker = _Budget(budget)
     best = (None, None, None)

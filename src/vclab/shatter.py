@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .carve import (
     CarveWitness,
     ClassDescriptor,
+    _checked,
     _concept_in_class,
     _feasibility,
     _trace_mask,
@@ -179,8 +180,9 @@ def vc_lower_bound_on(
     Every mask is decided once, by one kernel; a candidate subset T is
     shattered iff the feasible masks restricted to T hit all 2^|T| patterns.
     Witnesses are built, without a second decision, only for the 2^|T|
-    masks the certificate uses, and they transfer because a concept's trace on T is its trace on ps
-    intersected with T.
+    masks the certificate uses.  They transfer because a concept's trace on
+    T is its trace on ps intersected with T, and ``_checked`` re-validates
+    each on T.
     """
     n = len(ps)
     _check_cap(n, cap)
@@ -203,14 +205,7 @@ def vc_lower_bound_on(
                     if local >> bit & 1:
                         pattern |= 1 << i
                 source = _witness(ps, patterns[pattern], descriptor)
-                local_trace = _trace_mask(source.concept, subset)
-                if local_trace != local:
-                    raise DomainError(
-                        "internal error: projected witness trace mismatch"
-                    )
-                local_witnesses.append(
-                    CarveWitness(descriptor, local, source.concept)
-                )
+                local_witnesses.append(_checked(source.concept, subset, local, descriptor))
             cert = ShatteringCertificate(subset, descriptor, tuple(local_witnesses))
             return VcLowerBound(
                 ps,

@@ -501,7 +501,7 @@ def test_cube_cover_search_finds_a_witness_on_exactly_the_accepted_masks():
             axes = list(zip(*inc))
             lo, hi = [min(a) for a in axes], [max(a) for a in axes]
             width = max(h - l for h, l in zip(hi, lo))
-            found = _cover(exc, lo, hi, at_edge=False, max_width=width)
+            found = _cover(exc, lo, hi, width)
             assert decide(mask) == (found is not None), (ps, mask)
 
 

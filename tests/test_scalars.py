@@ -1,5 +1,7 @@
 """Exact scalar arithmetic and the extended line."""
 
+import copy
+import operator
 import pickle
 from fractions import Fraction
 
@@ -49,6 +51,53 @@ def test_infinity_ordering():
 def test_infinities_are_singletons_across_pickle():
     assert pickle.loads(pickle.dumps(POS_INF)) is POS_INF
     assert pickle.loads(pickle.dumps(NEG_INF)) is NEG_INF
+
+
+COMPARISONS = [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
+
+
+def _rank(v):
+    # -inf below every rational, +inf above; rationals are never compared
+    # with each other here
+    return -1 if v is NEG_INF else 1 if v is POS_INF else 0
+
+
+@pytest.mark.parametrize("op", COMPARISONS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("end", [NEG_INF, POS_INF], ids=repr)
+@pytest.mark.parametrize(
+    "other", [NEG_INF, POS_INF, -(10**100), 0, Fraction(1, 3), True],
+    ids=["-inf", "+inf", "-googol", "0", "1/3", "True"],
+)
+def test_extended_order_table(op, end, other):
+    assert op(end, other) is op(_rank(end), _rank(other))
+    assert op(other, end) is op(_rank(other), _rank(end))
+
+
+@pytest.mark.parametrize("end", [NEG_INF, POS_INF], ids=repr)
+@pytest.mark.parametrize("other", ["a", 0.5], ids=["str", "float"])
+def test_ends_are_unordered_against_non_rationals(end, other):
+    for op in COMPARISONS[:4]:
+        with pytest.raises(TypeError):
+            op(end, other)
+        with pytest.raises(TypeError):
+            op(other, end)
+    assert not end == other and not other == end
+    assert end != other and other != end
+
+
+def test_ends_negate_and_print():
+    assert -POS_INF is NEG_INF
+    assert -NEG_INF is POS_INF
+    assert (repr(NEG_INF), repr(POS_INF)) == ("-inf", "+inf")
+    assert hash(NEG_INF) == hash("vclab.NEG_INF")
+    assert hash(POS_INF) == hash("vclab.POS_INF")
+
+
+@pytest.mark.parametrize("end", [NEG_INF, POS_INF], ids=repr)
+def test_ends_are_singletons_across_copy(end):
+    assert copy.copy(end) is end
+    assert copy.deepcopy(end) is end
+    assert copy.deepcopy([end])[0] is end
 
 
 @given(rationals)

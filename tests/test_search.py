@@ -342,6 +342,16 @@ def test_exact_vc_rejects_cubes_beyond_intervals():
         exact_vc_ordinal(ClassKind.CUBES, 2)
 
 
+def test_both_order_type_scans_refuse_cubes_in_the_plane_alike():
+    with pytest.raises(DomainError) as vc:
+        exact_vc_ordinal(ClassKind.CUBES, 2)
+    with pytest.raises(DomainError) as coef:
+        max_shattering_coefficient(ClassKind.CUBES, 2, 3)
+    assert str(vc.value) == str(coef.value) == (
+        "cubes is not order-driven in dimension 2; use the randomized cube search instead"
+    )
+
+
 def test_exact_vc_budget_carries_partial_report():
     with pytest.raises(BudgetExceededError) as err:
         exact_vc_ordinal(ClassKind.BOXES, 2, budget=30)

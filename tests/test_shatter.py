@@ -137,6 +137,22 @@ def test_vc_lower_bound_builds_witnesses_only_for_the_certificate(monkeypatch):
     assert bound.certificate.validate()
 
 
+def test_vc_lower_bound_refuses_a_projected_witness_with_the_wrong_trace(monkeypatch):
+    import vclab.shatter as shatter
+
+    ps = PointSet.of([(0,), (1,), (2,), (3,)])
+    build = shatter._witness
+
+    def misplaced_build(ps, mask, descriptor):
+        # a box of the class that misses every point: right class, wrong trace
+        far = build(ps, 0, descriptor)
+        return CarveWitness(descriptor, mask, far.concept)
+
+    monkeypatch.setattr(shatter, "_witness", misplaced_build)
+    with pytest.raises(RuntimeError, match="wrong trace"):
+        vc_lower_bound_on(ps, boxes(1))
+
+
 def _scan_with_carve(ps, desc):
     """(failing mask, masks checked) of a per-mask ``carve`` scan in canonical order."""
     for checked, mask in enumerate(canonical_mask_order(len(ps)), 1):
