@@ -60,8 +60,11 @@ the witness is the point's own coordinate object, while a cube's centre
 and radius are divided by L.  Box and cut witnesses are built from the
 kernel's indices into the sorted values of ``axis_prefix``, on the
 rationals themselves.  The re-check of a built concept (``_trace_mask``)
-runs on the original rationals, one difference of the per-axis prefix
-bitmasks per axis.
+runs on the integer image, exactly: each finite bound b of the concept
+becomes floor(b * L) when it bounds from above and ceil(b * L) when it
+bounds from below, which keeps every comparison with an integer, and each
+axis is then one difference of the image's per-axis prefix bitmasks
+(``PointSet.scaled_prefix``).
 """
 
 from __future__ import annotations
@@ -170,33 +173,44 @@ class CarveWitness:
 
 
 def _trace_mask(concept, ps: PointSet) -> int:
-    """The mask of the points of ps that concept contains, on the original rationals.
+    """The mask of the points of ps that concept contains, exactly, on the
+    integer image of ps (``ps.scaled_prefix``: the coordinates times L).
 
-    For a box, cube or cut it is read off ``ps.axis_prefix``: per axis, the
-    points between the concept's two bounds are one difference of prefix
-    masks.  Any other concept, or one of another dimension, is tested point
-    by point (which raises on a dimension mismatch).
+    For a box, cube or cut each finite bound b becomes one int, once: an
+    upper bound floor(b * L) and a lower bound ceil(b * L), since an integer
+    x has x <= b * L iff x <= floor(b * L), and x >= b * L iff
+    x >= ceil(b * L).  They are computed from numerators and denominators
+    (a cube's c - r and c + r too), so no Fraction is built or compared.
+    Per axis, the points between the two bounds are then one difference of
+    prefix masks.  Any other concept, or one of another dimension, is tested
+    point by point (which raises on a dimension mismatch).
     """
+    den = ps.scaled[0]
     if isinstance(concept, AxisCut) and concept.axis < ps.dim:
-        values, prefix = ps.axis_prefix[concept.axis]
-        return prefix[bisect_right(values, concept.threshold)]
-    if isinstance(concept, Box) and concept.dim == ps.dim:
-        bounds = [(iv.lo, iv.hi) for iv in concept.intervals]
-    elif isinstance(concept, Cube) and concept.dim == ps.dim:
-        r = concept.radius
-        bounds = [(c - r, c + r) for c in concept.center]
-    else:
-        m = 0
-        for i, p in enumerate(ps.points):
-            if concept.contains(p):
-                m |= 1 << i
-        return m
+        values, prefix = ps.scaled_prefix[concept.axis]
+        t = concept.threshold
+        return prefix[bisect_right(values, t.numerator * den // t.denominator)]
     m = (1 << len(ps)) - 1
-    for (values, prefix), (lo, hi) in zip(ps.axis_prefix, bounds):
-        if hi is not POS_INF:
-            m &= prefix[bisect_right(values, hi)]
-        if lo is not NEG_INF:
-            m &= ~prefix[bisect_left(values, lo)]
+    if isinstance(concept, Box) and concept.dim == ps.dim:
+        for (values, prefix), iv in zip(ps.scaled_prefix, concept.intervals):
+            lo, hi = iv.lo, iv.hi
+            if hi is not POS_INF:
+                m &= prefix[bisect_right(values, hi.numerator * den // hi.denominator)]
+            if lo is not NEG_INF:
+                m &= ~prefix[bisect_left(values, -(-lo.numerator * den // lo.denominator))]
+        return m
+    if isinstance(concept, Cube) and concept.dim == ps.dim:
+        rn, rd = concept.radius.numerator, concept.radius.denominator
+        for (values, prefix), c in zip(ps.scaled_prefix, concept.center):
+            # c - r = (a - b) / q and c + r = (a + b) / q
+            a, b, q = c.numerator * rd, rn * c.denominator, c.denominator * rd
+            m &= prefix[bisect_right(values, (a + b) * den // q)]
+            m &= ~prefix[bisect_left(values, -((b - a) * den // q))]
+        return m
+    m = 0
+    for i, p in enumerate(ps.points):
+        if concept.contains(p):
+            m |= 1 << i
     return m
 
 
@@ -305,7 +319,7 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
     kind = descriptor.kind
     full = (1 << len(ps)) - 1
     if kind is ClassKind.CUBES:
-        tables = [prefix_table(col) for col in zip(*ps.scaled[1])]
+        tables = ps.scaled_prefix
 
         def cube(mask):
             if not mask:

@@ -58,9 +58,10 @@ class PointSet:
     """An ordered, duplicate-free, finite set of points in R^dim.
 
     Order matters: subset masks index into it, bit i of a mask selecting
-    ``points[i]``.  Two tables the carve deciders read are computed on first
-    use and kept on the instance (``scaled``, ``axis_prefix``); they are not
-    fields, so equality and hashing ignore them.
+    ``points[i]``.  Three tables the carve deciders read are computed on
+    first use and kept on the instance (``scaled``, ``axis_prefix``,
+    ``scaled_prefix``); they are not fields, so equality and hashing ignore
+    them.
     """
 
     dim: int
@@ -124,6 +125,16 @@ class PointSet:
         ``prefix[bisect_right(values, hi)] & ~prefix[bisect_left(values, lo)]``.
         """
         return tuple(prefix_table(col) for col in zip(*self.points))
+
+    @cached_property
+    def scaled_prefix(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+        """``axis_prefix`` of the integer image (``scaled``): the same prefix
+        masks, with each value v as the int v * L.  When L is 1 it is
+        ``axis_prefix`` itself."""
+        den, image = self.scaled
+        if den == 1:
+            return self.axis_prefix
+        return tuple(prefix_table(col) for col in zip(*image))
 
     def __iter__(self):
         return iter(self.points)

@@ -389,6 +389,8 @@ def _order_driven(kind: ClassKind, dim: int) -> Tuple[ClassDescriptor, bool, boo
     slot against the origin-anchored descriptor; cuts, being one-sided,
     scan without axis reflections."""
     _check_int("dim", dim, 1)
+    if not isinstance(kind, ClassKind):
+        raise DomainError(f"class kind must be a ClassKind: {kind!r}")
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
         raise DomainError(
             f"{kind.value} is not order-driven in dimension {dim}; "

@@ -334,10 +334,42 @@ def test_axis_prefix_masks_points_at_or_below_each_value():
     assert ys == (0, Fraction(1, 2)) and ymask == (0, 0b011, 0b111)
 
 
+def test_scaled_prefix_is_axis_prefix_on_the_integer_image():
+    ps = PointSet.of([(1, 0), (0, 0), (1, Fraction(1, 2)), (Fraction(-2, 3), 4)])
+    den = ps.scaled[0]
+    assert den == 6
+    for (values, masks), (ints, int_masks) in zip(ps.axis_prefix, ps.scaled_prefix):
+        assert int_masks == masks
+        assert all(type(v) is int for v in ints)
+        assert ints == tuple(v * den for v in values)
+    assert ps.scaled_prefix is ps.scaled_prefix  # kept, not recomputed
+    whole = PointSet.of([(1, 0), (0, 2)])
+    assert whole.scaled_prefix is whole.axis_prefix  # L = 1: the same table
+
+
 def test_cached_tables_leave_equality_and_hash_alone():
     a, b = PointSet.of([(Fraction(1, 3),), (1,)]), PointSet.of([(Fraction(1, 3),), (1,)])
-    a.scaled, a.axis_prefix
+    a.scaled, a.axis_prefix, a.scaled_prefix
     assert a == b and hash(a) == hash(b)
+
+
+def test_a_second_cube_scan_builds_no_new_prefix_table(monkeypatch):
+    import vclab.geometry as geometry
+
+    built = []
+    table = geometry.prefix_table
+
+    def counting_table(column):
+        built.append(column)
+        return table(column)
+
+    monkeypatch.setattr(geometry, "prefix_table", counting_table)
+    monkeypatch.setattr(carve_module, "prefix_table", counting_table)
+    ps = PointSet.of([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (2, 1)])
+    first = [m for m in range(8) if _feasibility(ps, cubes(2))(m)]
+    assert len(built) == 2  # one table per axis
+    assert [m for m in range(8) if _feasibility(ps, cubes(2))(m)] == first
+    assert len(built) == 2
 
 
 def test_anchor_bounds_are_scaled_once_per_denominator():
@@ -350,21 +382,39 @@ def test_anchor_bounds_are_scaled_once_per_denominator():
     assert a == b and hash(a) == hash(b)
 
 
+def _large_denominator_point_set(rng, d, n):
+    # three large prime denominators: L up to about 6.6e16
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(
+            Fraction(rng.randint(-10**7, 10**7), rng.choice((999_983, 1_000_003, 65_537)))
+            for _ in range(d)
+        ))
+    return PointSet.of(sorted(pts))
+
+
 def test_trace_mask_matches_pointwise_membership():
+    # The reference is concept.contains on the original rationals.
     rng = random.Random(77)
-    for _ in range(150):
+    for k in range(200):
         d, n = rng.randint(1, 4), rng.randint(1, 8)
-        ps = _fraction_point_set(rng, d, n)
+        make = _large_denominator_point_set if k % 4 == 3 else _fraction_point_set
+        ps = make(rng, d, n)
         coords = [c for p in ps.points for c in p]
+        step = Fraction(1, 3 * ps.scaled[0])  # a third of one lattice step
 
         def value():
-            # half the bounds sit exactly on a coordinate, to exercise ties
-            if rng.random() < 0.5:
+            shape = rng.randrange(4)
+            if shape == 0:  # exactly on a coordinate: ties
                 return rng.choice(coords)
+            if shape == 1:  # strictly inside one lattice step of a coordinate
+                return rng.choice(coords) + rng.choice((-step, step))
+            if shape == 2:  # negative and not integral: floor and ceil below 0
+                return -(rng.randint(0, 8) + Fraction(rng.randint(1, 5), 6))
             return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
 
         concepts = [AxisCut(i, value()) for i in range(d)]
-        for _ in range(6):
+        for _ in range(8):
             sides = []
             for _ in range(d):
                 lo, hi = sorted((value(), value()))
@@ -374,10 +424,35 @@ def test_trace_mask_matches_pointwise_membership():
                     POS_INF if shape in (1, 3) else hi,
                 ))
             concepts.append(Box(tuple(sides)))
-            radius = rng.choice((0, abs(value())))
-            concepts.append(Cube(tuple(value() for _ in range(d)), radius))
+            center = rng.choice((ps.points[0], tuple(value() for _ in range(d))))
+            radius = rng.choice((0, step, abs(value())))
+            concepts.append(Cube(center, radius))
         for concept in concepts:
             assert _trace_mask(concept, ps) == trace(concept, ps), concept
+
+
+def test_trace_mask_compares_no_fractions(monkeypatch):
+    ps = PointSet.of([(Fraction(1, 3), Fraction(-5, 4)), (Fraction(7, 2), 2), (-1, Fraction(2, 9))])
+    concepts = [
+        Box.from_bounds([Fraction(-2, 3), Fraction(-5, 4)], [Fraction(7, 2), Fraction(1, 5)]),
+        Box((Interval(Fraction(1, 3), POS_INF), Interval(NEG_INF, Fraction(2, 9)))),
+        Cube((Fraction(1, 3), Fraction(-1, 2)), Fraction(3, 4)),
+        Cube((Fraction(7, 2), 2), 0),
+        AxisCut(1, Fraction(2, 9)),
+        AxisCut(0, Fraction(-1, 7)),
+    ]
+    want = [trace(c, ps) for c in concepts]
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        method = getattr(Fraction, name)
+
+        def counting(a, b, method=method, name=name):
+            compared.append(name)
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert [_trace_mask(c, ps) for c in concepts] == want
+    assert compared == []
 
 
 def test_trace_mask_falls_back_on_a_dimension_mismatch():

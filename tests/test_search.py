@@ -352,6 +352,14 @@ def test_both_order_type_scans_refuse_cubes_in_the_plane_alike():
     )
 
 
+@pytest.mark.parametrize("kind", ["boxes", None, 0])
+def test_both_order_type_scans_refuse_a_kind_that_is_not_a_class_kind(kind):
+    with pytest.raises(DomainError, match="must be a ClassKind"):
+        exact_vc_ordinal(kind, 2)
+    with pytest.raises(DomainError, match="must be a ClassKind"):
+        max_shattering_coefficient(kind, 2, 3)
+
+
 def test_exact_vc_budget_carries_partial_report():
     with pytest.raises(BudgetExceededError) as err:
         exact_vc_ordinal(ClassKind.BOXES, 2, budget=30)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import vclab
 from vclab import (
+    Box,
     CapExceededError,
     CarveWitness,
     ClassDescriptor,
@@ -250,6 +251,30 @@ def test_certificate_rejects_witnesses_outside_its_class():
     assert not ShatteringCertificate(ps, cubes(1), relabelled).validate()
     # cube witnesses are cubes, but a certificate of boxes must carry box witnesses
     assert not ShatteringCertificate(ps, boxes(1), cert.witnesses).validate()
+
+
+def test_certificate_rejects_a_bound_moved_less_than_one_lattice_step_across_a_point():
+    ps = PointSet.of([
+        (Fraction(1, 3), Fraction(-2, 7)),
+        (Fraction(1, 2), Fraction(3, 5)),
+        (Fraction(-5, 6), Fraction(1, 7)),
+    ])
+    cert = is_shattered(ps, boxes(2)).certificate
+    assert cert.validate()
+    step = Fraction(1, 3 * ps.scaled[0])  # a third of one step of the integer image
+    full = 0b111
+    (x_lo, x_hi), (y_lo, y_hi) = [(iv.lo, iv.hi) for iv in cert.witness_for(full).concept.intervals]
+    assert (x_hi, y_lo) == (Fraction(1, 2), Fraction(-2, 7))  # hull edges on points 1 and 0
+
+    def with_full_witness(lows, highs):
+        witnesses = list(cert.witnesses)
+        witnesses[full] = CarveWitness(boxes(2), full, Box.from_bounds(lows, highs))
+        return ShatteringCertificate(ps, boxes(2), tuple(witnesses))
+
+    assert with_full_witness([x_lo, y_lo], [x_hi + step, y_hi]).validate()
+    assert with_full_witness([x_lo, y_lo - step], [x_hi, y_hi]).validate()
+    assert not with_full_witness([x_lo, y_lo], [x_hi - step, y_hi]).validate()
+    assert not with_full_witness([x_lo, y_lo + step], [x_hi, y_hi]).validate()
 
 
 def test_every_public_name_resolves():
