@@ -28,43 +28,48 @@ and ``_checked`` re-validates what it builds.  ``is_shattered``,
 ``shattering_count`` and ``vc_lower_bound_on`` build the kernel once per
 scan and call the builders directly.
 
-The order-driven classes are decided from the per-axis prefix bitmasks of
-S (``PointSet.axis_prefix``): per axis, the points strictly below hull(S')
-are the largest prefix mask disjoint from S', and those strictly above it
-are the complement of the least prefix mask containing S'.  A box carves S'
-when these sides together exclude every other point; a degenerate ball when
-one side per axis does; an axis cut when S' is itself a prefix mask.
+Every decision reads one per-axis table, ``PointSet.axes``, built on the
+integer image of S (``PointSet.scaled``: the coordinates times their least
+common denominator L; a positive uniform scale keeps every comparison,
+width and gap).  Per axis it holds the distinct image values in order,
+their prefix bitmasks, and ``own``, the point's own coordinate for each
+value, which witnesses share.
 
-Cubes are decided by a window rule on the same tables of the integer image
-of S (``PointSet.scaled``: the coordinates times their least common
-denominator L; a positive uniform scale keeps every comparison, width and
-gap).  Containing S' forces 2r >= w, the widest side of hull(S'), and
-shrinking a carving cube to r = w/2 keeps S' inside and excludes at least
-as much, so the radius is fixed.  Each axis then slides a closed window of
-length w; the points inside form a run of that axis's sorted values
-(``_runs``), and S' is carved iff one run per axis intersects to exactly
-S'.  ``cube_score`` counts the carved subsets of a set with the same rule;
-``cube_scorer`` counts them only up to the miss that puts the count below a
-floor, which is all a hill-climb step needs to know.
+The order-driven classes are decided from the prefix bitmasks by one side
+rule (``_sides``): per axis, the points strictly below hull(S') are the
+largest prefix mask disjoint from S', and those strictly above it are the
+complement of the least prefix mask containing S' (for an anchor, each also
+strictly beyond the anchor's side).  A box carves S' when these sides
+together exclude every other point; a degenerate ball when one side per
+axis does; an axis cut when S' is itself a prefix mask.
+
+Cubes are decided by a window rule on the image values.  Containing S'
+forces 2r >= w, the widest side of hull(S'), and shrinking a carving cube
+to r = w/2 keeps S' inside and excludes at least as much, so the radius is
+fixed.  Each axis then slides a closed window of length w; the points
+inside form a run of that axis's sorted values (``_runs``), and S' is
+carved iff one run per axis intersects to exactly S'.  ``cube_score``
+counts the carved subsets of a set with the same rule; ``cube_scorer``
+counts them only up to the miss that puts the count below a floor, which is
+all a hill-climb step needs to know.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
-on the integer image.  Every point outside hull(S') (plus anchor) must be
-excluded by a committed side, (axis, low) or (axis, high), of that hull,
-and per axis only the tightest committed threshold of each side matters.
-The two classes differ in two rules.  A degenerate ball commits a side at
-the hull edge, which excludes every point beyond it; a cube commits it at
-the point being excluded.  A degenerate ball never closes both sides of an
-axis; a cube may, when their gap exceeds w.  The search runs only on
-accepted masks, so finding nothing is an internal error.  A hull bound of
-the witness is the point's own coordinate object, while a cube's centre
-and radius are divided by L.  Box and cut witnesses are built from the
-kernel's indices into the sorted values of ``axis_prefix``, on the
-rationals themselves.  The re-check of a built concept (``_trace_mask``)
-runs on the integer image, exactly: each finite bound b of the concept
-becomes floor(b * L) when it bounds from above and ceil(b * L) when it
-bounds from below, which keeps every comparison with an integer, and each
-axis is then one difference of the image's per-axis prefix bitmasks
-(``PointSet.scaled_prefix``).
+over each excluded point's options: the sides, (axis, low) or (axis, high),
+of hull(S') (plus anchor) that would exclude it.  Per axis only the
+tightest committed threshold of each side matters.  A degenerate ball
+commits a side at the hull edge, which excludes every point beyond it, so
+its options are read off the masks of ``_sides``; a cube commits it at the
+point being excluded, on the integer image.  A degenerate ball never closes
+both sides of an axis; a cube may, when their gap exceeds w.  The search
+runs only on accepted masks, so finding nothing is an internal error.  A
+degenerate ball's committed side ends at ``own`` of the first value past
+its side mask, or at the anchor's bound when that mask is the anchor's
+own; a cube's centre and radius are divided by L.  Box and cut witnesses
+are built from the kernel's indices into ``own``.  The re-check of a built
+concept (``_trace_mask``) runs on the integer image, exactly: each finite
+bound b becomes floor(b * L) when it bounds from above and ceil(b * L) when
+it bounds from below, which keeps every comparison with an integer, and
+each axis is then one difference of prefix bitmasks.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from .errors import (
     UnboundedAnchorError,
 )
 from .geometry import Box, Cube, Interval, PointSet, prefix_table
-from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, midpoint
+from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int, midpoint
 
 SubsetMask = int
 
@@ -106,8 +111,7 @@ class ClassDescriptor:
     anchor: Optional[Box] = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise DomainError(f"class dimension must be a positive int: {self.dim!r}")
+        check_int("class dimension", self.dim, 1)
         if self.kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
             if self.anchor is None:
                 raise AnchorMissingError("anchored class requires an anchor box")
@@ -152,8 +156,7 @@ class AxisCut:
     threshold: Scalar
 
     def __post_init__(self):
-        if not isinstance(self.axis, int) or isinstance(self.axis, bool) or self.axis < 0:
-            raise DomainError(f"cut axis must be a nonnegative int: {self.axis!r}")
+        check_int("cut axis", self.axis, 0)
         object.__setattr__(self, "threshold", as_scalar(self.threshold))
 
     def contains(self, point) -> bool:
@@ -174,7 +177,7 @@ class CarveWitness:
 
 def _trace_mask(concept, ps: PointSet) -> int:
     """The mask of the points of ps that concept contains, exactly, on the
-    integer image of ps (``ps.scaled_prefix``: the coordinates times L).
+    integer image of ps (``ps.axes``: the coordinates times L).
 
     For a box, cube or cut each finite bound b becomes one int, once: an
     upper bound floor(b * L) and a lower bound ceil(b * L), since an integer
@@ -187,12 +190,12 @@ def _trace_mask(concept, ps: PointSet) -> int:
     """
     den = ps.scaled[0]
     if isinstance(concept, AxisCut) and concept.axis < ps.dim:
-        values, prefix = ps.scaled_prefix[concept.axis]
+        values, prefix, _ = ps.axes[concept.axis]
         t = concept.threshold
         return prefix[bisect_right(values, t.numerator * den // t.denominator)]
     m = (1 << len(ps)) - 1
     if isinstance(concept, Box) and concept.dim == ps.dim:
-        for (values, prefix), iv in zip(ps.scaled_prefix, concept.intervals):
+        for (values, prefix, _), iv in zip(ps.axes, concept.intervals):
             lo, hi = iv.lo, iv.hi
             if hi is not POS_INF:
                 m &= prefix[bisect_right(values, hi.numerator * den // hi.denominator)]
@@ -201,7 +204,7 @@ def _trace_mask(concept, ps: PointSet) -> int:
         return m
     if isinstance(concept, Cube) and concept.dim == ps.dim:
         rn, rd = concept.radius.numerator, concept.radius.denominator
-        for (values, prefix), c in zip(ps.scaled_prefix, concept.center):
+        for (values, prefix, _), c in zip(ps.axes, concept.center):
             # c - r = (a - b) / q and c + r = (a + b) / q
             a, b, q = c.numerator * rd, rn * c.denominator, c.denominator * rd
             m &= prefix[bisect_right(values, (a + b) * den // q)]
@@ -262,19 +265,6 @@ def _split(ps: PointSet, mask: int) -> Tuple[list, list]:
     return inc, exc
 
 
-def _own(ps: PointSet, axis: int, v, default=None):
-    """The coordinate on axis of a point whose image is v, as that point's own
-    scalar object (witnesses share it rather than hold a copy); ``default``
-    when no point has that image."""
-    den, image = ps.scaled
-    if den == 1:
-        return v
-    for p, q in zip(ps.points, image):
-        if q[axis] == v:
-            return p[axis]
-    return default
-
-
 def _unscale(v: Scalar, den: int) -> Scalar:
     return v if den == 1 else as_scalar(Fraction(v, den))
 
@@ -285,11 +275,10 @@ def _unscale(v: Scalar, den: int) -> Scalar:
 
 def _hull_indices(prefix: Tuple[int, ...], mask: SubsetMask) -> Tuple[int, int]:
     """``(a, b)`` for a nonempty mask on one axis (``prefix`` from
-    ``PointSet.axis_prefix``): a is the largest index with
-    ``prefix[a] & mask == 0``, b the least with ``prefix[b]`` a superset of
-    mask.  ``values[a]`` and ``values[b - 1]`` are the ends of the hull of
-    S'; ``prefix[a]`` holds the points strictly below it, and
-    ``prefix[b]`` every point up to its top."""
+    ``PointSet.axes``): a is the largest index with ``prefix[a] & mask == 0``,
+    b the least with ``prefix[b]`` a superset of mask.  ``own[a]`` and
+    ``own[b - 1]`` are the ends of the hull of S'; ``prefix[a]`` holds the
+    points strictly below it, and ``prefix[b]`` every point up to its top."""
     a = 0
     while not prefix[a + 1] & mask:
         a += 1
@@ -299,51 +288,24 @@ def _hull_indices(prefix: Tuple[int, ...], mask: SubsetMask) -> Tuple[int, int]:
     return a, b
 
 
-def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetMask], bool]:
-    """The class's verdict on the masks of ps, as a function ``mask -> bool``,
-    its tables built once here (see the module docstring).
-
-    Per axis, ``sides`` gives the points strictly below and strictly above
-    hull(S') (every point, for an empty S'), each ANDed for an anchored
-    class with the points strictly below and above the anchor's side, read
-    once off the same prefix masks.  A degenerate ball is a depth-first
-    search over the axes for one side each that together exclude every
-    point outside S'; when one side excludes nothing still uncovered, it
-    takes the other without branching.
-    A cube intersects the runs of the integer image's per-axis tables.
-    """
-    if ps.dim != descriptor.dim:
-        raise DimensionMismatchError(
-            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
-        )
-    kind = descriptor.kind
+def _sides(ps: PointSet, anchor: Optional[Box]) -> Callable[[SubsetMask], List[Tuple[int, int]]]:
+    """``sides(mask)``: per axis, the points strictly below and strictly
+    above hull(S') (every point, for an empty S'), as two masks.  For an
+    anchor each is ANDed with the points strictly below and above the
+    anchor's side, read once here off the same prefix masks with the
+    anchor's bounds on the integer image, as ``_trace_mask`` reads a box's;
+    ``sides(0)`` is then these anchor sides alone."""
     full = (1 << len(ps)) - 1
-    if kind is ClassKind.CUBES:
-        tables = ps.scaled_prefix
-
-        def cube(mask):
-            if not mask:
-                return True  # a faraway cube
-            spans = [_hull_indices(prefix, mask) for _, prefix in tables]
-            w = max(v[b - 1] - v[a] for (v, _), (a, b) in zip(tables, spans))
-            reach = {full}
-            for (v, prefix), (a, b) in zip(tables, spans):
-                runs = _runs(v, prefix, a, b - 1, w)
-                reach = {m & o for m in reach for o in runs}
-            return mask in reach
-
-        return cube
-    if kind is ClassKind.AXIS_CUTS:
-        return frozenset(m for _, prefix in ps.axis_prefix for m in prefix).__contains__
-    anchor = descriptor.anchor
     if anchor is None:
         fences = [(full, full)] * ps.dim
     else:
+        den = ps.scaled[0]
         fences = [
-            (prefix[bisect_left(values, iv.lo)], full ^ prefix[bisect_right(values, iv.hi)])
-            for (values, prefix), iv in zip(ps.axis_prefix, anchor.intervals)
+            (prefix[bisect_left(values, -(-iv.lo.numerator * den // iv.lo.denominator))],
+             full ^ prefix[bisect_right(values, iv.hi.numerator * den // iv.hi.denominator)])
+            for (values, prefix, _), iv in zip(ps.axes, anchor.intervals)
         ]
-    axes = [(prefix, low, high) for (_, prefix), (low, high) in zip(ps.axis_prefix, fences)]
+    axes = [(prefix, low, high) for (_, prefix, _), (low, high) in zip(ps.axes, fences)]
 
     def sides(mask):
         if not mask:
@@ -353,6 +315,45 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
             a, b = _hull_indices(prefix, mask)
             out.append((prefix[a] & low, (full ^ prefix[b]) & high))
         return out
+
+    return sides
+
+
+def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetMask], bool]:
+    """The class's verdict on the masks of ps, as a function ``mask -> bool``,
+    its tables built once here (see the module docstring).
+
+    A box carves S' when the sides from ``_sides`` together exclude every
+    other point.  A degenerate ball is a depth-first search over the axes
+    for one side each that together exclude every point outside S'; when
+    one side excludes nothing still uncovered, it takes the other without
+    branching.  A cube intersects the runs of ``ps.axes``; an axis cut
+    looks its mask up among the prefix masks.
+    """
+    if ps.dim != descriptor.dim:
+        raise DimensionMismatchError(
+            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
+        )
+    kind = descriptor.kind
+    full = (1 << len(ps)) - 1
+    if kind is ClassKind.CUBES:
+        tables = ps.axes
+
+        def cube(mask):
+            if not mask:
+                return True  # a faraway cube
+            spans = [_hull_indices(prefix, mask) for _, prefix, _ in tables]
+            w = max(v[b - 1] - v[a] for (v, _, _), (a, b) in zip(tables, spans))
+            reach = {full}
+            for (v, prefix, _), (a, b) in zip(tables, spans):
+                runs = _runs(v, prefix, a, b - 1, w)
+                reach = {m & o for m in reach for o in runs}
+            return mask in reach
+
+        return cube
+    if kind is ClassKind.AXIS_CUTS:
+        return frozenset(m for _, prefix, _ in ps.axes for m in prefix).__contains__
+    sides = _sides(ps, descriptor.anchor)
 
     def union(pairs, mask):
         for below, above in pairs:
@@ -509,10 +510,10 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
     if not mask:
         return _far_low_box(ps)
     lows, highs = [], []
-    for values, prefix in ps.axis_prefix:
+    for _, prefix, own in ps.axes:
         a, b = _hull_indices(prefix, mask)
-        lows.append(values[a])
-        highs.append(values[b - 1])
+        lows.append(own[a])
+        highs.append(own[b - 1])
     if nondegenerate and any(l == h for l, h in zip(lows, highs)):
         # inflate by half the least exclusion slack
         exc = [p for i, p in enumerate(ps.points) if not mask >> i & 1]
@@ -534,32 +535,23 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
 _LOW, _HIGH = 0, 1
 
 
-def _cover(exc, lo, hi, max_width: Optional[Scalar]):
-    """Commit (axis, side) thresholds of hull [lo, hi] excluding every point of exc.
+def _cover(options, dim: int, max_width: Optional[Scalar]):
+    """Commit (axis, side) thresholds that exclude every point outside S'.
 
-    ``max_width`` picks the module docstring's two rules.  None means
-    degenerate balls: a side is committed at the hull edge, and an axis
-    never closes both sides.  A width means cubes: a side is committed at
-    the excluded point, and an axis closes both sides only when their gap
+    ``options[j]`` lists the sides ``(axis, side, threshold)`` that can
+    exclude the j-th such point, axis by axis (at most one per axis, as the
+    point lies on one side of a hull).  ``max_width`` picks the module
+    docstring's two rules.  None means degenerate balls: a side is
+    committed at the hull edge, so it excludes every point that has it,
+    and an axis never closes both sides; each option carries the same
+    placeholder threshold.  A width means cubes: a side is committed at the
+    excluded point, and an axis closes both sides only when their gap
     exceeds that width (a singleton hull has width 0).  Depth-first search
-    branching on the point with the fewest viable options (axis by axis,
-    low before high).  Returns the tightest committed thresholds
-    ``(hi_min, lo_max)`` per axis, or None.
+    branching on the point with the fewest viable options, in list order.
+    Returns the tightest committed thresholds ``(hi_min, lo_max)`` per
+    axis, or None.
     """
-    dim = len(lo)
-    options = []
-    for q in exc:
-        opts = []
-        for i in range(dim):
-            if q[i] < lo[i]:
-                opts.append((i, _LOW, lo[i] if max_width is None else q[i]))
-            if q[i] > hi[i]:
-                opts.append((i, _HIGH, hi[i] if max_width is None else q[i]))
-        if not opts:
-            return None
-        options.append(opts)
-
-    order = sorted(range(len(exc)), key=lambda j: (len(options[j]), j))
+    order = sorted(range(len(options)), key=lambda j: (len(options[j]), j))
     hi_min = [None] * dim
     lo_max = [None] * dim
 
@@ -617,35 +609,43 @@ def _cover(exc, lo, hi, max_width: Optional[Scalar]):
 
 
 def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]) -> Box:
-    """The witness of a mask the kernel accepts: the cover search at the hull
-    edges of the image of S' plus the scaled anchor."""
+    """The witness of a mask the kernel accepts: the cover search over the
+    options that the masks of ``_sides`` give each excluded point, each
+    committed side at the edge of hull(S') plus anchor (a point's own
+    coordinate, or the anchor's bound)."""
     dim = ps.dim
-    inc, exc = _split(ps, mask)
-    if not inc and anchor is None:
-        top = max(p[0] for p in ps.points)
+    if not mask and anchor is None:
+        top = ps.axes[0][2][-1]  # the largest coordinate on axis 0
         return Box(
-            (Interval(top + 1, POS_INF),)
-            + tuple(Interval.full_line() for _ in range(dim - 1))
+            (Interval(top + 1, POS_INF),) + tuple(Interval.full_line() for _ in range(dim - 1))
         )
-    axes = list(zip(*inc)) or [()] * dim
-    if anchor is None:
-        lo, hi = [min(a) for a in axes], [max(a) for a in axes]
-    else:  # the hull must contain the anchor box too
-        a_lo, a_hi = anchor.scaled(ps.scaled[0])
-        lo = [min((*a, v)) for a, v in zip(axes, a_lo)]
-        hi = [max((*a, v)) for a, v in zip(axes, a_hi)]
-    found = _cover(exc, lo, hi, max_width=None)
+    sides = _sides(ps, anchor)
+    pairs = sides(mask)
+    options = [
+        [(i, _LOW if below >> j & 1 else _HIGH, 0)
+         for i, (below, above) in enumerate(pairs) if (below | above) >> j & 1]
+        for j in range(len(ps)) if not mask >> j & 1
+    ]
+    found = _cover(options, dim, max_width=None)
     if found is None:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found
-    # a hull edge that no point has is the anchor's (unanchored: never)
-    sides = anchor.intervals if anchor is not None else [Interval.full_line()] * dim
-    return Box(tuple(
-        Interval(_own(ps, i, lo[i], sides[i].lo), POS_INF) if lo_max[i] is not None
-        else Interval(NEG_INF, _own(ps, i, hi[i], sides[i].hi)) if hi_min[i] is not None
-        else Interval.full_line()
-        for i in range(dim)
-    ))
+    full = (1 << len(ps)) - 1
+    box = []
+    for i, ((_, prefix, own), (below, above), (low, high)) in enumerate(
+        zip(ps.axes, pairs, sides(0))
+    ):
+        # a committed side ends at the first value past its mask, or at the
+        # anchor's bound when the mask is the anchor's own (S' reaches no further)
+        if lo_max[i] is not None:
+            lo = own[prefix.index(below)] if below != low else anchor.intervals[i].lo
+            box.append(Interval(lo, POS_INF))
+        elif hi_min[i] is not None:
+            hi = own[prefix.index(full ^ above) - 1] if above != high else anchor.intervals[i].hi
+            box.append(Interval(NEG_INF, hi))
+        else:
+            box.append(Interval.full_line())
+    return Box(tuple(box))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,12 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
     axes = list(zip(*inc))
     lo, hi = [min(a) for a in axes], [max(a) for a in axes]
     max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
-    found = _cover(exc, lo, hi, max_width)
+    options = [
+        [(i, _LOW if x < l else _HIGH, x) for i, (x, l, h) in enumerate(zip(q, lo, hi))
+         if not l <= x <= h]
+        for q in exc
+    ]
+    found = _cover(options, dim, max_width)
     if found is None:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found
@@ -706,15 +711,15 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
 
 def _cut_build(ps: PointSet, mask: SubsetMask) -> AxisCut:
     """The cut of the first axis on which mask is a prefix mask."""
-    for i, (values, prefix) in enumerate(ps.axis_prefix):
+    for i, (_, prefix, own) in enumerate(ps.axes):
         if mask in prefix:
             break
     k = prefix.index(mask)
     if k == 0:
-        return AxisCut(i, values[0] - 1)
-    if k == len(values):
-        return AxisCut(i, values[-1])
-    return AxisCut(i, midpoint(values[k - 1], values[k]))
+        return AxisCut(i, own[0] - 1)
+    if k == len(own):
+        return AxisCut(i, own[-1])
+    return AxisCut(i, midpoint(own[k - 1], own[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +728,8 @@ def _cut_build(ps: PointSet, mask: SubsetMask) -> AxisCut:
 
 def _check_mask(ps: PointSet, mask: SubsetMask) -> None:
     n = len(ps)
-    if not isinstance(mask, int) or not 0 <= mask < (1 << n):
+    check_int("mask", mask, 0)
+    if mask >> n:
         raise DomainError(f"mask {mask!r} out of range for {n} points")
 
 

@@ -34,7 +34,7 @@ from .errors import (
     UnboundedAnchorError,
 )
 from .geometry import Box, Interval, Point, PointSet, project, rect_hull
-from .scalars import NEG_INF, POS_INF, Scalar, as_scalar
+from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int
 from .shatter import ShatterVerdict, is_shattered
 
 DELTA_FLOOR = Fraction(1, 2**64)
@@ -54,8 +54,7 @@ def origin_ball_witness(d: int) -> PointSet:
     product step stacking the (d-2)-witness against the 2-d base on disjoint
     axes; odd d appends the point (0, ..., 0, 1) to the (d-1)-witness.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError("dimension must be a positive integer")
+    check_int("dimension", d, 1)
     if d == 1:
         return PointSet.of([(1,)])
     if d == 2:
@@ -79,8 +78,7 @@ def cube_witness(d: int) -> PointSet:
     L = max(2 * max_a ||a||_inf, 1) so that A sits inside the ball of radius
     L/2 around the origin.
     """
-    if not isinstance(d, int) or d < 1:
-        raise DomainError("dimension must be a positive integer")
+    check_int("dimension", d, 1)
     if d == 1:
         return PointSet.of([(0,), (1,)])
     base = origin_ball_witness(d - 1)

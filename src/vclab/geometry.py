@@ -29,6 +29,7 @@ from .scalars import (
     ExtendedScalar,
     Scalar,
     as_scalar,
+    check_int,
     is_finite,
 )
 
@@ -58,18 +59,16 @@ class PointSet:
     """An ordered, duplicate-free, finite set of points in R^dim.
 
     Order matters: subset masks index into it, bit i of a mask selecting
-    ``points[i]``.  Three tables the carve deciders read are computed on
-    first use and kept on the instance (``scaled``, ``axis_prefix``,
-    ``scaled_prefix``); they are not fields, so equality and hashing ignore
-    them.
+    ``points[i]``.  The two tables the carve deciders read (``scaled`` and
+    ``axes``) are computed on first use and kept on the instance; they are
+    not fields, so equality and hashing ignore them.
     """
 
     dim: int
     points: Tuple[Point, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
-            raise DomainError(f"dimension must be a positive int, got {self.dim!r}")
+        check_int("dimension", self.dim, 1)
         pts = tuple(as_point(p) for p in self.points)
         if not pts:
             raise EmptySetError("point set must be nonempty")
@@ -116,25 +115,23 @@ class PointSet:
         )
 
     @cached_property
-    def axis_prefix(self) -> Tuple[Tuple[Tuple[Scalar, ...], Tuple[int, ...]], ...]:
-        """Per axis, ``(values, prefix)``: the distinct coordinates in
-        increasing order, and ``prefix[k]``, the mask of the points whose
-        coordinate is among the first k values.
+    def axes(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[Scalar, ...]], ...]:
+        """Per axis, ``(values, prefix, own)``: the distinct values of the
+        integer image (``scaled``) in increasing order; ``prefix[k]``, the
+        mask of the points whose value is among the first k; and ``own[k]``,
+        the coordinate, as a point's own scalar object, whose image is
+        ``values[k]``.  When L is 1, ``own`` is ``values``.
 
         The points with ``lo <= x[axis] <= hi`` are then
-        ``prefix[bisect_right(values, hi)] & ~prefix[bisect_left(values, lo)]``.
+        ``prefix[bisect_right(own, hi)] & ~prefix[bisect_left(own, lo)]``.
         """
-        return tuple(prefix_table(col) for col in zip(*self.points))
-
-    @cached_property
-    def scaled_prefix(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-        """``axis_prefix`` of the integer image (``scaled``): the same prefix
-        masks, with each value v as the int v * L.  When L is 1 it is
-        ``axis_prefix`` itself."""
         den, image = self.scaled
-        if den == 1:
-            return self.axis_prefix
-        return tuple(prefix_table(col) for col in zip(*image))
+        out = []
+        for ints, col in zip(zip(*image), zip(*self.points)):
+            values, prefix = prefix_table(ints)
+            own = values if den == 1 else tuple(map(dict(zip(ints, col)).__getitem__, values))
+            out.append((values, prefix, own))
+        return tuple(out)
 
     def __iter__(self):
         return iter(self.points)
@@ -254,26 +251,6 @@ class Box:
         return all(
             a.contains_interval(b) for a, b in zip(self.intervals, other.intervals)
         )
-
-    @cached_property
-    def _scaled_by(self) -> dict:
-        return {}
-
-    def scaled(self, den: int) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...]]:
-        """``(lows * den, highs * den)`` of a bounded box: an anchor's bounds
-        on the integer image of a point set (``PointSet.scaled``), computed
-        once per den and kept on the instance (not a field, so equality and
-        hashing ignore it)."""
-        table = self._scaled_by
-        if den not in table:
-            def times(v: Scalar) -> Scalar:
-                return v if den == 1 else as_scalar(v * den)
-
-            table[den] = (
-                tuple(times(iv.lo) for iv in self.intervals),
-                tuple(times(iv.hi) for iv in self.intervals),
-            )
-        return table[den]
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,15 @@ def as_scalar(value) -> Scalar:
     raise DomainError(f"not a rational scalar: {value!r}")
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Refuse a value that is not an int (a bool or an integral float
+    included) or is below least, with ``DomainError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse ``"p"`` or ``"p/q"`` with optional sign; exact, no floats."""
     s = text.strip()

@@ -57,6 +57,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .carve import ClassDescriptor, ClassKind, cube_score, cube_scorer, cubes, origin_anchored
 from .errors import BudgetExceededError, DomainError
 from .geometry import PointSet
+from .scalars import check_int
 from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered, shattering_count
 
 EVIDENCE_NOTE = (
@@ -70,18 +71,6 @@ CLIMB_STEPS = 16
 # ---------------------------------------------------------------------------
 # Order types
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)  # bool is an int subclass
-
-
-def _check_int(name: str, value, least: int) -> None:
-    """Refuse a value that is not an int (a bool included) or is below least."""
-    if not _is_int(value):
-        raise DomainError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,15 +87,15 @@ class OrderConfig:
     ranks: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not (_is_int(self.n) and _is_int(self.dim)):
-            raise DomainError(f"n and dim must be ints, got {self.n!r}, {self.dim!r}")
+        check_int("n", self.n, 0)
+        check_int("dim", self.dim, 0)
         m = self.n + (1 if self.with_origin else 0)
         if len(self.ranks) != self.dim:
             raise DomainError("one rank row per axis required")
         for row in self.ranks:
             if len(row) != self.n or len(set(row)) != self.n:
                 raise DomainError("ranks must be distinct per axis")
-            if not all(_is_int(v) and 0 <= v < m for v in row):
+            if not all(type(v) is int and 0 <= v < m for v in row):
                 raise DomainError(f"ranks must be ints in 0..{m - 1}")
 
     def origin_rank(self, axis: int) -> int:
@@ -211,7 +200,7 @@ class _Budget:
 
     def __init__(self, limit: Optional[int]):
         if limit is not None:
-            _check_int("budget", limit, 0)
+            check_int("budget", limit, 0)
         self.limit = limit
         self.used = 0
 
@@ -306,8 +295,8 @@ def enumerate_order_types(
     raises after exactly ``budget`` of them.  A negative budget raises
     ``DomainError`` before any config is examined.
     """
-    _check_int("n", n, 1)
-    _check_int("dim", dim, 1)
+    check_int("n", n, 1)
+    check_int("dim", dim, 1)
     tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
     return _enumerate(n, dim, with_origin, reflect, tracker, ctr)
@@ -388,7 +377,7 @@ def _order_driven(kind: ClassKind, dim: int) -> Tuple[ClassDescriptor, bool, boo
     coordinate order alone there.  An anchored class scans with an origin
     slot against the origin-anchored descriptor; cuts, being one-sided,
     scan without axis reflections."""
-    _check_int("dim", dim, 1)
+    check_int("dim", dim, 1)
     if not isinstance(kind, ClassKind):
         raise DomainError(f"class kind must be a ClassKind: {kind!r}")
     if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
@@ -420,7 +409,7 @@ def exact_vc_ordinal(
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:
         n_max = _default_n_max(kind, dim)
-    _check_int("n_max", n_max, 1)
+    check_int("n_max", n_max, 1)
     tracker = _Budget(budget)
     levels: List[LevelOutcome] = []
     vc_exact: Optional[int] = None
@@ -660,11 +649,12 @@ def random_cube_search(
     >= 0 (else ``DomainError``), and more than ``DEFAULT_MASK_CAP`` points
     raise ``CapExceededError``, both before anything is scored.
     """
-    _check_int("trials", trials, 1)
-    _check_int("n", n, 1)
-    _check_int("dim", dim, 1)
-    _check_int("keep", keep, 1)
-    _check_int("coordinate_range", coordinate_range, 0)
+    check_int("trials", trials, 1)
+    check_int("n", n, 1)
+    check_int("dim", dim, 1)
+    check_int("keep", keep, 1)
+    check_int("coordinate_range", coordinate_range, 0)
+    check_int("seed", seed, 0)
     _check_cap(n, DEFAULT_MASK_CAP)  # a full score decides every one of the 2^n masks
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
@@ -739,7 +729,7 @@ def max_shattering_coefficient(
     far, or ``None`` fields when no config was scored) is raised.  ``jobs``
     is accepted but currently unused: every config runs in-process.
     """
-    _check_int("n", n, 1)
+    check_int("n", n, 1)
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     counters = EnumerationCounters()
     tracker = _Budget(budget)

@@ -23,8 +23,9 @@ from .carve import (
     _trace_mask,
     _witness,
 )
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DimensionMismatchError, DomainError
 from .geometry import PointSet
+from .scalars import check_int
 
 DEFAULT_MASK_CAP = 20
 
@@ -38,8 +39,7 @@ E_UPPER = sum(Fraction(1, math.factorial(k)) for k in range(16)) + Fraction(
 
 def canonical_mask_order(n: int) -> List[int]:
     """Singletons, complements of singletons, then (popcount, value)."""
-    if n < 1:
-        raise DomainError("need at least one point")
+    check_int("n", n, 1)
     full = (1 << n) - 1
     head: List[int] = []
     seen = set()
@@ -69,6 +69,10 @@ class ShatteringCertificate:
     witnesses: Tuple[CarveWitness, ...]  # indexed by mask value
 
     def __post_init__(self):
+        if self.points.dim != self.descriptor.dim:
+            raise DimensionMismatchError(
+                f"set dimension {self.points.dim} != class dimension {self.descriptor.dim}"
+            )
         if len(self.witnesses) != 1 << len(self.points):
             raise DomainError("certificate must cover every subset mask")
 
@@ -118,6 +122,7 @@ class VcLowerBound:
 
 
 def _check_cap(n: int, cap: int) -> None:
+    check_int("cap", cap, 0)
     if n > cap:
         raise CapExceededError(
             f"{n} points would need {1 << n} masks; cap is {cap} points"
@@ -231,8 +236,6 @@ def vc_lower_bound_on(
 
 def sauer_shelah_bound(vc: int, n: int) -> Fraction:
     """Exact rational (E_UPPER * n / vc) ** vc, valid for n >= vc >= 1."""
-    if not isinstance(vc, int) or not isinstance(n, int):
-        raise DomainError("vc and n must be integers")
-    if vc < 1 or n < vc:
-        raise DomainError("growth bound requires n >= vc >= 1")
+    check_int("vc", vc, 1)
+    check_int("n", n, vc)
     return (E_UPPER * n / vc) ** vc

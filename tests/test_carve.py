@@ -27,8 +27,9 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
-from vclab.carve import _cover, _feasibility, _split, _trace_mask
+from vclab.carve import _HIGH, _LOW, _cover, _feasibility, _split, _trace_mask
 from vclab.errors import DimensionMismatchError
+from vclab.geometry import prefix_table
 from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.serialize import canonical_dumps, concept_to_json
 
@@ -213,6 +214,15 @@ def test_mask_out_of_range_rejected():
         carve(ps, -1, boxes(1))
 
 
+@pytest.mark.parametrize("mask", [True, False, 1.0], ids=["true", "false", "float"])
+def test_mask_given_as_bool_or_float_rejected(mask):
+    ps = PointSet.of([(0,), (1,)])
+    with pytest.raises(DomainError, match="mask must be an int"):
+        carve(ps, mask, boxes(1))
+    with pytest.raises(DomainError, match="mask must be an int"):
+        carve_feasible(ps, mask, boxes(1))
+
+
 @pytest.mark.parametrize("build", [
     lambda: ClassDescriptor(ClassKind.BOXES, True),
     lambda: PointSet(True, ((0,), (1,))),
@@ -327,29 +337,34 @@ def test_scaled_image_is_integral_and_order_preserving():
     assert integral.scaled == (1, integral.points)
 
 
-def test_axis_prefix_masks_points_at_or_below_each_value():
-    ps = PointSet.of([(1, 0), (0, 0), (1, Fraction(1, 2))])
-    (xs, xmask), (ys, ymask) = ps.axis_prefix
-    assert xs == (0, 1) and xmask == (0, 0b010, 0b111)
-    assert ys == (0, Fraction(1, 2)) and ymask == (0, 0b011, 0b111)
-
-
-def test_scaled_prefix_is_axis_prefix_on_the_integer_image():
+def test_axes_are_the_prefix_tables_of_the_integer_image():
     ps = PointSet.of([(1, 0), (0, 0), (1, Fraction(1, 2)), (Fraction(-2, 3), 4)])
     den = ps.scaled[0]
     assert den == 6
-    for (values, masks), (ints, int_masks) in zip(ps.axis_prefix, ps.scaled_prefix):
-        assert int_masks == masks
-        assert all(type(v) is int for v in ints)
-        assert ints == tuple(v * den for v in values)
-    assert ps.scaled_prefix is ps.scaled_prefix  # kept, not recomputed
+    for axis, (values, prefix, own) in enumerate(ps.axes):
+        column = [p[axis] for p in ps.points]
+        reference_values, reference_prefix = prefix_table(column)  # on the rationals
+        assert prefix == reference_prefix
+        assert all(type(v) is int for v in values)
+        assert values == tuple(v * den for v in reference_values)
+        for k, x in enumerate(own):
+            assert any(x is c for c in column)
+            assert x == Fraction(values[k], den)
+
+
+def test_axes_are_cached_and_own_is_values_when_integral():
+    ps = PointSet.of([(1, 0), (0, 0), (1, Fraction(1, 2))])
+    assert ps.axes is ps.axes  # kept, not recomputed
+    (xs, xmask, _), (ys, ymask, yown) = ps.axes
+    assert xs == (0, 2) and xmask == (0, 0b010, 0b111)
+    assert ys == (0, 1) and ymask == (0, 0b011, 0b111) and yown == (0, Fraction(1, 2))
     whole = PointSet.of([(1, 0), (0, 2)])
-    assert whole.scaled_prefix is whole.axis_prefix  # L = 1: the same table
+    assert all(own is values for values, _, own in whole.axes)  # L = 1
 
 
 def test_cached_tables_leave_equality_and_hash_alone():
     a, b = PointSet.of([(Fraction(1, 3),), (1,)]), PointSet.of([(Fraction(1, 3),), (1,)])
-    a.scaled, a.axis_prefix, a.scaled_prefix
+    a.scaled, a.axes
     assert a == b and hash(a) == hash(b)
 
 
@@ -370,16 +385,6 @@ def test_a_second_cube_scan_builds_no_new_prefix_table(monkeypatch):
     assert len(built) == 2  # one table per axis
     assert [m for m in range(8) if _feasibility(ps, cubes(2))(m)] == first
     assert len(built) == 2
-
-
-def test_anchor_bounds_are_scaled_once_per_denominator():
-    a = Box.from_bounds([Fraction(1, 3), -1], [Fraction(1, 2), 2])
-    b = Box.from_bounds([Fraction(1, 3), -1], [Fraction(1, 2), 2])
-    assert a.scaled(6) == ((2, -6), (3, 12))
-    assert all(type(v) is int for ends in a.scaled(6) for v in ends)
-    assert a.scaled(6) is a.scaled(6)  # kept, not recomputed
-    assert a.scaled(1) == ((Fraction(1, 3), -1), (Fraction(1, 2), 2))
-    assert a == b and hash(a) == hash(b)
 
 
 def _large_denominator_point_set(rng, d, n):
@@ -576,7 +581,12 @@ def test_cube_cover_search_finds_a_witness_on_exactly_the_accepted_masks():
             axes = list(zip(*inc))
             lo, hi = [min(a) for a in axes], [max(a) for a in axes]
             width = max(h - l for h, l in zip(hi, lo))
-            found = _cover(exc, lo, hi, width)
+            options = [
+                [(i, _LOW if x < l else _HIGH, x) for i, (x, l, h) in enumerate(zip(q, lo, hi))
+                 if not l <= x <= h]
+                for q in exc
+            ]
+            found = _cover(options, d, width)
             assert decide(mask) == (found is not None), (ps, mask)
 
 

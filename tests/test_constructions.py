@@ -190,6 +190,38 @@ def test_extremal_certificate_frozen_example():
     assert cert.nonextremal == ()
 
 
+@pytest.mark.parametrize("build", [origin_ball_witness, cube_witness])
+@pytest.mark.parametrize("d", [True, 2.0], ids=["bool", "float"])
+def test_witness_dimension_given_as_bool_or_float_is_refused(build, d):
+    with pytest.raises(DomainError, match="must be an int"):
+        build(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_extremal_counting_bound_spares_a_shattered_injective_set(d):
+    ps = perturb_to_injective(origin_ball_witness(d), origin_anchored(d))
+    cert = extremal_certificate(ps)
+    assert cert.projections_injective
+    assert not cert.refutes_anchored_shattering()
+
+
+def test_extremal_counting_bound_refutes_an_injective_pair_on_the_line():
+    ps = PointSet.of([(1,), (2,)])
+    cert = extremal_certificate(ps)
+    assert cert.projections_injective and cert.once_count == 2  # k = 2 >= d + 1
+    assert cert.refutes_anchored_shattering()
+    assert not is_shattered(ps, origin_anchored(1)).shattered
+
+
+def test_extremal_counting_bound_never_refutes_a_tied_set():
+    assert not extremal_certificate(origin_ball_witness(2)).refutes_anchored_shattering()
+    # 2n = 8 > 2d + k = 6 would refute, but the projections tie
+    square = extremal_certificate(PointSet.of([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    assert not square.projections_injective
+    assert 2 * len(square.points) > 2 * 2 + square.once_count
+    assert not square.refutes_anchored_shattering()
+
+
 def test_extremal_once_counts_by_dimension():
     got = [extremal_certificate(origin_ball_witness(d)).once_count for d in range(1, 7)]
     assert got == [0, 2, 3, 4, 5, 6]

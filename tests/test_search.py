@@ -455,6 +455,13 @@ def test_cube_search_refuses_ill_typed_coordinate_range(monkeypatch, value):
         random_cube_search(2, 4, 10, seed=1, coordinate_range=value)
 
 
+@pytest.mark.parametrize("value", [1.5, True, -1], ids=["float", "bool", "neg"])
+def test_cube_search_refuses_a_seed_that_is_not_an_int_at_least_zero(monkeypatch, value):
+    monkeypatch.setattr(search_module, "cube_scorer", None)
+    with pytest.raises(DomainError, match="seed"):
+        random_cube_search(2, 4, 10, seed=value)
+
+
 def test_cube_search_refuses_a_range_too_small_for_injective_projections():
     random_cube_search(1, 3, 2, coordinate_range=1)
     with pytest.raises(DomainError, match="too small"):

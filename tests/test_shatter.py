@@ -32,6 +32,8 @@ from vclab import (
     vc_lower_bound_on,
 )
 
+from vclab.errors import DimensionMismatchError
+
 carve_module = importlib.import_module("vclab.carve")
 
 
@@ -299,6 +301,30 @@ def test_sauer_bound_domain():
         sauer_shelah_bound(0, 3)
     with pytest.raises(DomainError):
         sauer_shelah_bound(4, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sauer_shelah_bound(True, 2),
+        lambda: sauer_shelah_bound(2, 3.0),
+        lambda: canonical_mask_order(True),
+        lambda: canonical_mask_order(3.0),
+        lambda: is_shattered(PointSet.of([(0,)]), boxes(1), cap=True),
+        lambda: shattering_count(PointSet.of([(0,)]), boxes(1), cap=20.0),
+    ],
+    ids=["bound-vc-bool", "bound-n-float", "order-bool", "order-float", "cap-bool", "cap-float"],
+)
+def test_bools_and_floats_given_as_ints_are_refused(call):
+    with pytest.raises(DomainError, match="must be an int"):
+        call()
+
+
+def test_certificate_refuses_points_and_class_of_different_dimension():
+    ps = PointSet.of([(0,), (1,)])
+    witnesses = is_shattered(ps, boxes(1)).certificate.witnesses
+    with pytest.raises(DimensionMismatchError):
+        ShatteringCertificate(ps, boxes(2), witnesses)
 
 
 def test_cube_shattering_d1_pair():
