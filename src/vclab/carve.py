@@ -328,7 +328,9 @@ def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetM
     for one side each that together exclude every point outside S'; when
     one side excludes nothing still uncovered, it takes the other without
     branching.  A cube intersects the runs of ``ps.axes``; an axis cut
-    looks its mask up among the prefix masks.
+    looks its mask up among the prefix masks.  Only ``len(ps)``,
+    ``ps.dim``, ``ps.scaled[0]`` and ``ps.axes`` are read, so the order-type
+    scans run it on a ``search.OrderConfig`` itself.
     """
     if ps.dim != descriptor.dim:
         raise DimensionMismatchError(

@@ -6,8 +6,13 @@ a set is shattered depends only on its order type: the matrix of per-axis
 ranks.  Restricting to injective projections loses nothing (a shattered set
 can always be perturbed to one with injective projections), so the exact VC
 dimension over all of R^d is computed by enumerating rank matrices with
-distinct ranks per axis, one representative per symmetry orbit, realizing
-ranks as integer coordinates, and running the exact shattering checker.
+distinct ranks per axis, one representative per symmetry orbit, and
+deciding each on its ranks.  An ``OrderConfig`` carries the two tables the
+carve kernel reads, ``scaled`` and ``axes``, read straight off its ranks
+(L = 1, the image is the ranks shifted so that the origin is 0), so the
+scans run ``carve._feasibility`` on the config itself and build no
+``PointSet`` per config; ``realize()`` runs only for a config a report
+holds (a shattered witness, a best coefficient).
 
 Symmetries: relabeling points, permuting axes, and reflecting an axis
 (rank r -> m-1-r).  Carve verdicts of products of intervals keep under all
@@ -20,7 +25,11 @@ A raw rank matrix is kept when it is the least image in its orbit.
 images, row by row (in the spirit of McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), instead of building all d!*2^d of
 them; ``_canonical`` builds them all and stays as the brute-force
-reference and as the order key of the cube search.
+reference and as the order key of the cube search.  A rank row's own
+images (itself and, with reflections, its reflection), each with the
+getter that relabels points so that it ascends, come from a table
+(``_RowImages``) that the enumeration fills once per level, on a row's
+first use, so the test neither reflects nor sorts.
 
 Matrices are generated in an orderly way (Read, "Every one a winner",
 Ann. Discrete Math. 2, 1978): row by row, with each proper row prefix
@@ -50,15 +59,24 @@ import bisect
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .carve import ClassDescriptor, ClassKind, cube_score, cube_scorer, cubes, origin_anchored
+from .carve import (
+    ClassDescriptor,
+    ClassKind,
+    _feasibility,
+    cube_score,
+    cube_scorer,
+    cubes,
+    origin_anchored,
+)
 from .errors import BudgetExceededError, DomainError
-from .geometry import PointSet
+from .geometry import PointSet, prefix_table
 from .scalars import check_int
-from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered, shattering_count
+from .shatter import DEFAULT_MASK_CAP, _check_cap, _mask_order, is_shattered
 
 EVIDENCE_NOTE = (
     "randomized search: absence of a shattered configuration is evidence, not proof"
@@ -79,6 +97,9 @@ class OrderConfig:
 
     With ``with_origin`` one rank slot per axis is reserved for the origin
     (the missing value); realization shifts ranks so the origin lands at 0.
+    ``len``, ``dim``, ``scaled`` and ``axes`` are what the carve kernel
+    reads of a ``PointSet``; here they come from the ranks alone, equal to
+    those of ``realize()``, and the last two are computed on first use.
     """
 
     n: int
@@ -98,14 +119,45 @@ class OrderConfig:
             if not all(type(v) is int and 0 <= v < m for v in row):
                 raise DomainError(f"ranks must be ints in 0..{m - 1}")
 
+    def __len__(self) -> int:
+        return self.n
+
     def origin_rank(self, axis: int) -> int:
+        """The rank slot left free for the origin: ranks 0..n minus the row's."""
         if not self.with_origin:
             raise DomainError("configuration has no origin slot")
-        missing = set(range(self.n + 1)) - set(self.ranks[axis])
-        return missing.pop()
+        return self.n * (self.n + 1) // 2 - sum(self.ranks[axis])
+
+    def _image_rows(self) -> List[Tuple[int, ...]]:
+        """Per axis, the points' integer coordinates: ranks, shifted so the
+        origin is 0."""
+        if not self.with_origin:
+            return list(self.ranks)
+        return [
+            tuple(v - shift for v in row)
+            for row, shift in zip(self.ranks, map(self.origin_rank, range(self.dim)))
+        ]
+
+    @cached_property
+    def scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """``realize().scaled``, read off the ranks: L = 1 and the image."""
+        rows = self._image_rows()
+        return 1, tuple(tuple(row[i] for row in rows) for i in range(self.n))
+
+    @cached_property
+    def axes(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...]:
+        """``realize().axes``, read off the ranks: per axis the sorted image
+        values, ``prefix[k]`` the points whose rank is among the k smallest,
+        and ``own`` the values themselves (L = 1)."""
+        return tuple(
+            (values, prefix, values) for values, prefix in map(prefix_table, self._image_rows())
+        )
 
     def realize(self) -> PointSet:
-        """Integer realization: coordinate = rank, shifted so origin = 0."""
+        """Integer realization: coordinate = rank, shifted so origin = 0.
+
+        Built from the ranks on its own, as the reference for ``scaled``
+        and ``axes``."""
         shifts = [
             self.origin_rank(axis) if self.with_origin else 0
             for axis in range(self.dim)
@@ -141,35 +193,59 @@ def _canonical(
     return best
 
 
-def _is_canonical(mat: Tuple[Tuple[int, ...], ...], m: int, reflect: bool) -> bool:
+class _RowImages(dict):
+    """Rank row -> its images under the axis group: the row and, when
+    ``reflect`` is set, its reflection ``m - 1 - v``, each as ``(image,
+    relabel, relabel(image))``, where ``relabel`` is the getter that
+    relabels points so that the image ascends (``itemgetter`` of its
+    argsort).  Filled on a row's first use and kept for the level."""
+
+    def __init__(self, m: int, reflect: bool):
+        super().__init__()
+        self.m = m
+        self.reflect = reflect
+
+    def __missing__(self, row: Tuple[int, ...]) -> Tuple[tuple, ...]:
+        images = (row, tuple(self.m - 1 - v for v in row)) if self.reflect else (row,)
+        entry = []
+        for img in images:
+            order = sorted(range(len(img)), key=img.__getitem__)
+            # one index: itemgetter would return an int, not a 1-tuple
+            relabel = itemgetter(*order) if len(order) > 1 else tuple
+            entry.append((img, relabel, relabel(img)))
+        self[row] = entry = tuple(entry)
+        return entry
+
+
+def _is_canonical(
+    mat: Tuple[Tuple[int, ...], ...], images: Sequence[Tuple[tuple, ...]]
+) -> bool:
     """``_canonical(mat, m, reflect) == mat``, decided without building every image.
 
-    Images are built row by row: new axis 0 from one of the (axis,
-    reflection) choices, which also fixes the point relabeling (its
-    argsort); then rows 1, 2, ... from the unused choices.  Row tuples
-    compare lexicographically, so an image row below ``mat``'s row at that
-    position proves ``mat`` is not least in its orbit, a row above it prunes
-    the branch, and only ties descend.
+    ``images[k]`` is ``_RowImages(m, reflect)[mat[k]]``.  Images are built
+    row by row: new axis 0 from one of the (axis, reflection) choices, whose
+    getter fixes the point relabeling; then rows 1, 2, ... from the unused
+    choices, relabeled by it.  Row tuples compare lexicographically, so an
+    image row below ``mat``'s row at that position proves ``mat`` is not
+    least in its orbit, a row above it prunes the branch, and only ties
+    descend.
     """
-    d, n = len(mat), len(mat[0])
-    images = [
-        (row, tuple(m - 1 - v for v in row)) if reflect else (row,) for row in mat
-    ]
+    d = len(mat)
 
     def no_smaller(k: int, free: Tuple[int, ...], permute) -> bool:
         if k == d:
             return True
-        for a in free:
-            for row in images[a]:
-                if k == 0:  # relabel points so that the new axis 0 ascends
-                    order = sorted(range(n), key=row.__getitem__)
-                    permute = itemgetter(*order) if n > 1 else tuple  # 1 index: no tuple
-                img = permute(row)
-                if img < mat[k]:
+        target = mat[k]
+        for i, a in enumerate(free):
+            rest = free[:i] + free[i + 1:]
+            for row, relabel, ascending in images[a]:
+                if k:
+                    img = permute(row)
+                else:
+                    img, permute = ascending, relabel
+                if img < target:
                     return False
-                if img == mat[k] and not no_smaller(
-                    k + 1, tuple(b for b in free if b != a), permute
-                ):
+                if img == target and not no_smaller(k + 1, rest, permute):
                     return False
         return True
 
@@ -248,24 +324,28 @@ def _enumerate(
     m = n + 1 if with_origin else n
     first_rows = _axis_rows(n, with_origin)
     other_rows = list(permutations(range(m), n))
+    table = _RowImages(m, reflect)
     # raw configs below a prefix of k rows
     block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
 
-    def extend(prefix: Tuple[Tuple[int, ...], ...]) -> Iterator[OrderConfig]:
+    def extend(
+        prefix: Tuple[Tuple[int, ...], ...], prefix_images: tuple
+    ) -> Iterator[OrderConfig]:
         k = len(prefix) + 1
         for row in other_rows if prefix else first_rows:
             mat = prefix + (row,)
+            images = prefix_images + (table[row],)
             if k == dim:
                 budget.charge(counters)
-                if _is_canonical(mat, m, reflect):
+                if _is_canonical(mat, images):
                     counters.emitted += 1
                     yield OrderConfig(n, dim, with_origin, mat)
-            elif _is_canonical(mat, m, reflect):
-                yield from extend(mat)
+            elif _is_canonical(mat, images):
+                yield from extend(mat, images)
             else:
                 budget.charge(counters, block[k])
 
-    return extend(())
+    return extend((), ())
 
 
 def enumerate_order_types(
@@ -286,7 +366,8 @@ def enumerate_order_types(
     relabel-orbit meets exactly once.  Matrices are built row by row; a row
     prefix that is not least in its orbit is skipped with all its
     completions, and every full matrix is tested with the pruned
-    minimality search ``_is_canonical``.  Both give the verdict of
+    minimality search ``_is_canonical``, on row images built once per
+    level (``_RowImages``).  Both give the verdict of
     comparing each raw matrix with its full canonical form ``_canonical``
     (the reference), so the emission order is that of the brute-force
     scan.  ``counters.examined`` counts the raw configs covered, whether
@@ -400,11 +481,14 @@ def exact_vc_ordinal(
     """Exact VC dimension of an order-driven class by exhausting order types.
 
     Scans n = 1..n_max; at each level, stops early once a shattered
-    configuration is found.  The exact value n* is reported only when level
-    n*+1 was exhausted with no shattered configuration.  On budget overrun a
-    BudgetExceededError carrying the partial report (``error.report``) is
-    raised.  ``jobs`` is accepted but currently unused: every level runs
-    in-process.
+    configuration is found.  Each config is decided on its rank tables: the
+    class kernel runs on the ``OrderConfig`` itself over the canonical mask
+    order and stops at the first miss, and only the shattered witness is
+    realized as a ``PointSet``.  The exact value n* is reported only when
+    level n*+1 was exhausted with no shattered configuration.  On budget
+    overrun a BudgetExceededError carrying the partial report
+    (``error.report``) is raised.  ``jobs`` is accepted but currently
+    unused: every level runs in-process.
     """
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:
@@ -428,14 +512,10 @@ def exact_vc_ordinal(
     for n in range(1, n_max + 1):
         counters = EnumerationCounters()
         found: Optional[OrderConfig] = None
-        found_points: Optional[PointSet] = None
         try:
             for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-                ps = config.realize()
-                verdict = is_shattered(ps, descriptor, want_certificate=False)
-                if verdict.shattered:
+                if all(map(_feasibility(config, descriptor), _mask_order(n))):
                     found = config
-                    found_points = ps
                     break
         except BudgetExceededError as err:
             levels.append(
@@ -450,7 +530,7 @@ def exact_vc_ordinal(
                 n,
                 found is not None,
                 found,
-                found_points,
+                None if found is None else found.realize(),
                 counters.examined,
                 counters.emitted,
             )
@@ -609,7 +689,7 @@ def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
         # a lower score than the local `local_keep`-th best cannot be kept (and
         # is never shattered), so it needs no PointSet and no order key
         if len(kept) == local_keep and -score > kept[-1][0][0]:
-            continue
+            continue  # not on a tie: the order key settles it before the trial index
         ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
         cand = SearchCandidate(ps, score, total, score == total, t)
         pair = (_rank(cand), cand)  # ranks are unique (trial)
@@ -724,35 +804,42 @@ def max_shattering_coefficient(
 ) -> MaxCoefficientReport:
     """Largest number of realizable subsets over all order types at size n.
 
-    On budget overrun a BudgetExceededError carrying the partial report
-    (``error.report``: the configs examined and emitted, and the best so
-    far, or ``None`` fields when no config was scored) is raised.  ``jobs``
-    is accepted but currently unused: every config runs in-process.
+    Each config is decided on its rank tables: the class kernel runs on the
+    ``OrderConfig`` itself over all 2^n masks, and only the best config is
+    realized as a ``PointSet``, when the report is made.  More than
+    ``DEFAULT_MASK_CAP`` points raise ``CapExceededError`` before any
+    config is examined.  On budget overrun a BudgetExceededError carrying
+    the partial report (``error.report``: the configs examined and emitted,
+    and the best so far, or ``None`` fields when no config was scored) is
+    raised.  ``jobs`` is accepted but currently unused: every config runs
+    in-process.
     """
     check_int("n", n, 1)
     descriptor, with_origin, reflect = _order_driven(kind, dim)
+    _check_cap(n, DEFAULT_MASK_CAP)
+    masks = range(1 << n)
     counters = EnumerationCounters()
     tracker = _Budget(budget)
-    best = (None, None, None)
+    best_count: Optional[int] = None
+    best_config: Optional[OrderConfig] = None
 
     def make_report() -> MaxCoefficientReport:
         return MaxCoefficientReport(
             kind=kind,
             dim=dim,
             n=n,
-            best_count=best[0],
-            best_config=best[1],
-            best_points=best[2],
+            best_count=best_count,
+            best_config=best_config,
+            best_points=None if best_config is None else best_config.realize(),
             configs_examined=counters.examined,
             configs_after_symmetry=counters.emitted,
         )
 
     try:
         for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-            ps = config.realize()
-            report = shattering_count(ps, descriptor)
-            if best[0] is None or report.realized > best[0]:
-                best = (report.realized, config, ps)
+            count = sum(map(_feasibility(config, descriptor), masks))
+            if best_count is None or count > best_count:
+                best_count, best_config = count, config
     except BudgetExceededError as err:
         err.report = make_report()
         raise

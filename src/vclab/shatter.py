@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
@@ -40,24 +41,20 @@ E_UPPER = sum(Fraction(1, math.factorial(k)) for k in range(16)) + Fraction(
 def canonical_mask_order(n: int) -> List[int]:
     """Singletons, complements of singletons, then (popcount, value)."""
     check_int("n", n, 1)
+    return list(_mask_order(n))
+
+
+@lru_cache(maxsize=None)
+def _mask_order(n: int) -> Tuple[int, ...]:
+    """``canonical_mask_order(n)``, built once per n for the scans."""
     full = (1 << n) - 1
-    head: List[int] = []
-    seen = set()
-    for i in range(n):
-        m = 1 << i
-        if m not in seen:
-            head.append(m)
-            seen.add(m)
-    for i in range(n):
-        m = full ^ (1 << i)
-        if m not in seen:
-            head.append(m)
-            seen.add(m)
+    head = list(dict.fromkeys([1 << i for i in range(n)] + [full ^ (1 << i) for i in range(n)]))
+    seen = set(head)
     rest = sorted(
         (m for m in range(full + 1) if m not in seen),
         key=lambda m: (bin(m).count("1"), m),
     )
-    return head + rest
+    return tuple(head + rest)
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def is_shattered(
     _check_cap(n, cap)
     decide = _feasibility(ps, descriptor)
     witnesses: List[Optional[CarveWitness]] = [None] * (1 << n)
-    for checked, mask in enumerate(canonical_mask_order(n), 1):
+    for checked, mask in enumerate(_mask_order(n), 1):
         if not decide(mask):
             return ShatterVerdict(ps, descriptor, False, checked, failing_mask=mask)
         if want_certificate:

@@ -36,13 +36,14 @@ from vclab import (
     resolve_even_degenerate,
 )
 from vclab import search as search_module
-from vclab.carve import cube_scorer
-from vclab.oracles import cube_feasible_unpruned
+from vclab.carve import _feasibility, cube_scorer
+from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
     _canonical,
     _is_canonical,
+    _RowImages,
     _order_key,
     _search_trials,
     cube_score,
@@ -131,8 +132,10 @@ DIFFERENTIAL_CELLS = [
 def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
     reflect = SYMMETRY_VARIANTS[variant]
     m = n + (1 if with_origin else 0)
+    table = _RowImages(m, reflect)
     for mat in _raw_configs(n, dim, with_origin):
-        assert _is_canonical(mat, m, reflect) == (_canonical(mat, m, reflect) == mat), mat
+        images = [table[row] for row in mat]
+        assert _is_canonical(mat, images) == (_canonical(mat, m, reflect) == mat), mat
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
@@ -141,8 +144,10 @@ def test_pruned_minimality_test_on_a_single_point(dim, with_origin, variant):
     # one point: an image row is a 1-tuple, however the point is relabeled
     reflect = SYMMETRY_VARIANTS[variant]
     m = 2 if with_origin else 1
+    table = _RowImages(m, reflect)
     for mat in _raw_configs(1, dim, with_origin):
-        assert _is_canonical(mat, m, reflect) == (_canonical(mat, m, reflect) == mat), mat
+        images = [table[row] for row in mat]
+        assert _is_canonical(mat, images) == (_canonical(mat, m, reflect) == mat), mat
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
@@ -232,9 +237,9 @@ def test_budget_overrun_matches_per_config_charging(n, dim, with_origin):
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     calls = []
 
-    def counting(mat, m, reflect):
+    def counting(mat, images):
         calls.append(len(mat))
-        return _is_canonical(mat, m, reflect)
+        return _is_canonical(mat, images)
 
     monkeypatch.setattr(search_module, "_is_canonical", counting)
     counters = EnumerationCounters()
@@ -266,6 +271,39 @@ def test_with_origin_adds_anchor_rank():
     assert cfgs[0].origin_rank(0) == 1
     ps = cfgs[0].realize()
     assert ps.points == ((-1,),)  # realized away from the origin
+
+
+# the rank-matrix path of the order-type scans: (descriptor, n, with_origin, reflect)
+RANK_MATRIX_CELLS = {
+    "boxes-d2-n4": (boxes(2), 4, False, True),
+    "degenerate-d3-n5": (degenerate_balls(3), 5, False, True),
+    "anchored-d2-n4": (origin_anchored(2), 4, True, True),
+    "cuts-d3-n3": (ClassDescriptor(ClassKind.AXIS_CUTS, 3), 3, False, False),
+    "cubes-d1-n3": (cubes(1), 3, False, True),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(RANK_MATRIX_CELLS))
+def test_rank_matrix_decisions_match_realized_sets_and_oracles(cell):
+    # the scans run the kernel on the config's own tables; it must give the
+    # verdicts of the realized PointSet and of the independent oracles
+    desc, n, with_origin, reflect = RANK_MATRIX_CELLS[cell]
+    for config in enumerate_order_types(n, desc.dim, with_origin, reflect):
+        if with_origin:  # the closed form names the one rank the row leaves free
+            for axis, row in enumerate(config.ranks):
+                assert set(range(n + 1)) - set(row) == {config.origin_rank(axis)}
+        ps = config.realize()
+        assert config.axes == ps.axes
+        assert config.scaled == ps.scaled and config.scaled[0] == 1
+        decide = _feasibility(config, desc)
+        verdicts = [decide(mask) for mask in range(1 << n)]
+        assert verdicts == [carve_feasible(ps, mask, desc) for mask in range(1 << n)]
+        if desc.kind is ClassKind.CUBES:  # trace_set leaves cubes to their own oracle
+            oracle = [cube_feasible_unpruned(ps, mask) for mask in range(1 << n)]
+        else:
+            traces = trace_set(ps, desc)
+            oracle = [mask in traces for mask in range(1 << n)]
+        assert verdicts == oracle, config
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +652,16 @@ def test_cube_search_keeps_low_scores_while_its_top_is_not_full():
     # each of the first trials enters the top with its exact score
     rep = random_cube_search(1, 4, 5, seed=3, keep=3)
     assert [c.score for c in rep.best] == [11, 11, 11]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cube_search_top_keep_is_a_prefix_of_a_larger_top(seed):
+    # a trial that ties the local top's worst score can still enter it: the
+    # order key breaks the tie before the trial index does
+    small = random_cube_search(2, 4, 60, seed=seed, keep=3)
+    large = random_cube_search(2, 4, 60, seed=seed, keep=60)
+    assert small.best == large.best[:3]
+    assert small.evaluations == large.evaluations
 
 
 def test_cube_search_report_shape():
