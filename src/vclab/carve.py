@@ -20,13 +20,14 @@ Supported classes:
   all of S while containing the anchor can genuinely be infeasible.
 * AXIS_CUTS: lower half-spaces {x : x_i <= a}, one coordinate at a time.
 
-Every carve is decided first and built second.  The class kernel
-(``_feasibility``) is built once per point set and scan and decides a mask
-in a few word operations per axis; ``carve_feasible`` stops there.  Only
-for a mask the kernel accepted does ``carve`` call the class's builder,
-and ``_checked`` re-validates what it builds.  ``is_shattered``,
-``shattering_count`` and ``vc_lower_bound_on`` build the kernel once per
-scan and call the builders directly.
+Every carve is decided first and built second, by one kernel per point set
+and class: ``_kernel`` dispatches once on the class kind and returns
+``(decide, build)``.  ``decide`` answers a mask in a few word operations
+per axis; ``carve_feasible`` stops there.  ``build`` makes the witness of a
+mask ``decide`` accepted, from the kernel's own state, and ends in
+``_checked``, which re-validates it.  ``carve`` builds one kernel per call,
+and ``is_shattered``, ``shattering_count`` and ``vc_lower_bound_on`` one per
+scan.
 
 Every decision reads one per-axis table, ``PointSet.axes``, built on the
 integer image of S (``PointSet.scaled``: the coordinates times their least
@@ -43,29 +44,32 @@ strictly beyond the anchor's side).  A box carves S' when these sides
 together exclude every other point; a degenerate ball when one side per
 axis does; an axis cut when S' is itself a prefix mask.
 
-Cubes are decided by a window rule on the image values.  Containing S'
-forces 2r >= w, the widest side of hull(S'), and shrinking a carving cube
-to r = w/2 keeps S' inside and excludes at least as much, so the radius is
-fixed.  Each axis then slides a closed window of length w; the points
-inside form a run of that axis's sorted values (``_runs``), and S' is
-carved iff one run per axis intersects to exactly S'.  ``cube_score``
-counts the carved subsets of a set with the same rule; ``cube_scorer``
-counts them only up to the miss that puts the count below a floor, which is
-all a hill-climb step needs to know.
+Cubes are decided by one window test (``_window``) on per-axis
+``(values, prefix)`` tables.  Containing S' forces 2r >= w, the widest side
+of hull(S'), and shrinking a carving cube to r = w/2 keeps S' inside and
+excludes at least as much, so the radius is fixed.  Each axis then slides a
+closed window of length w; the points inside form a run of that axis's
+sorted values (``_runs``), and S' is carved iff one run per axis intersects
+to exactly S'.  The kernel runs it on ``PointSet.axes``; ``cube_score``
+counts the carved subsets of a set of integer columns with it, on
+``prefix_table`` of each column, and ``cube_scorer`` counts them only up to
+the miss that puts the count below a floor, which is all a hill-climb step
+needs to know.  Every hull of S' is found one way, ``_hull_indices``: by the
+kernels, the window test and the box and cube builders.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
 over each excluded point's options: the sides, (axis, low) or (axis, high),
 of hull(S') (plus anchor) that would exclude it.  Per axis only the
 tightest committed threshold of each side matters.  A degenerate ball
 commits a side at the hull edge, which excludes every point beyond it, so
-its options are read off the masks of ``_sides``; a cube commits it at the
-point being excluded, on the integer image.  A degenerate ball never closes
+its options are read off the kernel's own ``_sides`` masks; a cube commits
+it at the point being excluded, on the integer image.  A degenerate ball never closes
 both sides of an axis; a cube may, when their gap exceeds w.  The search
 runs only on accepted masks, so finding nothing is an internal error.  A
 degenerate ball's committed side ends at ``own`` of the first value past
 its side mask, or at the anchor's bound when that mask is the anchor's
-own; a cube's centre and radius are divided by L.  Box and cut witnesses
-are built from the kernel's indices into ``own``.  The re-check of a built
+own; a cube's centre and radius are divided by L.  Box witnesses take the
+hull's ends from ``own``, and cut witnesses a prefix index.  The re-check of a built
 concept (``_trace_mask``) runs on the integer image, exactly: each finite
 bound b becomes floor(b * L) when it bounds from above and ceil(b * L) when
 it bounds from below, which keeps every comparison with an integer, and
@@ -257,14 +261,6 @@ def _checked(concept, ps: PointSet, mask: int, descriptor: ClassDescriptor) -> C
     return CarveWitness(descriptor, mask, concept)
 
 
-def _split(ps: PointSet, mask: int) -> Tuple[list, list]:
-    """The integer images (``ps.scaled``) of the points in and out of mask."""
-    inc, exc = [], []
-    for i, p in enumerate(ps.scaled[1]):
-        (inc if mask >> i & 1 else exc).append(p)
-    return inc, exc
-
-
 def _unscale(v: Scalar, den: int) -> Scalar:
     return v if den == 1 else as_scalar(Fraction(v, den))
 
@@ -319,77 +315,24 @@ def _sides(ps: PointSet, anchor: Optional[Box]) -> Callable[[SubsetMask], List[T
     return sides
 
 
-def _feasibility(ps: PointSet, descriptor: ClassDescriptor) -> Callable[[SubsetMask], bool]:
-    """The class's verdict on the masks of ps, as a function ``mask -> bool``,
-    its tables built once here (see the module docstring).
+def _union(pairs: List[Tuple[int, int]], mask: SubsetMask) -> int:
+    for below, above in pairs:
+        mask |= below | above
+    return mask
 
-    A box carves S' when the sides from ``_sides`` together exclude every
-    other point.  A degenerate ball is a depth-first search over the axes
-    for one side each that together exclude every point outside S'; when
-    one side excludes nothing still uncovered, it takes the other without
-    branching.  A cube intersects the runs of ``ps.axes``; an axis cut
-    looks its mask up among the prefix masks.  Only ``len(ps)``,
-    ``ps.dim``, ``ps.scaled[0]`` and ``ps.axes`` are read, so the order-type
-    scans run it on a ``search.OrderConfig`` itself.
-    """
-    if ps.dim != descriptor.dim:
-        raise DimensionMismatchError(
-            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
-        )
-    kind = descriptor.kind
-    full = (1 << len(ps)) - 1
-    if kind is ClassKind.CUBES:
-        tables = ps.axes
 
-        def cube(mask):
-            if not mask:
-                return True  # a faraway cube
-            spans = [_hull_indices(prefix, mask) for _, prefix, _ in tables]
-            w = max(v[b - 1] - v[a] for (v, _, _), (a, b) in zip(tables, spans))
-            reach = {full}
-            for (v, prefix, _), (a, b) in zip(tables, spans):
-                runs = _runs(v, prefix, a, b - 1, w)
-                reach = {m & o for m in reach for o in runs}
-            return mask in reach
-
-        return cube
-    if kind is ClassKind.AXIS_CUTS:
-        return frozenset(m for _, prefix, _ in ps.axes for m in prefix).__contains__
-    sides = _sides(ps, descriptor.anchor)
-
-    def union(pairs, mask):
-        for below, above in pairs:
-            mask |= below | above
-        return mask
-
-    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        return lambda mask: union(sides(mask), mask) == full
-    if kind not in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
-        raise DomainError(f"unknown class kind {kind!r}")
-    dim = ps.dim
-
-    def ball(mask):
-        pairs = sides(mask)
-        if union(pairs, mask) != full:
-            return False
-
-        def covers(i, rest):
-            if not rest:
-                return True
-            if i == dim:
-                return False
-            below, above = pairs[i]
-            below &= rest
-            above &= rest
-            if not below:
-                return covers(i + 1, rest ^ above)
-            if not above:
-                return covers(i + 1, rest ^ below)
-            return covers(i + 1, rest ^ below) or covers(i + 1, rest ^ above)
-
-        return covers(0, full ^ mask)
-
-    return ball
+def _window(tables: Sequence[Tuple[Sequence[int], ...]], mask: SubsetMask, full: int) -> bool:
+    """The cube window test of a nonempty mask on per-axis ``(values,
+    prefix)`` tables (as ``prefix_table`` makes them): the hull of S' per
+    axis by ``_hull_indices``, its widest side w, and one run per axis
+    (``_runs``) whose intersection is exactly S'."""
+    spans = [_hull_indices(prefix, mask) for _, prefix in tables]
+    w = max(v[b - 1] - v[a] for (v, _), (a, b) in zip(tables, spans))
+    reach = {full}
+    for (v, prefix), (a, b) in zip(tables, spans):
+        runs = _runs(v, prefix, a, b - 1, w)
+        reach = {m & o for m in reach for o in runs}
+    return mask in reach
 
 
 def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) -> List[int]:
@@ -426,9 +369,8 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     (2^n - floor + 1)-th miss.  The empty set, the full set and every
     singleton count without a test (a faraway cube, the bounding cube, a
     small cube around the point).  Each other subset S' is decided by the
-    cube kernel's window rule (``_runs``); its hull's indices per axis, and
-    so its widest side w, come from its members' ranks, only for the masks
-    a pass decides.
+    cube kernel's window test (``_window``) on ``prefix_table`` of each
+    column.
 
     The masks that missed in the last pass that reached its floor are tried
     first.  A hill climb keeps exactly the moves whose score reaches its
@@ -440,44 +382,25 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     move changes one column.
     """
     memory: List[int] = []  # the misses of the last pass that reached its floor
-    tables = [{}, {}]  # column -> (values, prefix masks, ranks), last two calls
+    tables = [{}, {}]  # column -> prefix_table(column), last two calls
 
     def score(columns: Sequence[Sequence[int]], floor: int) -> int:
-        n = len(columns[0])
-        full = (1 << n) - 1
+        full = (1 << len(columns[0])) - 1
         axes = []
         now = {}
         for col in columns:
             key = tuple(col)
-            axis = tables[0].get(key) or tables[1].get(key)
-            if axis is None:
-                v, prefix = prefix_table(col)
-                index = {x: k for k, x in enumerate(v)}
-                axis = v, prefix, [index[x] for x in col]
+            axis = tables[0].get(key) or tables[1].get(key) or prefix_table(col)
             axes.append(axis)
             now[key] = axis
         tables[:] = now, tables[0]
-        points = range(n)
         slack = full + 1 - floor  # misses an exact score >= floor can have
         misses: List[int] = []
         remembered = [mask for mask in memory if mask < full]
         tried = set(remembered)
         rest = (m for m in range(3, full) if m & (m - 1) and m not in tried)
         for mask in chain(remembered, rest):
-            members = [i for i in points if mask >> i & 1]
-            spans = []
-            w = 0
-            for v, _, rank in axes:
-                ks = [rank[i] for i in members]
-                a, b = min(ks), max(ks)
-                spans.append((a, b))
-                if v[b] - v[a] > w:
-                    w = v[b] - v[a]
-            reach = None
-            for (v, prefix, _), (a, b) in zip(axes, spans):
-                runs = _runs(v, prefix, a, b, w)
-                reach = runs if reach is None else {m & o for m in reach for o in runs}
-            if mask not in reach:
+            if not _window(axes, mask, full):
                 misses.append(mask)
                 if len(misses) > slack:
                     return full + 1 - len(misses)
@@ -610,18 +533,17 @@ def _cover(options, dim: int, max_width: Optional[Scalar]):
 # degenerate balls (optionally anchored)
 
 
-def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box]) -> Box:
+def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box], sides) -> Box:
     """The witness of a mask the kernel accepts: the cover search over the
-    options that the masks of ``_sides`` give each excluded point, each
-    committed side at the edge of hull(S') plus anchor (a point's own
-    coordinate, or the anchor's bound)."""
+    options that the kernel's ``sides`` (from ``_sides``) give each
+    excluded point, each committed side at the edge of hull(S') plus anchor
+    (a point's own coordinate, or the anchor's bound)."""
     dim = ps.dim
     if not mask and anchor is None:
         top = ps.axes[0][2][-1]  # the largest coordinate on axis 0
         return Box(
             (Interval(top + 1, POS_INF),) + tuple(Interval.full_line() for _ in range(dim - 1))
         )
-    sides = _sides(ps, anchor)
     pairs = sides(mask)
     options = [
         [(i, _LOW if below >> j & 1 else _HIGH, 0)
@@ -666,13 +588,16 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
     such gap, and each center coordinate between its two bounds.
     """
     dim = ps.dim
-    inc, exc = _split(ps, mask)
-    if not inc:
+    if not mask:
         mins0 = min(p[0] for p in ps.points)
         center = [as_scalar(mins0 - 2)] + [0] * (dim - 1)
         return Cube(tuple(center), Fraction(1, 2))
-    axes = list(zip(*inc))
-    lo, hi = [min(a) for a in axes], [max(a) for a in axes]
+    lo, hi = [], []
+    for values, prefix, _ in ps.axes:
+        a, b = _hull_indices(prefix, mask)
+        lo.append(values[a])
+        hi.append(values[b - 1])
+    exc = [p for i, p in enumerate(ps.scaled[1]) if not mask >> i & 1]
     max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
     options = [
         [(i, _LOW if x < l else _HIGH, x) for i, (x, l, h) in enumerate(zip(q, lo, hi))
@@ -735,31 +660,83 @@ def _check_mask(ps: PointSet, mask: SubsetMask) -> None:
         raise DomainError(f"mask {mask!r} out of range for {n} points")
 
 
-def _witness(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> CarveWitness:
-    """The validated witness of a mask the class kernel accepted."""
+def _kernel(
+    ps: PointSet, descriptor: ClassDescriptor
+) -> Tuple[Callable[[SubsetMask], bool], Callable[[SubsetMask], CarveWitness]]:
+    """The class's ``(decide, build)`` on the masks of ps, from one dispatch
+    on its kind, with its tables built once here (see the module docstring).
+
+    ``decide(mask)`` is the verdict.  A box carves S' when the sides from
+    ``_sides`` together exclude every other point.  A degenerate ball is a
+    depth-first search over the axes for one side each that together
+    exclude every point outside S'; when one side excludes nothing still
+    uncovered, it takes the other without branching.  A cube is the window
+    test ``_window``; an axis cut looks its mask up among the prefix masks.
+    Only ``len(ps)``, ``ps.dim``, ``ps.scaled[0]`` and ``ps.axes`` are read,
+    so the order-type scans run ``decide`` on a ``search.OrderConfig``
+    itself.  ``build(mask)`` is the validated witness of a mask ``decide``
+    accepted; a degenerate ball's builder shares the kernel's ``sides``.
+    """
+    if ps.dim != descriptor.dim:
+        raise DimensionMismatchError(
+            f"set dimension {ps.dim} != class dimension {descriptor.dim}"
+        )
     kind = descriptor.kind
-    if kind is ClassKind.AXIS_CUTS:
-        concept = _cut_build(ps, mask)
-    elif kind is ClassKind.CUBES:
-        concept = _cube_build(ps, mask)
+    full = (1 << len(ps)) - 1
+    if kind is ClassKind.CUBES:
+        tables = [(values, prefix) for values, prefix, _ in ps.axes]
+        decide = lambda mask: not mask or _window(tables, mask, full)  # a faraway cube
+        make = lambda mask: _cube_build(ps, mask)
+    elif kind is ClassKind.AXIS_CUTS:
+        decide = frozenset(m for _, prefix, _ in ps.axes for m in prefix).__contains__
+        make = lambda mask: _cut_build(ps, mask)
     elif kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        concept = _box_build(ps, mask, kind is ClassKind.BOXES_NONDEGENERATE)
+        sides = _sides(ps, None)
+        decide = lambda mask: _union(sides(mask), mask) == full
+        nondegenerate = kind is ClassKind.BOXES_NONDEGENERATE
+        make = lambda mask: _box_build(ps, mask, nondegenerate)
+    elif kind in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
+        anchor, dim = descriptor.anchor, ps.dim
+        sides = _sides(ps, anchor)
+
+        def decide(mask):
+            pairs = sides(mask)
+            if _union(pairs, mask) != full:
+                return False
+
+            def covers(i, rest):
+                if not rest:
+                    return True
+                if i == dim:
+                    return False
+                below, above = pairs[i]
+                below &= rest
+                above &= rest
+                if not below:
+                    return covers(i + 1, rest ^ above)
+                if not above:
+                    return covers(i + 1, rest ^ below)
+                return covers(i + 1, rest ^ below) or covers(i + 1, rest ^ above)
+
+            return covers(0, full ^ mask)
+
+        make = lambda mask: _degenerate_build(ps, mask, anchor, sides)
     else:
-        concept = _degenerate_build(ps, mask, descriptor.anchor)
-    return _checked(concept, ps, mask, descriptor)
+        raise DomainError(f"unknown class kind {kind!r}")
+    return decide, lambda mask: _checked(make(mask), ps, mask, descriptor)
 
 
 def carve(
     ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor
 ) -> Optional[CarveWitness]:
     """Decide one mask; return a validated witness or None (infeasible)."""
-    if not carve_feasible(ps, mask, descriptor):
-        return None
-    return _witness(ps, mask, descriptor)
+    decide, build = _kernel(ps, descriptor)
+    _check_mask(ps, mask)
+    return build(mask) if decide(mask) else None
 
 
 def carve_feasible(ps: PointSet, mask: SubsetMask, descriptor: ClassDescriptor) -> bool:
     """Feasibility only: the kernel's verdict, no concept built or re-checked."""
-    feasible = _feasibility(ps, descriptor)
+    decide, _ = _kernel(ps, descriptor)
     _check_mask(ps, mask)
-    return feasible(mask)
+    return decide(mask)

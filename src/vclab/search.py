@@ -10,8 +10,8 @@ distinct ranks per axis, one representative per symmetry orbit, and
 deciding each on its ranks.  An ``OrderConfig`` carries the two tables the
 carve kernel reads, ``scaled`` and ``axes``, read straight off its ranks
 (L = 1, the image is the ranks shifted so that the origin is 0), so the
-scans run ``carve._feasibility`` on the config itself and build no
-``PointSet`` per config; ``realize()`` runs only for a config a report
+scans run the decision of ``carve._kernel`` on the config itself and build
+no ``PointSet`` per config; ``realize()`` runs only for a config a report
 holds (a shattered witness, a best coefficient).
 
 Symmetries: relabeling points, permuting axes, and reflecting an axis
@@ -44,7 +44,7 @@ Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
 not proof.  A candidate's score is the number of masks ``carve_feasible``
 accepts, counted on its integer coordinate columns with the cube kernel's
-window rule (``carve.cube_score``).  The search asks only whether a score
+window test (``carve._window``).  The search asks only whether a score
 reaches a floor: a hill-climb move is kept only if it beats the current
 score, and a first score matters only if the trial climbs or can enter the
 local top.  So it scores with ``carve.cube_scorer``, which is exact at or
@@ -67,8 +67,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .carve import (
     ClassDescriptor,
     ClassKind,
-    _feasibility,
-    cube_score,
+    _kernel,
     cube_scorer,
     cubes,
     origin_anchored,
@@ -514,7 +513,7 @@ def exact_vc_ordinal(
         found: Optional[OrderConfig] = None
         try:
             for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-                if all(map(_feasibility(config, descriptor), _mask_order(n))):
+                if all(map(_kernel(config, descriptor)[0], _mask_order(n))):
                     found = config
                     break
         except BudgetExceededError as err:
@@ -726,8 +725,9 @@ def random_cube_search(
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker.  ``coordinate_range`` must be an int
-    >= 0 (else ``DomainError``), and more than ``DEFAULT_MASK_CAP`` points
-    raise ``CapExceededError``, both before anything is scored.
+    >= 0 and ``jobs`` an int >= 1 (else ``DomainError``), and more than
+    ``DEFAULT_MASK_CAP`` points raise ``CapExceededError``, all before
+    anything is scored.
     """
     check_int("trials", trials, 1)
     check_int("n", n, 1)
@@ -735,10 +735,10 @@ def random_cube_search(
     check_int("keep", keep, 1)
     check_int("coordinate_range", coordinate_range, 0)
     check_int("seed", seed, 0)
+    check_int("jobs", jobs, 1)
     _check_cap(n, DEFAULT_MASK_CAP)  # a full score decides every one of the 2^n masks
     if n > 2 * coordinate_range + 1:
         raise DomainError("coordinate range too small for injective projections")
-    jobs = max(1, jobs)
     ranges: List[Tuple[int, int]] = []
     step = -(-trials // jobs)
     for t0 in range(0, trials, step):
@@ -837,7 +837,7 @@ def max_shattering_coefficient(
 
     try:
         for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-            count = sum(map(_feasibility(config, descriptor), masks))
+            count = sum(map(_kernel(config, descriptor)[0], masks))
             if best_count is None or count > best_count:
                 best_count, best_config = count, config
     except BudgetExceededError as err:

@@ -20,9 +20,8 @@ from .carve import (
     ClassDescriptor,
     _checked,
     _concept_in_class,
-    _feasibility,
+    _kernel,
     _trace_mask,
-    _witness,
 )
 from .errors import CapExceededError, DimensionMismatchError, DomainError
 from .geometry import PointSet
@@ -140,13 +139,13 @@ def is_shattered(
     """
     n = len(ps)
     _check_cap(n, cap)
-    decide = _feasibility(ps, descriptor)
+    decide, build = _kernel(ps, descriptor)
     witnesses: List[Optional[CarveWitness]] = [None] * (1 << n)
     for checked, mask in enumerate(_mask_order(n), 1):
         if not decide(mask):
             return ShatterVerdict(ps, descriptor, False, checked, failing_mask=mask)
         if want_certificate:
-            witnesses[mask] = _witness(ps, mask, descriptor)
+            witnesses[mask] = build(mask)
     cert = None
     if want_certificate:
         cert = ShatteringCertificate(ps, descriptor, tuple(witnesses))
@@ -162,7 +161,7 @@ def shattering_count(
     """Number of subsets realizable as intersections with class concepts."""
     n = len(ps)
     _check_cap(n, cap)
-    feasible = list(filter(_feasibility(ps, descriptor), range(1 << n)))
+    feasible = list(filter(_kernel(ps, descriptor)[0], range(1 << n)))
     return CoefficientReport(
         ps,
         descriptor,
@@ -188,7 +187,8 @@ def vc_lower_bound_on(
     """
     n = len(ps)
     _check_cap(n, cap)
-    feasible = list(filter(_feasibility(ps, descriptor), range(1 << n)))
+    decide, build = _kernel(ps, descriptor)
+    feasible = list(filter(decide, range(1 << n)))
     for k in range(n, 0, -1):
         for combo in combinations(range(n), k):
             tmask = 0
@@ -206,7 +206,7 @@ def vc_lower_bound_on(
                 for bit, i in enumerate(combo):
                     if local >> bit & 1:
                         pattern |= 1 << i
-                source = _witness(ps, patterns[pattern], descriptor)
+                source = build(patterns[pattern])
                 local_witnesses.append(_checked(source.concept, subset, local, descriptor))
             cert = ShatteringCertificate(subset, descriptor, tuple(local_witnesses))
             return VcLowerBound(

@@ -27,7 +27,7 @@ from vclab import (
     degenerate_balls,
     origin_anchored,
 )
-from vclab.carve import _HIGH, _LOW, _cover, _feasibility, _split, _trace_mask
+from vclab.carve import _HIGH, _LOW, _cover, _kernel, _trace_mask
 from vclab.errors import DimensionMismatchError
 from vclab.geometry import prefix_table
 from vclab.oracles import cube_feasible_unpruned, trace_set
@@ -381,9 +381,9 @@ def test_a_second_cube_scan_builds_no_new_prefix_table(monkeypatch):
     monkeypatch.setattr(geometry, "prefix_table", counting_table)
     monkeypatch.setattr(carve_module, "prefix_table", counting_table)
     ps = PointSet.of([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (2, 1)])
-    first = [m for m in range(8) if _feasibility(ps, cubes(2))(m)]
+    first = [m for m in range(8) if _kernel(ps, cubes(2))[0](m)]
     assert len(built) == 2  # one table per axis
-    assert [m for m in range(8) if _feasibility(ps, cubes(2))(m)] == first
+    assert [m for m in range(8) if _kernel(ps, cubes(2))[0](m)] == first
     assert len(built) == 2
 
 
@@ -538,7 +538,7 @@ def test_kernel_matches_witness_search_and_oracle_on_every_mask(name):
         d, n = rng.randint(1, 4), rng.randint(1, n_max)
         ps = _tied_point_set(rng, d, n, rational=k % 2 == 1)
         desc = make(rng, d)
-        decide = _feasibility(ps, desc)
+        decide = _kernel(ps, desc)[0]
         oracle = _oracle(ps, desc)
         for mask in range(1 << n):
             feasible = decide(mask)
@@ -574,10 +574,11 @@ def test_cube_cover_search_finds_a_witness_on_exactly_the_accepted_masks():
     for k in range(120):
         d, n = rng.randint(1, 4), rng.randint(1, 7)
         ps = _tied_point_set(rng, d, n, rational=k % 2 == 1)
-        decide = _feasibility(ps, cubes(d))
+        decide = _kernel(ps, cubes(d))[0]
         assert decide(0)
         for mask in range(1, 1 << n):
-            inc, exc = _split(ps, mask)
+            inc = [p for i, p in enumerate(ps.scaled[1]) if mask >> i & 1]
+            exc = [p for i, p in enumerate(ps.scaled[1]) if not mask >> i & 1]
             axes = list(zip(*inc))
             lo, hi = [min(a) for a in axes], [max(a) for a in axes]
             width = max(h - l for h, l in zip(hi, lo))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shlex
+import sys
 
 import pytest
 
@@ -147,7 +148,8 @@ def test_shatter_no_certificate_builds_no_witness(capsys, monkeypatch, points_fi
     def no_witness(*args, **kwargs):
         raise AssertionError("--no-certificate built a witness")
 
-    monkeypatch.setattr("vclab.shatter._witness", no_witness)
+    # the string "vclab.carve" would resolve to the carve function, not the module
+    monkeypatch.setattr(sys.modules["vclab.carve"], "_checked", no_witness)
     rc, rep, _ = run(capsys, argv + ["--no-certificate"])
     assert rc == 0
     assert "certificate" not in rep["result"]

@@ -36,7 +36,7 @@ from vclab import (
     resolve_even_degenerate,
 )
 from vclab import search as search_module
-from vclab.carve import _feasibility, cube_scorer
+from vclab.carve import _kernel, cube_score, cube_scorer
 from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.search import (
     EnumerationCounters,
@@ -46,7 +46,6 @@ from vclab.search import (
     _RowImages,
     _order_key,
     _search_trials,
-    cube_score,
     transform_config,
 )
 from vclab.serialize import (
@@ -212,11 +211,34 @@ def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, varian
 
 
 @pytest.mark.parametrize("n,dim,with_origin", [(4, 3, False), (3, 3, True)])
-def test_budget_overrun_matches_per_config_charging(n, dim, with_origin):
+def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_origin):
     # a limit inside a skipped block is charged as if its configs were
-    # examined one by one: same emissions, count and message as the scan
+    # examined one by one: same emissions, count and message as the scan.
+    # Within one charge the run before it is the same for every budget, so
+    # the outcomes are those at every charge boundary and, inside each
+    # block, its first, middle and last budget.
     scan = _reference_scan(n, dim, with_origin, True)
-    for budget in range(len(scan) + 1):
+    charges = []
+    charge = search_module._Budget.charge
+
+    def recording(self, counters, count=1):
+        charges.append(count)
+        return charge(self, counters, count)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(search_module._Budget, "charge", recording)
+        for _ in enumerate_order_types(n, dim, with_origin):
+            pass
+    assert sum(charges) == len(scan)
+    budgets = {0, len(scan)}
+    used = 0
+    for count in charges:
+        if count >= 2:
+            budgets |= {used + 1, used + count // 2, used + count - 1}
+        used += count
+        budgets.add(used)
+    assert any(count >= 2 for count in charges)
+    for budget in sorted(budgets):
         counters = EnumerationCounters()
         emitted, message = [], None
         try:
@@ -295,7 +317,7 @@ def test_rank_matrix_decisions_match_realized_sets_and_oracles(cell):
         ps = config.realize()
         assert config.axes == ps.axes
         assert config.scaled == ps.scaled and config.scaled[0] == 1
-        decide = _feasibility(config, desc)
+        decide = _kernel(config, desc)[0]
         verdicts = [decide(mask) for mask in range(1 << n)]
         assert verdicts == [carve_feasible(ps, mask, desc) for mask in range(1 << n)]
         if desc.kind is ClassKind.CUBES:  # trace_set leaves cubes to their own oracle
@@ -498,6 +520,13 @@ def test_cube_search_refuses_a_seed_that_is_not_an_int_at_least_zero(monkeypatch
     monkeypatch.setattr(search_module, "cube_scorer", None)
     with pytest.raises(DomainError, match="seed"):
         random_cube_search(2, 4, 10, seed=value)
+
+
+@pytest.mark.parametrize("value", [0, -2, True, 2.5], ids=["zero", "neg", "bool", "float"])
+def test_cube_search_refuses_jobs_that_is_not_an_int_at_least_one(monkeypatch, value):
+    monkeypatch.setattr(search_module, "cube_scorer", None)
+    with pytest.raises(DomainError, match="jobs"):
+        random_cube_search(2, 4, 10, seed=1, jobs=value)
 
 
 def test_cube_search_refuses_a_range_too_small_for_injective_projections():

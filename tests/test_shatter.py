@@ -127,13 +127,13 @@ def test_vc_lower_bound_builds_witnesses_only_for_the_certificate(monkeypatch):
 
     ps = PointSet.of([(0,), (1,), (2,), (3,)])
     calls = []
-    build = shatter._witness
+    kernel = shatter._kernel
 
-    def counting_build(*args):
-        calls.append(args[1])
-        return build(*args)
+    def counting_kernel(ps, descriptor):
+        decide, build = kernel(ps, descriptor)
+        return decide, lambda mask: calls.append(mask) or build(mask)
 
-    monkeypatch.setattr(shatter, "_witness", counting_build)
+    monkeypatch.setattr(shatter, "_kernel", counting_kernel)
     bound = vc_lower_bound_on(ps, boxes(1))
     assert bound.size == 2
     assert len(calls) == len(set(calls)) == 1 << bound.size  # not 2^4
@@ -144,14 +144,14 @@ def test_vc_lower_bound_refuses_a_projected_witness_with_the_wrong_trace(monkeyp
     import vclab.shatter as shatter
 
     ps = PointSet.of([(0,), (1,), (2,), (3,)])
-    build = shatter._witness
+    kernel = shatter._kernel
 
-    def misplaced_build(ps, mask, descriptor):
+    def misplaced_kernel(ps, descriptor):
+        decide, build = kernel(ps, descriptor)
         # a box of the class that misses every point: right class, wrong trace
-        far = build(ps, 0, descriptor)
-        return CarveWitness(descriptor, mask, far.concept)
+        return decide, lambda mask: CarveWitness(descriptor, mask, build(0).concept)
 
-    monkeypatch.setattr(shatter, "_witness", misplaced_build)
+    monkeypatch.setattr(shatter, "_kernel", misplaced_kernel)
     with pytest.raises(RuntimeError, match="wrong trace"):
         vc_lower_bound_on(ps, boxes(1))
 
@@ -222,19 +222,28 @@ def test_certificate_scans_build_the_kernel_once(monkeypatch, scan, make):
     import vclab.shatter as shatter
 
     calls = []
-    kernel = carve_module._feasibility
+    kernel = carve_module._kernel
 
     def counting_kernel(*args):
         calls.append(args)
         return kernel(*args)
 
     # carve() reads the module's own binding, the scans their imported one
-    monkeypatch.setattr(carve_module, "_feasibility", counting_kernel)
-    monkeypatch.setattr(shatter, "_feasibility", counting_kernel)
+    monkeypatch.setattr(carve_module, "_kernel", counting_kernel)
+    monkeypatch.setattr(shatter, "_kernel", counting_kernel)
     ps = origin_ball_witness(2)
     out = scan(ps, make(2))
     assert out.certificate is not None and out.certificate.validate()
     assert len(calls) == 1
+
+
+def test_anchored_certificate_computes_the_sides_once(monkeypatch):
+    calls = []
+    sides = carve_module._sides
+    monkeypatch.setattr(carve_module, "_sides", lambda *args: calls.append(1) or sides(*args))
+    verdict = is_shattered(origin_ball_witness(4), origin_anchored(4))
+    assert verdict.certificate is not None and verdict.certificate.validate()
+    assert len(calls) == 1  # one kernel per scan; every witness shares its sides
 
 
 def _shattered_pair():
