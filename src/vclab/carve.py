@@ -42,7 +42,11 @@ largest prefix mask disjoint from S', and those strictly above it are the
 complement of the least prefix mask containing S' (for an anchor, each also
 strictly beyond the anchor's side).  A box carves S' when these sides
 together exclude every other point; a degenerate ball when one side per
-axis does; an axis cut when S' is itself a prefix mask.
+axis does; an axis cut when S' is itself a prefix mask.  The same prefix
+masks list, per axis, every trace a concept's factor on that axis can
+leave (``_factor_traces``); a product class carves exactly the ANDs of one
+such trace per axis, which is how the order-type scans in ``search``
+decide a whole config at once.
 
 Cubes are decided by one window test (``_window``) on per-axis
 ``(values, prefix)`` tables.  Containing S' forces 2r >= w, the widest side
@@ -83,7 +87,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AnchorMissingError,
@@ -313,6 +317,31 @@ def _sides(ps: PointSet, anchor: Optional[Box]) -> Callable[[SubsetMask], List[T
         return out
 
     return sides
+
+
+def _factor_traces(kind: ClassKind, prefix: Sequence[int], slot: int) -> Set[SubsetMask]:
+    """The traces a concept's factor on one axis can leave, from that axis's
+    prefix masks (``prefix[k]``: the points of the k smallest values, as in
+    ``PointSet.axes``).  The concepts are products, so a concept's trace is
+    the AND of one such trace per axis; an axis cut has one factor, so the
+    cuts' traces are the union of the axes' lists.
+
+    Boxes, nondegenerate boxes and cubes on a line (intervals): every run
+    ``prefix[r] ^ prefix[l]``.  Degenerate balls (half-lines and the line):
+    every prefix and every complement of a prefix.  Origin-anchored balls
+    (half-lines through the origin, with ``prefix[slot]`` the points below
+    it and none at it): the prefixes from ``prefix[slot]`` up and the
+    complements of those up to it.  Axis cuts: the prefixes.  Only the
+    anchored rule reads ``slot``.
+    """
+    full = prefix[-1]
+    if kind is ClassKind.AXIS_CUTS:
+        return set(prefix)
+    if kind is ClassKind.DEGENERATE_BALLS:
+        return {*prefix, *(full ^ p for p in prefix)}
+    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+        return {*prefix[slot:], *(full ^ p for p in prefix[:slot + 1])}
+    return {p ^ q for l, p in enumerate(prefix) for q in prefix[l:]}
 
 
 def _union(pairs: List[Tuple[int, int]], mask: SubsetMask) -> int:
@@ -672,10 +701,10 @@ def _kernel(
     exclude every point outside S'; when one side excludes nothing still
     uncovered, it takes the other without branching.  A cube is the window
     test ``_window``; an axis cut looks its mask up among the prefix masks.
-    Only ``len(ps)``, ``ps.dim``, ``ps.scaled[0]`` and ``ps.axes`` are read,
-    so the order-type scans run ``decide`` on a ``search.OrderConfig``
-    itself.  ``build(mask)`` is the validated witness of a mask ``decide``
-    accepted; a degenerate ball's builder shares the kernel's ``sides``.
+    ``build(mask)`` is the validated witness of a mask ``decide`` accepted;
+    a degenerate ball's builder shares the kernel's ``sides``.  The
+    order-type scans in ``search`` run no kernel: they read each config's
+    carved masks off per-row lists of ``_factor_traces``.
     """
     if ps.dim != descriptor.dim:
         raise DimensionMismatchError(

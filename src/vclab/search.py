@@ -7,12 +7,16 @@ ranks.  Restricting to injective projections loses nothing (a shattered set
 can always be perturbed to one with injective projections), so the exact VC
 dimension over all of R^d is computed by enumerating rank matrices with
 distinct ranks per axis, one representative per symmetry orbit, and
-deciding each on its ranks.  An ``OrderConfig`` carries the two tables the
-carve kernel reads, ``scaled`` and ``axes``, read straight off its ranks
-(L = 1, the image is the ranks shifted so that the origin is 0), so the
-scans run the decision of ``carve._kernel`` on the config itself and build
-no ``PointSet`` per config; ``realize()`` runs only for a config a report
-holds (a shattered witness, a best coefficient).
+deciding each on its ranks.  The classes are products of intervals, so a
+concept's trace is the AND of one trace per axis, each from the list
+``carve._factor_traces`` reads off that axis's prefix masks (axis cuts
+take the union of the lists instead).  A table filled once per level on a
+row's first use (``_RowTraces``) maps a rank row to that list and to its
+co-singleton bitmask; a config is shattered iff the OR of its rows'
+bitmasks is full and the product of its rows' lists has 2^n masks, and
+the size of that product is its shattering coefficient.  No kernel runs
+and no ``PointSet`` is built per config; ``realize()`` runs only for a
+config a report holds (a shattered witness, a best coefficient).
 
 Symmetries: relabeling points, permuting axes, and reflecting an axis
 (rank r -> m-1-r).  Carve verdicts of products of intervals keep under all
@@ -59,15 +63,14 @@ import bisect
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .carve import (
     ClassDescriptor,
     ClassKind,
-    _kernel,
+    _factor_traces,
     cube_scorer,
     cubes,
     origin_anchored,
@@ -75,7 +78,7 @@ from .carve import (
 from .errors import BudgetExceededError, DomainError
 from .geometry import PointSet, prefix_table
 from .scalars import check_int
-from .shatter import DEFAULT_MASK_CAP, _check_cap, _mask_order, is_shattered
+from .shatter import DEFAULT_MASK_CAP, _check_cap, is_shattered
 
 EVIDENCE_NOTE = (
     "randomized search: absence of a shattered configuration is evidence, not proof"
@@ -90,15 +93,19 @@ CLIMB_STEPS = 16
 # ---------------------------------------------------------------------------
 
 
+def _free_slot(row: Tuple[int, ...]) -> int:
+    """The rank in 0..len(row) that a row with an origin slot leaves free."""
+    return len(row) * (len(row) + 1) // 2 - sum(row)
+
+
 @dataclass(frozen=True)
 class OrderConfig:
     """Rank matrix: ranks[axis][point] are distinct within an axis.
 
     With ``with_origin`` one rank slot per axis is reserved for the origin
     (the missing value); realization shifts ranks so the origin lands at 0.
-    ``len``, ``dim``, ``scaled`` and ``axes`` are what the carve kernel
-    reads of a ``PointSet``; here they come from the ranks alone, equal to
-    those of ``realize()``, and the last two are computed on first use.
+    The scans decide a config on its rank rows alone (``_RowTraces``) and
+    realize only a config a report holds.
     """
 
     n: int
@@ -118,45 +125,14 @@ class OrderConfig:
             if not all(type(v) is int and 0 <= v < m for v in row):
                 raise DomainError(f"ranks must be ints in 0..{m - 1}")
 
-    def __len__(self) -> int:
-        return self.n
-
     def origin_rank(self, axis: int) -> int:
         """The rank slot left free for the origin: ranks 0..n minus the row's."""
         if not self.with_origin:
             raise DomainError("configuration has no origin slot")
-        return self.n * (self.n + 1) // 2 - sum(self.ranks[axis])
-
-    def _image_rows(self) -> List[Tuple[int, ...]]:
-        """Per axis, the points' integer coordinates: ranks, shifted so the
-        origin is 0."""
-        if not self.with_origin:
-            return list(self.ranks)
-        return [
-            tuple(v - shift for v in row)
-            for row, shift in zip(self.ranks, map(self.origin_rank, range(self.dim)))
-        ]
-
-    @cached_property
-    def scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-        """``realize().scaled``, read off the ranks: L = 1 and the image."""
-        rows = self._image_rows()
-        return 1, tuple(tuple(row[i] for row in rows) for i in range(self.n))
-
-    @cached_property
-    def axes(self) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...]:
-        """``realize().axes``, read off the ranks: per axis the sorted image
-        values, ``prefix[k]`` the points whose rank is among the k smallest,
-        and ``own`` the values themselves (L = 1)."""
-        return tuple(
-            (values, prefix, values) for values, prefix in map(prefix_table, self._image_rows())
-        )
+        return _free_slot(self.ranks[axis])
 
     def realize(self) -> PointSet:
-        """Integer realization: coordinate = rank, shifted so origin = 0.
-
-        Built from the ranks on its own, as the reference for ``scaled``
-        and ``axes``."""
+        """Integer realization: coordinate = rank, shifted so origin = 0."""
         shifts = [
             self.origin_rank(axis) if self.with_origin else 0
             for axis in range(self.dim)
@@ -316,10 +292,10 @@ def _enumerate(
     reflect: bool,
     budget: _Budget,
     counters: EnumerationCounters,
-) -> Iterator[OrderConfig]:
-    """Orderly generation: rank matrices are built row by row, and a row
-    prefix that is not least in its orbit is dropped with all its
-    completions (none of them is canonical either)."""
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Orderly generation of the canonical rank matrices: they are built
+    row by row, and a row prefix that is not least in its orbit is dropped
+    with all its completions (none of them is canonical either)."""
     m = n + 1 if with_origin else n
     first_rows = _axis_rows(n, with_origin)
     other_rows = list(permutations(range(m), n))
@@ -329,7 +305,7 @@ def _enumerate(
 
     def extend(
         prefix: Tuple[Tuple[int, ...], ...], prefix_images: tuple
-    ) -> Iterator[OrderConfig]:
+    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         k = len(prefix) + 1
         for row in other_rows if prefix else first_rows:
             mat = prefix + (row,)
@@ -338,7 +314,7 @@ def _enumerate(
                 budget.charge(counters)
                 if _is_canonical(mat, images):
                     counters.emitted += 1
-                    yield OrderConfig(n, dim, with_origin, mat)
+                    yield mat
             elif _is_canonical(mat, images):
                 yield from extend(mat, images)
             else:
@@ -379,7 +355,8 @@ def enumerate_order_types(
     check_int("dim", dim, 1)
     tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
-    return _enumerate(n, dim, with_origin, reflect, tracker, ctr)
+    mats = _enumerate(n, dim, with_origin, reflect, tracker, ctr)
+    return (OrderConfig(n, dim, with_origin, mat) for mat in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +375,56 @@ ORDINAL_ASSUMPTIONS = (
     "carve feasibility for this class depends only on per-axis coordinate order",
     "restriction to injective projections is lossless (small perturbations preserve shattering)",
 )
+
+
+class _RowTraces(dict):
+    """Rank row -> ``(traces, cosingles)`` for one class: the traces its
+    axis's factors leave (``carve._factor_traces`` on the row's prefix
+    masks, with the origin's free slot for an anchored class), and the
+    bitmask with bit j set iff ``full ^ (1 << j)`` is one of them.  Filled
+    on a row's first use and kept for the level."""
+
+    def __init__(self, kind: ClassKind, with_origin: bool):
+        super().__init__()
+        self.kind = kind
+        self.with_origin = with_origin
+
+    def __missing__(self, row: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+        prefix = prefix_table(row)[1]
+        slot = _free_slot(row) if self.with_origin else 0
+        traces = tuple(_factor_traces(self.kind, prefix, slot))
+        full = prefix[-1]
+        cosingles = 0
+        for t in traces:
+            gap = full ^ t
+            if not gap & (gap - 1):  # one point missing (or none: t is full)
+                cosingles |= gap
+        self[row] = entry = (traces, cosingles)
+        return entry
+
+
+def _carved(kind: ClassKind, lists: Sequence[Tuple[int, ...]], full: int) -> Set[int]:
+    """The masks the class carves from a config whose rows' trace lists are
+    ``lists``: the union of the lists for axis cuts, and otherwise every AND
+    of one trace per row (each list holds ``full``)."""
+    if kind is ClassKind.AXIS_CUTS:
+        return set().union(*lists)
+    reach = {full}
+    for traces in lists:
+        reach = {m & t for m in reach for t in traces}
+    return reach
+
+
+def _shattered(kind: ClassKind, entries: Sequence[Tuple[Tuple[int, ...], int]], full: int) -> bool:
+    """Whether a config whose rows' ``_RowTraces`` entries are ``entries``
+    is shattered: the OR of its rows' co-singleton bitmasks is ``full``, and
+    it carves (``_carved``) all ``full + 1`` masks.  The first test is exact
+    and settles most configs cheaply: every trace list holds ``full``, so an
+    AND (or a union) of traces is ``full ^ (1 << j)`` only if one trace is."""
+    cosingles = 0
+    for _, c in entries:
+        cosingles |= c
+    return cosingles == full and len(_carved(kind, [t for t, _ in entries], full)) > full
 
 
 @dataclass(frozen=True)
@@ -480,19 +507,19 @@ def exact_vc_ordinal(
     """Exact VC dimension of an order-driven class by exhausting order types.
 
     Scans n = 1..n_max; at each level, stops early once a shattered
-    configuration is found.  Each config is decided on its rank tables: the
-    class kernel runs on the ``OrderConfig`` itself over the canonical mask
-    order and stops at the first miss, and only the shattered witness is
-    realized as a ``PointSet``.  The exact value n* is reported only when
-    level n*+1 was exhausted with no shattered configuration.  On budget
-    overrun a BudgetExceededError carrying the partial report
-    (``error.report``) is raised.  ``jobs`` is accepted but currently
-    unused: every level runs in-process.
+    configuration is found.  Each config is decided on its rank rows by
+    ``_shattered``, from the level's ``_RowTraces``: no kernel runs and no
+    ``PointSet`` is built, and only the shattered witness is realized.  The
+    exact value n* is reported only when level n*+1 was exhausted with no
+    shattered configuration.  On budget overrun a BudgetExceededError
+    carrying the partial report (``error.report``) is raised.  ``jobs`` must be an int >= 1 (else ``DomainError``, before any
+    work) but is currently unused: every level runs in-process.
     """
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:
         n_max = _default_n_max(kind, dim)
     check_int("n_max", n_max, 1)
+    check_int("jobs", jobs, 1)
     tracker = _Budget(budget)
     levels: List[LevelOutcome] = []
     vc_exact: Optional[int] = None
@@ -510,11 +537,13 @@ def exact_vc_ordinal(
 
     for n in range(1, n_max + 1):
         counters = EnumerationCounters()
+        table = _RowTraces(descriptor.kind, with_origin)
+        full = (1 << n) - 1
         found: Optional[OrderConfig] = None
         try:
-            for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-                if all(map(_kernel(config, descriptor)[0], _mask_order(n))):
-                    found = config
+            for mat in _enumerate(n, dim, with_origin, reflect, tracker, counters):
+                if _shattered(descriptor.kind, [table[row] for row in mat], full):
+                    found = OrderConfig(n, dim, with_origin, mat)
                     break
         except BudgetExceededError as err:
             levels.append(
@@ -560,11 +589,14 @@ def resolve_even_degenerate(
 
     Known bracket: at least 3d/2 (anchored witnesses embed) and at most
     3d/2 + 1.  The exhaustive order-type search turns the bracket into a
-    definitive value when the budget allows full exhaustion.  ``jobs`` is
-    accepted but currently unused.
+    definitive value when the budget allows full exhaustion.  ``dim`` must
+    be an even int >= 2, and ``jobs`` an int >= 1 (currently unused); any
+    other value is refused with ``DomainError`` before any work.
     """
-    if dim < 2 or dim % 2:
+    check_int("dim", dim, 2)
+    if dim % 2:
         raise DomainError("resolver applies to even dimensions >= 2")
+    check_int("jobs", jobs, 1)
     if n_max is None:
         n_max = 3 * dim // 2 + 2
     lo = 3 * dim // 2
@@ -804,20 +836,23 @@ def max_shattering_coefficient(
 ) -> MaxCoefficientReport:
     """Largest number of realizable subsets over all order types at size n.
 
-    Each config is decided on its rank tables: the class kernel runs on the
-    ``OrderConfig`` itself over all 2^n masks, and only the best config is
-    realized as a ``PointSet``, when the report is made.  More than
-    ``DEFAULT_MASK_CAP`` points raise ``CapExceededError`` before any
-    config is examined.  On budget overrun a BudgetExceededError carrying
-    the partial report (``error.report``: the configs examined and emitted,
-    and the best so far, or ``None`` fields when no config was scored) is
-    raised.  ``jobs`` is accepted but currently unused: every config runs
-    in-process.
+    A config's count is the number of masks it carves (``_carved``), read
+    off its rank rows' trace lists in one ``_RowTraces`` table, with no
+    kernel run and no ``PointSet`` built; only the best config is realized,
+    when the report is made.  More than ``DEFAULT_MASK_CAP`` points raise
+    ``CapExceededError`` before any config is examined.  On budget overrun
+    a BudgetExceededError carrying the partial report (``error.report``: the
+    configs examined and emitted, and the best so far, or ``None`` fields
+    when no config was scored) is raised.  ``jobs`` must be an int >= 1
+    (else ``DomainError``, before any work) but is currently unused: every
+    config runs in-process.
     """
     check_int("n", n, 1)
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     _check_cap(n, DEFAULT_MASK_CAP)
-    masks = range(1 << n)
+    check_int("jobs", jobs, 1)
+    table = _RowTraces(descriptor.kind, with_origin)
+    full = (1 << n) - 1
     counters = EnumerationCounters()
     tracker = _Budget(budget)
     best_count: Optional[int] = None
@@ -836,10 +871,10 @@ def max_shattering_coefficient(
         )
 
     try:
-        for config in _enumerate(n, dim, with_origin, reflect, tracker, counters):
-            count = sum(map(_kernel(config, descriptor)[0], masks))
+        for mat in _enumerate(n, dim, with_origin, reflect, tracker, counters):
+            count = len(_carved(descriptor.kind, [table[row][0] for row in mat], full))
             if best_count is None or count > best_count:
-                best_count, best_config = count, config
+                best_count, best_config = count, OrderConfig(n, dim, with_origin, mat)
     except BudgetExceededError as err:
         err.report = make_report()
         raise

@@ -34,18 +34,24 @@ from vclab import (
     random_cube_search,
     rank_realization,
     resolve_even_degenerate,
+    shattering_count,
 )
+from vclab import carve as carve_module
 from vclab import search as search_module
+from vclab import shatter as shatter_module
 from vclab.carve import _kernel, cube_score, cube_scorer
-from vclab.oracles import cube_feasible_unpruned, trace_set
+from vclab.oracles import cube_feasible_unpruned, oracle_count, trace_set
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
     _canonical,
+    _carved,
     _is_canonical,
     _RowImages,
+    _RowTraces,
     _order_key,
     _search_trials,
+    _shattered,
     transform_config,
 )
 from vclab.serialize import (
@@ -298,8 +304,11 @@ def test_with_origin_adds_anchor_rank():
 # the rank-matrix path of the order-type scans: (descriptor, n, with_origin, reflect)
 RANK_MATRIX_CELLS = {
     "boxes-d2-n4": (boxes(2), 4, False, True),
+    "boxes-nondegenerate-d2-n4": (boxes(2, nondegenerate=True), 4, False, True),
+    "degenerate-d2-n4": (degenerate_balls(2), 4, False, True),
     "degenerate-d3-n5": (degenerate_balls(3), 5, False, True),
     "anchored-d2-n4": (origin_anchored(2), 4, True, True),
+    "anchored-d3-n4": (origin_anchored(3), 4, True, True),
     "cuts-d3-n3": (ClassDescriptor(ClassKind.AXIS_CUTS, 3), 3, False, False),
     "cubes-d1-n3": (cubes(1), 3, False, True),
 }
@@ -307,25 +316,66 @@ RANK_MATRIX_CELLS = {
 
 @pytest.mark.parametrize("cell", sorted(RANK_MATRIX_CELLS))
 def test_rank_matrix_decisions_match_realized_sets_and_oracles(cell):
-    # the scans run the kernel on the config's own tables; it must give the
-    # verdicts of the realized PointSet and of the independent oracles
+    # the scans read each config's carved masks off its rows' trace lists;
+    # they must be the masks the kernel accepts on the realized PointSet and
+    # those of the independent oracles, and the verdict must be 2^n of them
     desc, n, with_origin, reflect = RANK_MATRIX_CELLS[cell]
+    full = (1 << n) - 1
+    table = _RowTraces(desc.kind, with_origin)
     for config in enumerate_order_types(n, desc.dim, with_origin, reflect):
         if with_origin:  # the closed form names the one rank the row leaves free
             for axis, row in enumerate(config.ranks):
                 assert set(range(n + 1)) - set(row) == {config.origin_rank(axis)}
+        entries = [table[row] for row in config.ranks]
+        carved = _carved(desc.kind, [traces for traces, _ in entries], full)
+        # the OR of the rows' co-singleton bitmasks names exactly the carved co-singletons
+        cosingles = 0
+        for _, bits in entries:
+            cosingles |= bits
+        assert cosingles == sum(1 << j for j in range(n) if full ^ 1 << j in carved)
+        assert _shattered(desc.kind, entries, full) == (len(carved) == 1 << n)
         ps = config.realize()
-        assert config.axes == ps.axes
-        assert config.scaled == ps.scaled and config.scaled[0] == 1
-        decide = _kernel(config, desc)[0]
-        verdicts = [decide(mask) for mask in range(1 << n)]
-        assert verdicts == [carve_feasible(ps, mask, desc) for mask in range(1 << n)]
+        decide = _kernel(ps, desc)[0]
+        assert carved == set(filter(decide, range(1 << n))), config
         if desc.kind is ClassKind.CUBES:  # trace_set leaves cubes to their own oracle
-            oracle = [cube_feasible_unpruned(ps, mask) for mask in range(1 << n)]
+            oracle = set(filter(lambda mask: cube_feasible_unpruned(ps, mask), range(1 << n)))
         else:
-            traces = trace_set(ps, desc)
-            oracle = [mask in traces for mask in range(1 << n)]
-        assert verdicts == oracle, config
+            oracle = trace_set(ps, desc)
+        assert carved == oracle, config
+    # the scans' path shares nothing with the oracles
+    homes = {getattr(value, "__module__", None) for value in vars(search_module).values()}
+    assert "vclab.oracles" not in homes
+
+
+def test_order_type_scans_run_no_carve_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the order-type scans ran the carve kernel")
+
+    for module in (carve_module, shatter_module, search_module):
+        monkeypatch.setattr(module, "_kernel", no_kernel, raising=False)
+    assert exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 2).vc_exact == 3
+    assert exact_vc_ordinal(ClassKind.ANCHORED_DEGENERATE_BALLS, 2).vc_exact == 3
+    assert max_shattering_coefficient(ClassKind.BOXES, 2, 4).best_count == 16
+    assert max_shattering_coefficient(ClassKind.AXIS_CUTS, 2, 3).best_count == 6
+
+
+@pytest.mark.parametrize(
+    "kind,dim,n",
+    [
+        (ClassKind.DEGENERATE_BALLS, 2, 4),
+        (ClassKind.DEGENERATE_BALLS, 3, 5),
+        (ClassKind.ANCHORED_DEGENERATE_BALLS, 2, 4),
+        (ClassKind.BOXES, 2, 5),
+    ],
+)
+def test_max_coefficient_counts_its_best_points_as_the_kernel_and_oracle_do(kind, dim, n):
+    rep = max_shattering_coefficient(kind, dim, n)
+    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+        desc = origin_anchored(dim)
+    else:
+        desc = ClassDescriptor(kind, dim)
+    assert rep.best_count == shattering_count(rep.best_points, desc).realized
+    assert rep.best_count == oracle_count(rep.best_points, desc)
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +605,24 @@ def test_resolve_even_degenerate_d2():
     assert rep.value == 3
     assert rep.bracket == (3, 4)
     assert rep.within_bracket
+
+
+def test_order_type_scans_refuse_bad_jobs_and_resolver_dims_before_any_work(monkeypatch):
+    def untouchable(*args):
+        raise AssertionError("a config was examined")
+
+    monkeypatch.setattr(search_module, "_is_canonical", untouchable)
+    scans = (
+        lambda jobs: exact_vc_ordinal(ClassKind.BOXES, 1, jobs=jobs),
+        lambda jobs: max_shattering_coefficient(ClassKind.BOXES, 2, 3, jobs=jobs),
+        lambda jobs: resolve_even_degenerate(2, jobs=jobs),
+    )
+    for scan, jobs in product(scans, (0, -3, True, 2.5)):
+        with pytest.raises(DomainError, match="jobs"):
+            scan(jobs)
+    for dim in ("2", None):  # not a bare TypeError from comparing with 2
+        with pytest.raises(DomainError, match="dim must be an int"):
+            resolve_even_degenerate(dim)
 
 
 def test_resolve_rejects_odd_dimension():
