@@ -40,9 +40,16 @@ Ann. Discrete Math. 2, 1978): row by row, with each proper row prefix
 tested by ``_is_canonical`` under the same group on its own axes.  A
 prefix that is not least in its orbit has no canonical completion (the
 transform that lowers it, applied with the other axes fixed, lowers every
-completion), so its whole block of completions is skipped unbuilt.  The
-skipped configs still count as examined and are charged to the budget,
-so the counters and budget overruns are those of the raw scan.
+completion), so its whole block of completions is skipped unbuilt.
+Before that test, rows 1.. are screened by two conditions that the least
+image meets, because a group element that leaves axis 0 alone also keeps
+the point labels: rows 1..d-1 ascend, since swapping two of those axes
+exchanges their rows, and, with reflections, each is at most its
+reflection, since reflecting one of those axes changes that row alone.
+A row that breaks either is neither built nor tested.  The skipped
+configs still count as examined and are charged to the budget where the
+raw scan would meet them, so the counters and budget overruns are those
+of the raw scan.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
@@ -93,6 +100,13 @@ CLIMB_STEPS = 16
 # ---------------------------------------------------------------------------
 
 
+def _check_flag(name: str, value) -> None:
+    """Refuse a flag that is not a bool (an int or ``None`` included) with
+    ``DomainError``."""
+    if type(value) is not bool:
+        raise DomainError(f"{name} must be a bool, got {value!r}")
+
+
 def _free_slot(row: Tuple[int, ...]) -> int:
     """The rank in 0..len(row) that a row with an origin slot leaves free."""
     return len(row) * (len(row) + 1) // 2 - sum(row)
@@ -116,6 +130,7 @@ class OrderConfig:
     def __post_init__(self):
         check_int("n", self.n, 0)
         check_int("dim", self.dim, 0)
+        _check_flag("with_origin", self.with_origin)
         m = self.n + (1 if self.with_origin else 0)
         if len(self.ranks) != self.dim:
             raise DomainError("one rank row per axis required")
@@ -295,10 +310,25 @@ def _enumerate(
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Orderly generation of the canonical rank matrices: they are built
     row by row, and a row prefix that is not least in its orbit is dropped
-    with all its completions (none of them is canonical either)."""
+    with all its completions (none of them is canonical either).
+
+    Rows 1.. are first screened by two conditions that every least image
+    meets, since a group element that leaves axis 0 alone keeps the point
+    labels: rows 1..d-1 ascend (swapping two of those axes exchanges their
+    rows) and, with reflections, each is at most its reflection (reflecting
+    one of those axes changes that row alone).  A row that breaks either is
+    neither built nor tested; each run of such rows is charged as its
+    blocks of raw configs before the next tested row, so the counters and
+    budget overruns are those of testing every row."""
     m = n + 1 if with_origin else n
-    first_rows = _axis_rows(n, with_origin)
+    first_rows = list(enumerate(_axis_rows(n, with_origin)))
     other_rows = list(permutations(range(m), n))
+    # (index in other_rows, row) for the rows at most their reflections
+    self_least = [
+        (i, row) for i, row in enumerate(other_rows)
+        if not reflect or row <= tuple(m - 1 - v for v in row)
+    ]
+    self_least_rows = [row for _, row in self_least]
     table = _RowImages(m, reflect)
     # raw configs below a prefix of k rows
     block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
@@ -307,7 +337,16 @@ def _enumerate(
         prefix: Tuple[Tuple[int, ...], ...], prefix_images: tuple
     ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
         k = len(prefix) + 1
-        for row in other_rows if prefix else first_rows:
+        if k == 1:
+            rows, total = first_rows, len(first_rows)
+        else:
+            start = bisect.bisect_left(self_least_rows, prefix[-1]) if k > 2 else 0
+            rows, total = self_least[start:], len(other_rows)
+        done = 0  # index of the first row neither tested nor charged
+        for i, row in rows:
+            if i > done:
+                budget.charge(counters, (i - done) * block[k])
+            done = i + 1
             mat = prefix + (row,)
             images = prefix_images + (table[row],)
             if k == dim:
@@ -319,6 +358,8 @@ def _enumerate(
                 yield from extend(mat, images)
             else:
                 budget.charge(counters, block[k])
+        if total > done:
+            budget.charge(counters, (total - done) * block[k])
 
     return extend((), ())
 
@@ -342,17 +383,22 @@ def enumerate_order_types(
     prefix that is not least in its orbit is skipped with all its
     completions, and every full matrix is tested with the pruned
     minimality search ``_is_canonical``, on row images built once per
-    level (``_RowImages``).  Both give the verdict of
-    comparing each raw matrix with its full canonical form ``_canonical``
-    (the reference), so the emission order is that of the brute-force
-    scan.  ``counters.examined`` counts the raw configs covered, whether
-    tested one by one or skipped as a block, and ``budget`` caps that count
-    as if each were examined on its own: a limit inside a skipped block
-    raises after exactly ``budget`` of them.  A negative budget raises
-    ``DomainError`` before any config is examined.
+    level (``_RowImages``).  A row that breaks one of two conditions of a
+    least image (rows 1..d-1 ascend and, with reflections, each is at most
+    its reflection) is skipped untested with its completions.  All of
+    these give the verdict of comparing each raw matrix with its full
+    canonical form ``_canonical`` (the reference), so the emission order
+    is that of the brute-force scan.  ``counters.examined`` counts the raw configs covered, whether
+    tested one by one or skipped as a block, untested or not, and
+    ``budget`` caps that count as if each were examined on its own: a
+    limit inside a skipped block raises after exactly ``budget`` of them.
+    A negative budget, or a ``with_origin`` or ``reflect`` that is not a
+    bool, raises ``DomainError`` before any config is examined.
     """
     check_int("n", n, 1)
     check_int("dim", dim, 1)
+    _check_flag("with_origin", with_origin)
+    _check_flag("reflect", reflect)
     tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
     mats = _enumerate(n, dim, with_origin, reflect, tracker, ctr)
@@ -512,8 +558,9 @@ def exact_vc_ordinal(
     ``PointSet`` is built, and only the shattered witness is realized.  The
     exact value n* is reported only when level n*+1 was exhausted with no
     shattered configuration.  On budget overrun a BudgetExceededError
-    carrying the partial report (``error.report``) is raised.  ``jobs`` must be an int >= 1 (else ``DomainError``, before any
-    work) but is currently unused: every level runs in-process.
+    carrying the partial report (``error.report``) is raised.  ``jobs``
+    must be an int >= 1 (else ``DomainError``, before any work) but is
+    currently unused: every level runs in-process.
     """
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:

@@ -216,14 +216,22 @@ def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, varian
     assert (counters.examined, counters.emitted) == (len(scan), len(emitted))
 
 
-@pytest.mark.parametrize("n,dim,with_origin", [(4, 3, False), (3, 3, True)])
-def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_origin):
+@pytest.mark.parametrize(
+    "n,dim,with_origin,variant",
+    [
+        pytest.param(4, 3, False, "default", id="4-3-False"),
+        pytest.param(3, 3, True, "default", id="3-3-True"),
+        (4, 3, False, "no-reflect"),
+    ],
+)
+def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_origin, variant):
     # a limit inside a skipped block is charged as if its configs were
     # examined one by one: same emissions, count and message as the scan.
     # Within one charge the run before it is the same for every budget, so
     # the outcomes are those at every charge boundary and, inside each
     # block, its first, middle and last budget.
-    scan = _reference_scan(n, dim, with_origin, True)
+    reflect = SYMMETRY_VARIANTS[variant]
+    scan = _reference_scan(n, dim, with_origin, reflect)
     charges = []
     charge = search_module._Budget.charge
 
@@ -233,7 +241,7 @@ def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_or
 
     with monkeypatch.context() as patched:
         patched.setattr(search_module._Budget, "charge", recording)
-        for _ in enumerate_order_types(n, dim, with_origin):
+        for _ in enumerate_order_types(n, dim, with_origin, reflect):
             pass
     assert sum(charges) == len(scan)
     budgets = {0, len(scan)}
@@ -249,7 +257,7 @@ def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_or
         emitted, message = [], None
         try:
             for cfg in enumerate_order_types(
-                n, dim, with_origin, budget=budget, counters=counters
+                n, dim, with_origin, reflect, budget=budget, counters=counters
             ):
                 emitted.append(cfg.ranks)
         except BudgetExceededError as err:
@@ -275,6 +283,56 @@ def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     assert counters.examined == 14400
     assert len(calls) < 14400 / 4
     assert {1, 2, 3} <= set(calls)  # every prefix length is tested
+
+
+def _breaks_least_image_conditions(mat, m, reflect):
+    """Whether rows 1.. of ``mat`` fail to ascend or, with reflections, one
+    of them exceeds its reflection."""
+    rest = mat[1:]
+    return any(a > b for a, b in zip(rest, rest[1:])) or (
+        reflect and any(row > tuple(m - 1 - v for v in row) for row in rest)
+    )
+
+
+@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
+def test_least_images_have_ascending_self_least_rows(n, dim, with_origin, variant):
+    # the lemma behind the row screen of the enumeration, on the reference:
+    # a group element that leaves axis 0 alone keeps the point labels, so
+    # the least image cannot be lowered by swapping two rows 1.. or by
+    # reflecting one of them
+    reflect = SYMMETRY_VARIANTS[variant]
+    m = n + (1 if with_origin else 0)
+    for mat in _raw_configs(n, dim, with_origin):
+        least = _canonical(mat, m, reflect)
+        assert not _breaks_least_image_conditions(least, m, reflect), (mat, least)
+
+
+def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
+    tested = []
+
+    def recording(mat, images):
+        tested.append(mat)
+        return _is_canonical(mat, images)
+
+    monkeypatch.setattr(search_module, "_is_canonical", recording)
+    counters = EnumerationCounters()
+    assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
+    assert (counters.examined, counters.emitted) == (14400, 335)
+    assert not [mat for mat in tested if _breaks_least_image_conditions(mat, 5, True)]
+    assert len(tested) <= 1100  # 2 881 with every row tested
+
+
+@pytest.mark.parametrize("value", ["no", None, 0, 1, 2])
+@pytest.mark.parametrize("flag", ["with_origin", "reflect"])
+def test_non_bool_flags_are_refused_before_any_work(monkeypatch, flag, value):
+    monkeypatch.setattr(
+        search_module, "_enumerate", lambda *a: pytest.fail("enumeration started")
+    )
+    with pytest.raises(DomainError, match=flag):
+        enumerate_order_types(3, 2, **{flag: value})
+    if flag == "with_origin":
+        with pytest.raises(DomainError, match=flag):
+            OrderConfig(1, 1, value, ((0,),))
 
 
 @pytest.mark.parametrize(
