@@ -49,17 +49,21 @@ such trace per axis, which is how the order-type scans in ``search``
 decide a whole config at once.
 
 Cubes are decided by one window test (``_window``) on per-axis
-``(values, prefix)`` tables.  Containing S' forces 2r >= w, the widest side
-of hull(S'), and shrinking a carving cube to r = w/2 keeps S' inside and
-excludes at least as much, so the radius is fixed.  Each axis then slides a
-closed window of length w; the points inside form a run of that axis's
-sorted values (``_runs``), and S' is carved iff one run per axis intersects
-to exactly S'.  The kernel runs it on ``PointSet.axes``; ``cube_score``
-counts the carved subsets of a set of integer columns with it, on
-``prefix_table`` of each column, and ``cube_scorer`` counts them only up to
-the miss that puts the count below a floor, which is all a hill-climb step
-needs to know.  Every hull of S' is found one way, ``_hull_indices``: by the
-kernels, the window test and the box and cube builders.
+``(values, prefix)`` tables, handed the hull of S' on each axis.
+Containing S' forces 2r >= w, the widest side of hull(S'), and shrinking a
+carving cube to r = w/2 keeps S' inside and excludes at least as much, so
+the radius is fixed.  Each axis then slides a closed window of length w;
+the points inside form a run of that axis's sorted values (``_runs``), and
+S' is carved iff one run per axis intersects to exactly S'.  The kernel
+runs it on ``PointSet.axes``; ``cube_score`` counts the carved subsets of a
+set of integer columns with it, on ``prefix_table`` of each column, and
+``cube_scorer`` counts them only up to the miss that puts the count below a
+floor, which is all a hill-climb step needs to know.  Every cube is a box,
+so the scorer sifts the masks through boxes first (``_box_sieve``), once
+per order type: a mask no box carves is a miss without a window test, and
+each mask a box carves keeps its hulls for the window test.  Every hull of
+S' is found one way, ``_hull_indices``: by the kernels, the box sieve and
+the box and cube builders.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
 over each excluded point's options: the sides, (axis, low) or (axis, high),
@@ -87,7 +91,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from operator import and_
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AnchorMissingError,
@@ -350,15 +355,19 @@ def _union(pairs: List[Tuple[int, int]], mask: SubsetMask) -> int:
     return mask
 
 
-def _window(tables: Sequence[Tuple[Sequence[int], ...]], mask: SubsetMask, full: int) -> bool:
+def _window(
+    tables: Sequence[Tuple[Sequence[int], ...]],
+    mask: SubsetMask,
+    full: int,
+    hulls: Sequence[Tuple[int, int]],
+) -> bool:
     """The cube window test of a nonempty mask on per-axis ``(values,
-    prefix)`` tables (as ``prefix_table`` makes them): the hull of S' per
-    axis by ``_hull_indices``, its widest side w, and one run per axis
-    (``_runs``) whose intersection is exactly S'."""
-    spans = [_hull_indices(prefix, mask) for _, prefix in tables]
-    w = max(v[b - 1] - v[a] for (v, _), (a, b) in zip(tables, spans))
+    prefix)`` tables (as ``prefix_table`` makes them), given its hull on
+    each axis (``_hull_indices``): the widest side w of the hull, and one
+    run per axis (``_runs``) whose intersection is exactly S'."""
+    w = max(v[b - 1] - v[a] for (v, _), (a, b) in zip(tables, hulls))
     reach = {full}
-    for (v, prefix), (a, b) in zip(tables, spans):
+    for (v, prefix), (a, b) in zip(tables, hulls):
         runs = _runs(v, prefix, a, b - 1, w)
         reach = {m & o for m in reach for o in runs}
     return mask in reach
@@ -390,30 +399,84 @@ def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) 
     return out
 
 
+# masks the cube scorer's memo holds before it is cleared: an order type
+# counts its box-carved masks and an axis table its 2^n masks, so every
+# injective order type of 4 points in the plane (4!^2 = 576 of them, at
+# most 10 box-carved masks each, over 4! axis tables) fits
+BOX_MEMO_MASKS = 1 << 13
+
+
+def _axis_hulls(prefix: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """One axis's hull ``(a, b)`` of every mask (``_hull_indices``) and its
+    run ``prefix[b] ^ prefix[a]``, the points of that axis's slab of the
+    hull, both indexed by mask (the empty mask gets ``(0, 0)`` and 0)."""
+    hulls = [(0, 0)] + [_hull_indices(prefix, mask) for mask in range(1, prefix[-1] + 1)]
+    return hulls, [prefix[b] ^ prefix[a] for a, b in hulls]
+
+
+def _box_sieve(
+    axes: Sequence[Tuple[List[Tuple[int, int]], List[int]]], full: int
+) -> Tuple[List[SubsetMask], Dict[SubsetMask, Tuple[Tuple[int, int], ...]]]:
+    """The masks the cube scorer tests (neither empty nor full nor a
+    singleton), split by boxes, from ``_axis_hulls`` of each axis: the
+    masks no box carves, in increasing order, and each mask a box carves,
+    in increasing order, with its hull per axis.  A box carves S' iff the
+    AND over axes of the runs of its hull is S' itself.  Every cube is a
+    box, so a mask no box carves is no cube's trace."""
+    box = axes[0][1]
+    for _, runs in axes[1:]:
+        box = list(map(and_, box, runs))
+    hulls = list(zip(*[axis for axis, _ in axes]))
+    missed: List[SubsetMask] = []
+    carved: Dict[SubsetMask, Tuple[Tuple[int, int], ...]] = {}
+    for mask in range(3, full):
+        if mask & (mask - 1):
+            if box[mask] == mask:
+                carved[mask] = hulls[mask]
+            else:
+                missed.append(mask)
+    return missed, carved
+
+
 def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     """A bounded ``cube_score``: ``score(columns, floor)`` is the exact
-    score when that is at least floor, and some value below floor otherwise.
+    score when that is at least floor, and floor - 1 otherwise; a floor
+    above 2^n counts as 2^n.
 
     A score of 2^n - k has k missed masks, so a pass stops at its
     (2^n - floor + 1)-th miss.  The empty set, the full set and every
     singleton count without a test (a faraway cube, the bounding cube, a
-    small cube around the point).  Each other subset S' is decided by the
-    cube kernel's window test (``_window``) on ``prefix_table`` of each
-    column.
+    small cube around the point).  The other masks are split by boxes first
+    (``_box_sieve``), once per order type: the scorer keys a memo on the
+    per-axis prefix masks of ``prefix_table`` of each column, which are
+    the whole order type, ties included, and builds each axis's hull table
+    (``_axis_hulls``) once per prefix masks, which many order types share.
+    Every cube is a box, so each mask no box carves is a miss without a
+    test, and a pass whose box misses already exceed what its floor allows
+    stops before any window test.  Each mask a box carves is decided by the
+    cube kernel's window test (``_window``), handed the hull the memo holds
+    for it.  An order type holds its box-carved masks and an axis table its
+    2^n; once the memo holds ``BOX_MEMO_MASKS`` masks it is cleared before
+    the next order type is sieved, so its size does not grow with the
+    number of calls.
 
-    The masks that missed in the last pass that reached its floor are tried
-    first.  A hill climb keeps exactly the moves whose score reaches its
-    floor, so these are the misses of the columns the next move starts
-    from, and a single-coordinate move seldom changes which mask fails: the
-    miss that settles a rejected move is usually the first mask tried.  The
-    order changes only how soon a pass stops, never what it returns.  The
-    per-axis tables of the last two calls' columns are kept too, since a
-    move changes one column.
+    Among the box-carved masks, those that missed in the last pass that
+    reached its floor are tried first.  A hill climb keeps exactly the
+    moves whose score reaches its floor, so these are the misses of the
+    columns the next move starts from, and a single-coordinate move seldom
+    changes which mask fails: the miss that settles a rejected move is
+    usually the first mask tried.  The order changes only how soon a pass
+    stops, never what it returns.  The per-axis tables of the last two
+    calls' columns are kept too, since a move changes one column.
     """
-    memory: List[int] = []  # the misses of the last pass that reached its floor
+    memory: List[int] = []  # the window misses of the last pass that reached its floor
     tables = [{}, {}]  # column -> prefix_table(column), last two calls
+    boxed = {}  # per-axis prefix masks -> (box misses, {box-carved mask: hulls})
+    axis_memo = {}  # one axis's prefix masks -> _axis_hulls(prefix)
+    stored = 0  # masks held in boxed and axis_memo
 
     def score(columns: Sequence[Sequence[int]], floor: int) -> int:
+        nonlocal stored
         full = (1 << len(columns[0])) - 1
         axes = []
         now = {}
@@ -423,18 +486,36 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
             axes.append(axis)
             now[key] = axis
         tables[:] = now, tables[0]
-        slack = full + 1 - floor  # misses an exact score >= floor can have
-        misses: List[int] = []
-        remembered = [mask for mask in memory if mask < full]
-        tried = set(remembered)
-        rest = (m for m in range(3, full) if m & (m - 1) and m not in tried)
+        order = tuple([prefix for _, prefix in axes])
+        entry = boxed.get(order)
+        if entry is None:
+            if stored >= BOX_MEMO_MASKS:
+                boxed.clear()
+                axis_memo.clear()
+                stored = 0
+            for prefix in order:
+                if prefix not in axis_memo:
+                    axis_memo[prefix] = _axis_hulls(prefix)
+                    stored += full + 1
+            missed, carved = _box_sieve([axis_memo[prefix] for prefix in order], full)
+            entry = boxed[order] = len(missed), carved
+            stored += len(carved)
+        misses, carved = entry
+        # misses an exact score >= floor can have; a floor above 2^n counts as 2^n
+        slack = max(full + 1 - floor, 0)
+        if misses > slack:
+            return full - slack
+        missed = []
+        remembered = [mask for mask in memory if mask in carved]
+        rest = (mask for mask in carved if mask not in remembered)
         for mask in chain(remembered, rest):
-            if not _window(axes, mask, full):
-                misses.append(mask)
-                if len(misses) > slack:
-                    return full + 1 - len(misses)
-        memory[:] = misses
-        return full + 1 - len(misses)
+            if not _window(axes, mask, full, carved[mask]):
+                missed.append(mask)
+                misses += 1
+                if misses > slack:
+                    return full - slack
+        memory[:] = missed
+        return full + 1 - misses
 
     return score
 
@@ -714,7 +795,9 @@ def _kernel(
     full = (1 << len(ps)) - 1
     if kind is ClassKind.CUBES:
         tables = [(values, prefix) for values, prefix, _ in ps.axes]
-        decide = lambda mask: not mask or _window(tables, mask, full)  # a faraway cube
+        decide = lambda mask: not mask or _window(  # a faraway cube
+            tables, mask, full, [_hull_indices(prefix, mask) for _, prefix in tables]
+        )
         make = lambda mask: _cube_build(ps, mask)
     elif kind is ClassKind.AXIS_CUTS:
         decide = frozenset(m for _, prefix, _ in ps.axes for m in prefix).__contains__

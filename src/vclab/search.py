@@ -54,14 +54,20 @@ of the raw scan.
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
 not proof.  A candidate's score is the number of masks ``carve_feasible``
-accepts, counted on its integer coordinate columns with the cube kernel's
-window test (``carve._window``).  The search asks only whether a score
-reaches a floor: a hill-climb move is kept only if it beats the current
-score, and a first score matters only if the trial climbs or can enter the
-local top.  So it scores with ``carve.cube_scorer``, which is exact at or
-above the floor and otherwise stops at the miss that settles it, trying
-first the masks the current columns missed; every score a report holds is
-exact.
+accepts, counted on its integer coordinate columns by ``carve.cube_scorer``.
+The scorer sifts the masks through boxes once per order type of the columns
+(every cube is a box, so a mask no box carves is a cube miss untested) and
+runs the cube kernel's window test (``carve._window``) only on the masks
+boxes carve, each with the hulls the sieve found for it.  A hill climb
+seldom changes the order type, so most moves reuse the sieve.  The search
+asks only whether a score reaches a floor: a hill-climb move is kept only
+if it beats the current score, and a first score matters only if the trial
+climbs or can enter the local top.  The scorer is exact at or above the
+floor and otherwise stops at the miss that settles it, counting the box
+misses first and then trying first the masks the current columns missed;
+every score a report holds is exact.  A move's new value is drawn by index
+among the values its axis leaves free (``_draw_other``), as ``rng.choice``
+would draw it from their list, without building the list.
 """
 
 from __future__ import annotations
@@ -730,6 +736,20 @@ def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]
     return (-cand.score, _order_key(cand.points), cand.trial)
 
 
+def _draw_other(rng: random.Random, span: range, others: List[int]) -> int:
+    """``rng.choice([v for v in span if v not in others])`` for distinct
+    ``others`` in ``span``, without the list.  ``choice`` draws index k of
+    the list with ``_randbelow(len)``, as ``randrange(len)`` does, so this
+    draws the same k from the same bits, and steps from ``span[k]`` over
+    the others at or below it, in increasing order."""
+    v = span[rng.randrange(len(span) - len(others))]
+    for o in sorted(others):
+        if o > v:
+            break
+        v += 1
+    return v
+
+
 def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
     """One worker's trials: the score evaluations, and its local top
     ``local_keep`` and its shattered finds as ``(rank, candidate)`` pairs."""
@@ -751,10 +771,8 @@ def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
             for _ in range(CLIMB_STEPS):
                 j = rng.randrange(dim)
                 i = rng.randrange(n)
-                others = {cols[j][k] for k in range(n) if k != i}
-                choices = [v for v in span if v not in others]
                 old = cols[j][i]
-                cols[j][i] = rng.choice(choices)
+                cols[j][i] = _draw_other(rng, span, [cols[j][k] for k in range(n) if k != i])
                 # a move is kept only if it raises the score
                 trial_score = score_at_least(cols, score + 1)
                 evaluations += 1

@@ -39,13 +39,15 @@ from vclab import (
 from vclab import carve as carve_module
 from vclab import search as search_module
 from vclab import shatter as shatter_module
-from vclab.carve import _kernel, cube_score, cube_scorer
+from vclab.carve import _axis_hulls, _box_sieve, _kernel, cube_score, cube_scorer
+from vclab.geometry import prefix_table
 from vclab.oracles import cube_feasible_unpruned, oracle_count, trace_set
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
     _canonical,
     _carved,
+    _draw_other,
     _is_canonical,
     _RowImages,
     _RowTraces,
@@ -946,3 +948,78 @@ def test_bounded_cube_score_stops_at_the_miss_that_settles_it(monkeypatch):
     del calls[:]
     assert scorer(cols, 16) < 16
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_sieve_misses_exactly_the_masks_no_box_carves(dim):
+    rng = random.Random(2100 + dim)
+    tied = 0
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        tested = [m for m in range(1, full) if m & (m - 1)]  # not empty, full or a singleton
+        for k in range(12):
+            spread = n // 2 + 1 if k % 2 else 16  # half with tied projections
+            cols = _random_columns(rng, dim, n, spread)
+            tied += any(len(set(col)) < n for col in cols)
+            axes = [_axis_hulls(prefix_table(col)[1]) for col in cols]
+            traces = trace_set(PointSet.of(list(zip(*cols))), boxes(dim))
+            missed, carved = _box_sieve(axes, full)
+            assert missed == [m for m in tested if m not in traces], cols
+            assert list(carved) == [m for m in tested if m in traces], cols
+            for mask, hulls in carved.items():
+                # per axis: the distinct values below the mask's least, and up to its greatest
+                on = [[col[i] for i in range(n) if mask >> i & 1] for col in cols]
+                assert list(hulls) == [
+                    (sum(v < min(x) for v in set(col)), sum(v <= max(x) for v in set(col)))
+                    for col, x in zip(cols, on)
+                ]
+    if dim > 1:
+        assert tied > 20
+
+
+@pytest.mark.parametrize("rng_range", [0, 1, 2, 16])
+def test_move_draw_is_the_choice_over_the_free_values(rng_range):
+    span = range(-rng_range, rng_range + 1)
+    sizes = sorted({*range(1, min(len(span), 5) + 1), len(span)})  # up to n = 2r + 1
+    for n in sizes:
+        for seed in range(150):
+            others = random.Random(-seed).sample(span, n - 1)
+            by_list, by_index = random.Random(seed), random.Random(seed)
+            want = by_list.choice([v for v in span if v not in others])
+            assert _draw_other(by_index, span, others) == want, (n, seed)
+            assert by_index.getstate() == by_list.getstate()
+
+
+def test_cube_scorer_memo_cleared_at_its_bound_changes_no_score(monkeypatch):
+    rng = random.Random(2102)
+    stream = []
+    for dim in (1, 2, 3):
+        for n in range(1, 8):
+            for k in range(4):
+                cols = _random_columns(rng, dim, n, n // 2 + 1 if k % 2 else 16)
+                score = cube_score(cols)
+                for floor in {0, score - 1, score, score + 1, 1 << n}:
+                    stream.append((cols, floor, score))
+    rng.shuffle(stream)
+    carve = import_module("vclab.carve")
+    sieve, bound = carve._box_sieve, carve.BOX_MEMO_MASKS
+    sieved = []
+    monkeypatch.setattr(carve, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
+    # at bound 0 each new order type clears the memo first: it holds one
+    monkeypatch.setattr(carve, "BOX_MEMO_MASKS", 0)
+    shared = cube_scorer()
+    for cols, floor, score in stream:
+        got = shared(cols, floor)
+        assert got == score if score >= floor else got == floor - 1, (cols, floor, got)
+    # two order types in turn are sieved again each time
+    a, b = [[0, 1, 2], [0, 2, 1]], [[0, 1, 2], [1, 0, 2]]
+    del sieved[:]
+    for cols in (a, b, a, b):
+        shared(cols, 0)
+    assert len(sieved) == 4
+    monkeypatch.setattr(carve, "BOX_MEMO_MASKS", bound)
+    roomy = cube_scorer()
+    del sieved[:]
+    for cols in (a, b, a, b):
+        roomy(cols, 0)
+    assert len(sieved) == 2
