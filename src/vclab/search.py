@@ -25,19 +25,20 @@ False only for axis cuts, which are one-sided.  Origin-anchored classes
 get an extra phantom entity for the origin, which participates in the
 ranking but is pinned to coordinate 0.
 A raw rank matrix is kept when it is the least image in its orbit.
-``_is_canonical`` decides that by a pruned depth-first search over the
-images, row by row (in the spirit of McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998), instead of building all d!*2^d of
-them; ``_canonical`` builds them all and stays as the brute-force
-reference and as the order key of the cube search.  A rank row's own
+``_lower`` decides that by a pruned depth-first search over the images, row
+by row (in the spirit of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998), instead of building all d!*2^d of them: it stops
+at the first image row below the matrix's row there.  The same search,
+repeated from sentinel rows until nothing lowers them, finds the least
+image itself, which is the order key of the cube search.  A rank row's own
 images (itself and, with reflections, its reflection), each with the
 getter that relabels points so that it ascends, come from a table
 (``_RowImages``) that the enumeration fills once per level, on a row's
-first use, so the test neither reflects nor sorts.
+first use, so the search neither reflects nor sorts.
 
 Matrices are generated in an orderly way (Read, "Every one a winner",
 Ann. Discrete Math. 2, 1978): row by row, with each proper row prefix
-tested by ``_is_canonical`` under the same group on its own axes.  A
+tested by ``_lower`` under the same group on its own axes.  A
 prefix that is not least in its orbit has no canonical completion (the
 transform that lowers it, applied with the other axes fixed, lowers every
 completion), so its whole block of completions is skipped unbuilt.
@@ -76,7 +77,7 @@ import bisect
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -165,30 +166,6 @@ class OrderConfig:
         return PointSet.of(pts)
 
 
-def _relabel_sorted(mat: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
-    order = sorted(range(len(mat[0])), key=lambda i: mat[0][i])
-    return tuple(tuple(row[i] for i in order) for row in mat)
-
-
-def _canonical(
-    mat: Tuple[Tuple[int, ...], ...], m: int, reflect: bool
-) -> Tuple[Tuple[int, ...], ...]:
-    d = len(mat)
-    best = None
-    for tau in permutations(range(d)):
-        for refl in product((False, True), repeat=d) if reflect else [(False,) * d]:
-            rows = []
-            for new_axis, old_axis in enumerate(tau):
-                row = mat[old_axis]
-                if refl[new_axis]:
-                    row = tuple(m - 1 - v for v in row)
-                rows.append(row)
-            cand = _relabel_sorted(tuple(rows))
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 class _RowImages(dict):
     """Rank row -> its images under the axis group: the row and, when
     ``reflect`` is set, its reflection ``m - 1 - v``, each as ``(image,
@@ -213,25 +190,29 @@ class _RowImages(dict):
         return entry
 
 
-def _is_canonical(
-    mat: Tuple[Tuple[int, ...], ...], images: Sequence[Tuple[tuple, ...]]
-) -> bool:
-    """``_canonical(mat, m, reflect) == mat``, decided without building every image.
+def _lower(rows: List[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]) -> bool:
+    """Lower ``rows`` toward the least image of its orbit, one row at a time.
 
-    ``images[k]`` is ``_RowImages(m, reflect)[mat[k]]``.  Images are built
-    row by row: new axis 0 from one of the (axis, reflection) choices, whose
+    ``images[k]`` is the ``_RowImages`` entry of axis k's rank row, and
+    ``rows`` bounds the orbit's least image from above: an image, or a
+    prefix of one followed by sentinel rows ``(n + 1,)``, which are above
+    every rank row of n points (ranks are at most n).  Images are built row
+    by row: new axis 0 from one of the (axis, reflection) choices, whose
     getter fixes the point relabeling; then rows 1, 2, ... from the unused
-    choices, relabeled by it.  Row tuples compare lexicographically, so an
-    image row below ``mat``'s row at that position proves ``mat`` is not
-    least in its orbit, a row above it prunes the branch, and only ties
-    descend.
+    choices, relabeled by it.  Row tuples compare lexicographically, so a
+    row above ``rows[k]`` prunes the branch and only ties descend.  The
+    first image row below ``rows[k]`` is written there, ``rows[k+1:]``
+    become sentinels, and True is returned; False means ``rows`` is the
+    least image.  So a matrix whose first row ascends is least in its orbit
+    iff ``not _lower(list(mat), images)``, and ``while _lower(rows,
+    images)`` from all-sentinel rows leaves the least image in ``rows``.
     """
-    d = len(mat)
+    d = len(rows)
 
-    def no_smaller(k: int, free: Tuple[int, ...], permute) -> bool:
+    def descend(k: int, free: Tuple[int, ...], permute) -> bool:
         if k == d:
-            return True
-        target = mat[k]
+            return False
+        target = rows[k]
         for i, a in enumerate(free):
             rest = free[:i] + free[i + 1:]
             for row, relabel, ascending in images[a]:
@@ -240,31 +221,14 @@ def _is_canonical(
                 else:
                     img, permute = ascending, relabel
                 if img < target:
-                    return False
-                if img == target and not no_smaller(k + 1, rest, permute):
-                    return False
-        return True
+                    rows[k] = img
+                    rows[k + 1:] = [(len(img) + 1,)] * (d - k - 1)
+                    return True
+                if img == target and descend(k + 1, rest, permute):
+                    return True
+        return False
 
-    return no_smaller(0, tuple(range(d)), None)
-
-
-def transform_config(
-    config: OrderConfig,
-    axis_order: Sequence[int],
-    reflect: Sequence[bool],
-    point_order: Optional[Sequence[int]] = None,
-) -> OrderConfig:
-    """Apply a symmetry group element; used by the orbit-soundness tests."""
-    m = config.n + (1 if config.with_origin else 0)
-    rows = []
-    for old_axis, refl in zip(axis_order, reflect):
-        row = config.ranks[old_axis]
-        if refl:
-            row = tuple(m - 1 - v for v in row)
-        rows.append(row)
-    if point_order is not None:
-        rows = [tuple(row[i] for i in point_order) for row in rows]
-    return OrderConfig(config.n, config.dim, config.with_origin, tuple(rows))
+    return descend(0, tuple(range(d)), None)
 
 
 class _Budget:
@@ -357,10 +321,10 @@ def _enumerate(
             images = prefix_images + (table[row],)
             if k == dim:
                 budget.charge(counters)
-                if _is_canonical(mat, images):
+                if not _lower(list(mat), images):
                     counters.emitted += 1
                     yield mat
-            elif _is_canonical(mat, images):
+            elif not _lower(list(mat), images):
                 yield from extend(mat, images)
             else:
                 budget.charge(counters, block[k])
@@ -388,18 +352,18 @@ def enumerate_order_types(
     relabel-orbit meets exactly once.  Matrices are built row by row; a row
     prefix that is not least in its orbit is skipped with all its
     completions, and every full matrix is tested with the pruned
-    minimality search ``_is_canonical``, on row images built once per
-    level (``_RowImages``).  A row that breaks one of two conditions of a
-    least image (rows 1..d-1 ascend and, with reflections, each is at most
-    its reflection) is skipped untested with its completions.  All of
-    these give the verdict of comparing each raw matrix with its full
-    canonical form ``_canonical`` (the reference), so the emission order
-    is that of the brute-force scan.  ``counters.examined`` counts the raw configs covered, whether
-    tested one by one or skipped as a block, untested or not, and
-    ``budget`` caps that count as if each were examined on its own: a
-    limit inside a skipped block raises after exactly ``budget`` of them.
-    A negative budget, or a ``with_origin`` or ``reflect`` that is not a
-    bool, raises ``DomainError`` before any config is examined.
+    minimality search ``_lower``, on row images built once per level
+    (``_RowImages``).  A row that breaks one of two conditions of a least
+    image (rows 1..d-1 ascend and, with reflections, each is at most its
+    reflection) is skipped untested with its completions.  All of these
+    give the verdict of comparing each raw matrix with the least image of
+    its orbit, so the emission order is that of the brute-force scan.
+    ``counters.examined`` counts the raw configs covered, whether tested
+    one by one or skipped as a block, untested or not, and ``budget`` caps
+    that count as if each were examined on its own: a limit inside a
+    skipped block raises after exactly ``budget`` of them.  A negative
+    budget, or a ``with_origin`` or ``reflect`` that is not a bool, raises
+    ``DomainError`` before any config is examined.
     """
     check_int("n", n, 1)
     check_int("dim", dim, 1)
@@ -671,29 +635,6 @@ def resolve_even_degenerate(
 
 
 # ---------------------------------------------------------------------------
-# Rank realization (shared by the ordinal-soundness property tests)
-# ---------------------------------------------------------------------------
-
-
-def rank_realization(ps: PointSet, with_origin: bool = False) -> PointSet:
-    """Replace each coordinate by its per-axis rank (origin included if asked).
-
-    The result is the canonical integer representative of the point set's
-    order type; for order-driven classes every carve verdict is preserved.
-    """
-    cols = []
-    for j in range(ps.dim):
-        values = {p[j] for p in ps.points}
-        if with_origin:
-            values.add(0)
-        ranking = {v: r for r, v in enumerate(sorted(values))}
-        shift = ranking[0] if with_origin else 0
-        cols.append({v: r - shift for v, r in ranking.items()})
-    pts = [tuple(cols[j][p[j]] for j in range(ps.dim)) for p in ps.points]
-    return PointSet.of(pts)
-
-
-# ---------------------------------------------------------------------------
 # Randomized cube search
 # ---------------------------------------------------------------------------
 
@@ -725,11 +666,17 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 
 def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
-    ranked = rank_realization(ps)
-    mat = tuple(
-        tuple(p[j] for p in ranked.points) for j in range(ranked.dim)
-    )
-    return _canonical(mat, len(ps), True)
+    """The least image of the points' rank matrix under relabeling points,
+    permuting axes and reflecting axes, lowered by ``_lower`` from
+    all-sentinel rows.  The cube search's coordinates are distinct per
+    axis, so a value's rank is its index in the sorted column."""
+    n = len(ps)
+    table = _RowImages(n, True)
+    images = [table[tuple(map(sorted(col).index, col))] for col in zip(*ps.points)]
+    rows = [(n + 1,)] * ps.dim
+    while _lower(rows, images):
+        pass
+    return tuple(rows)
 
 
 def _rank(cand: SearchCandidate) -> Tuple[int, Tuple[Tuple[int, ...], ...], int]:

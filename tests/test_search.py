@@ -1,6 +1,8 @@
 """Exhaustive order-type search, symmetry reduction, and randomized search."""
 
+import ast
 import hashlib
+import inspect
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +34,6 @@ from vclab import (
     origin_anchored,
     perturb_to_injective,
     random_cube_search,
-    rank_realization,
     resolve_even_degenerate,
     shattering_count,
 )
@@ -45,16 +46,14 @@ from vclab.oracles import cube_feasible_unpruned, oracle_count, trace_set
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
-    _canonical,
     _carved,
     _draw_other,
-    _is_canonical,
+    _lower,
     _RowImages,
     _RowTraces,
     _order_key,
     _search_trials,
     _shattered,
-    transform_config,
 )
 from vclab.serialize import (
     cube_search_report_to_json,
@@ -63,7 +62,9 @@ from vclab.serialize import (
     point_set_to_json,
 )
 
+import order_reference
 from conftest import random_point_set
+from order_reference import _canonical, _relabel_sorted, rank_realization, transform_ranks
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -99,7 +100,10 @@ def test_symmetry_orbits_collapse_to_one_representative():
                 axis_order = rng.sample(range(dim), dim)
                 reflect = [rng.random() < 0.5 for _ in range(dim)]
                 point_order = rng.sample(range(n), n)
-                moved = transform_config(cfg, axis_order, reflect, point_order)
+                moved = OrderConfig(
+                    n, dim, with_origin,
+                    transform_ranks(cfg.ranks, m, axis_order, reflect, point_order),
+                )
                 assert _canonical(moved.ranks, m, True) == cfg.ranks
                 # realized sets of a transformed config have identical box verdicts
                 mask = rng.randrange(1 << n)
@@ -135,26 +139,43 @@ DIFFERENTIAL_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
-def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
-    reflect = SYMMETRY_VARIANTS[variant]
+def _least_image(rows, images):
+    """The rows the search's loop leaves: the least image, when ``rows``
+    bounds it from above."""
+    while _lower(rows, images):
+        pass
+    return tuple(rows)
+
+
+def _check_minimality_search(n, dim, with_origin, reflect):
+    # a sliced matrix is its own image: the minimality test is one call, and
+    # the loop lowers it to the least image; an unsliced one is not, so the
+    # loop starts from sentinel rows, as the cube search's order key does.
+    # Relabeling points keeps the orbit, so an unsliced matrix's least image
+    # is that of its relabeling into the slice.
     m = n + (1 if with_origin else 0)
     table = _RowImages(m, reflect)
+    least = {}
     for mat in _raw_configs(n, dim, with_origin):
         images = [table[row] for row in mat]
-        assert _is_canonical(mat, images) == (_canonical(mat, m, reflect) == mat), mat
+        least[mat] = _canonical(mat, m, reflect)
+        assert (not _lower(list(mat), images)) == (least[mat] == mat), mat
+        assert _least_image(list(mat), images) == least[mat], mat
+    for mat in _raw_configs(n, dim, with_origin, sliced=False):
+        images = [table[row] for row in mat]
+        assert _least_image([(n + 1,)] * dim, images) == least[_relabel_sorted(mat)], mat
+
+
+@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
+def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
+    _check_minimality_search(n, dim, with_origin, SYMMETRY_VARIANTS[variant])
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
 @pytest.mark.parametrize("dim,with_origin", [(1, False), (3, False), (2, True), (4, True)])
 def test_pruned_minimality_test_on_a_single_point(dim, with_origin, variant):
     # one point: an image row is a 1-tuple, however the point is relabeled
-    reflect = SYMMETRY_VARIANTS[variant]
-    m = 2 if with_origin else 1
-    table = _RowImages(m, reflect)
-    for mat in _raw_configs(1, dim, with_origin):
-        images = [table[row] for row in mat]
-        assert _is_canonical(mat, images) == (_canonical(mat, m, reflect) == mat), mat
+    _check_minimality_search(1, dim, with_origin, SYMMETRY_VARIANTS[variant])
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
@@ -275,11 +296,11 @@ def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_or
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     calls = []
 
-    def counting(mat, images):
-        calls.append(len(mat))
-        return _is_canonical(mat, images)
+    def counting(rows, images):
+        calls.append(len(rows))
+        return _lower(rows, images)
 
-    monkeypatch.setattr(search_module, "_is_canonical", counting)
+    monkeypatch.setattr(search_module, "_lower", counting)
     counters = EnumerationCounters()
     assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
     assert counters.examined == 14400
@@ -312,11 +333,11 @@ def test_least_images_have_ascending_self_least_rows(n, dim, with_origin, varian
 def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
     tested = []
 
-    def recording(mat, images):
-        tested.append(mat)
-        return _is_canonical(mat, images)
+    def recording(rows, images):
+        tested.append(tuple(rows))  # before the search lowers them
+        return _lower(rows, images)
 
-    monkeypatch.setattr(search_module, "_is_canonical", recording)
+    monkeypatch.setattr(search_module, "_lower", recording)
     counters = EnumerationCounters()
     assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
     assert (counters.examined, counters.emitted) == (14400, 335)
@@ -571,7 +592,7 @@ def test_negative_budget_raises_domain_error_before_any_work(entry, monkeypatch)
     def untouchable(*args):
         raise AssertionError("a config was examined")
 
-    monkeypatch.setattr(search_module, "_is_canonical", untouchable)
+    monkeypatch.setattr(search_module, "_lower", untouchable)
     with pytest.raises(DomainError, match="budget must be >= 0"):
         BUDGETED_CALLS[entry](-5)
 
@@ -671,7 +692,7 @@ def test_order_type_scans_refuse_bad_jobs_and_resolver_dims_before_any_work(monk
     def untouchable(*args):
         raise AssertionError("a config was examined")
 
-    monkeypatch.setattr(search_module, "_is_canonical", untouchable)
+    monkeypatch.setattr(search_module, "_lower", untouchable)
     scans = (
         lambda jobs: exact_vc_ordinal(ClassKind.BOXES, 1, jobs=jobs),
         lambda jobs: max_shattering_coefficient(ClassKind.BOXES, 2, 3, jobs=jobs),
@@ -785,9 +806,56 @@ def test_cube_search_memory_does_not_grow_with_trials():
     assert _search_trials_peak(4000) <= 2 * small
 
 
+def _injective_set(rng, dim, n):
+    """Random integer points, distinct per axis, as the cube search draws them."""
+    cols = [rng.sample(range(-20, 21), n) for _ in range(dim)]
+    return [tuple(col[i] for col in cols) for i in range(n)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_order_key_is_the_canonical_form_of_the_rank_matrix(dim):
+    # n = 1 reaches the row images' one-point getter (``tuple``)
+    rng = random.Random(dim)
+    for n in range(1, 8):
+        for _ in range(12 if dim < 4 else 4):
+            ps = PointSet.of(_injective_set(rng, dim, n))
+            ranked = rank_realization(ps)
+            mat = tuple(tuple(p[j] for p in ranked.points) for j in range(dim))
+            assert _order_key(ps) == _canonical(mat, n, True), ps
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_order_key_ignores_relabeling_axis_permutation_and_reflection(dim):
+    rng = random.Random(100 + dim)
+    for n in range(1, 8):
+        for _ in range(6):
+            pts = _injective_set(rng, dim, n)
+            key = _order_key(PointSet.of(pts))
+            axes = rng.sample(range(dim), dim)
+            signs = [rng.choice((1, -1)) for _ in range(dim)]
+            moved = [tuple(s * p[a] for a, s in zip(axes, signs)) for p in pts]
+            rng.shuffle(moved)
+            assert _order_key(PointSet.of(moved)) == key, (pts, moved)
+
+
+def test_order_reference_shares_nothing_with_the_search():
+    # the brute-force references stay independent of what they check
+    tree = ast.parse(inspect.getsource(order_reference))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "search" in name]
+    homes = {getattr(value, "__module__", None) for value in vars(order_reference).values()}
+    assert "vclab.search" not in homes
+    assert search_module not in vars(order_reference).values()
+
+
 def test_cube_search_keys_only_candidates_that_can_be_kept(monkeypatch):
-    # the order key is a full canonical form; a trial scoring below the local
-    # top 8 must not pay for one
+    # the order key is a least-image search over the candidate's rank
+    # matrix; a trial scoring below the local top 8 must not pay for one
     calls = []
     monkeypatch.setattr("vclab.search._order_key", lambda ps: calls.append(1) or _order_key(ps))
     _, best, _ = _search_trials((2, 4, 0, 300, 2024, 16, 8))
