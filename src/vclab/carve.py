@@ -61,9 +61,10 @@ set of integer columns with it, on ``prefix_table`` of each column, and
 floor, which is all a hill-climb step needs to know.  Every cube is a box,
 so the scorer sifts the masks through boxes first (``_box_sieve``), once
 per order type: a mask no box carves is a miss without a window test, and
-each mask a box carves keeps its hulls for the window test.  Every hull of
-S' is found one way, ``_hull_indices``: by the kernels, the box sieve and
-the box and cube builders.
+each mask a box carves keeps its hulls for the window test, in a list to
+whose front a window miss moves, so the order type tries it first next
+time.  Every hull of S' is found one way, ``_hull_indices``: by the
+kernels, the box sieve and the box and cube builders.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
 over each excluded point's options: the sides, (axis, low) or (axis, high),
@@ -90,9 +91,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import and_
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     AnchorMissingError,
@@ -416,23 +416,23 @@ def _axis_hulls(prefix: Tuple[int, ...]) -> Tuple[List[Tuple[int, int]], List[in
 
 def _box_sieve(
     axes: Sequence[Tuple[List[Tuple[int, int]], List[int]]], full: int
-) -> Tuple[List[SubsetMask], Dict[SubsetMask, Tuple[Tuple[int, int], ...]]]:
+) -> Tuple[List[SubsetMask], List[Tuple[SubsetMask, Tuple[Tuple[int, int], ...]]]]:
     """The masks the cube scorer tests (neither empty nor full nor a
     singleton), split by boxes, from ``_axis_hulls`` of each axis: the
     masks no box carves, in increasing order, and each mask a box carves,
-    in increasing order, with its hull per axis.  A box carves S' iff the
-    AND over axes of the runs of its hull is S' itself.  Every cube is a
-    box, so a mask no box carves is no cube's trace."""
+    in increasing order, as ``(mask, its hull per axis)``.  A box carves S'
+    iff the AND over axes of the runs of its hull is S' itself.  Every cube
+    is a box, so a mask no box carves is no cube's trace."""
     box = axes[0][1]
     for _, runs in axes[1:]:
         box = list(map(and_, box, runs))
     hulls = list(zip(*[axis for axis, _ in axes]))
     missed: List[SubsetMask] = []
-    carved: Dict[SubsetMask, Tuple[Tuple[int, int], ...]] = {}
+    carved: List[Tuple[SubsetMask, Tuple[Tuple[int, int], ...]]] = []
     for mask in range(3, full):
         if mask & (mask - 1):
             if box[mask] == mask:
-                carved[mask] = hulls[mask]
+                carved.append((mask, hulls[mask]))
             else:
                 missed.append(mask)
     return missed, carved
@@ -460,32 +460,21 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     the next order type is sieved, so its size does not grow with the
     number of calls.
 
-    Among the box-carved masks, those that missed in the last pass that
-    reached its floor are tried first.  A hill climb keeps exactly the
-    moves whose score reaches its floor, so these are the misses of the
-    columns the next move starts from, and a single-coordinate move seldom
-    changes which mask fails: the miss that settles a rejected move is
-    usually the first mask tried.  The order changes only how soon a pass
-    stops, never what it returns.  The per-axis tables of the last two
-    calls' columns are kept too, since a move changes one column.
+    An order type keeps its box-carved masks in a list, and a window miss
+    moves its mask to the front, so the order type tries it first next
+    time, whatever order types were scored in between.  A single-coordinate
+    move of a hill climb seldom changes which mask fails, so the miss that
+    settles a rejected move is usually the first mask tried.  The order
+    changes only how soon a pass stops, never what it returns.
     """
-    memory: List[int] = []  # the window misses of the last pass that reached its floor
-    tables = [{}, {}]  # column -> prefix_table(column), last two calls
-    boxed = {}  # per-axis prefix masks -> (box misses, {box-carved mask: hulls})
+    boxed = {}  # per-axis prefix masks -> (box misses, [(box-carved mask, hulls)])
     axis_memo = {}  # one axis's prefix masks -> _axis_hulls(prefix)
     stored = 0  # masks held in boxed and axis_memo
 
     def score(columns: Sequence[Sequence[int]], floor: int) -> int:
         nonlocal stored
         full = (1 << len(columns[0])) - 1
-        axes = []
-        now = {}
-        for col in columns:
-            key = tuple(col)
-            axis = tables[0].get(key) or tables[1].get(key) or prefix_table(col)
-            axes.append(axis)
-            now[key] = axis
-        tables[:] = now, tables[0]
+        axes = [prefix_table(col) for col in columns]
         order = tuple([prefix for _, prefix in axes])
         entry = boxed.get(order)
         if entry is None:
@@ -505,16 +494,14 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
         slack = max(full + 1 - floor, 0)
         if misses > slack:
             return full - slack
-        missed = []
-        remembered = [mask for mask in memory if mask in carved]
-        rest = (mask for mask in carved if mask not in remembered)
-        for mask in chain(remembered, rest):
-            if not _window(axes, mask, full, carved[mask]):
-                missed.append(mask)
+        # moving the k-th mask to the front keeps the masks after it where
+        # the iteration expects them
+        for k, (mask, hulls) in enumerate(carved):
+            if not _window(axes, mask, full, hulls):
+                carved.insert(0, carved.pop(k))
                 misses += 1
                 if misses > slack:
                     return full - slack
-        memory[:] = missed
         return full + 1 - misses
 
     return score

@@ -94,7 +94,7 @@ CLASS_TOKENS = (
     "cuts",
 )
 
-ORDINAL_TOKENS = ("boxes", "cubes", "degenerate", "d0", "cuts")
+ORDINAL_TOKENS = ("boxes", "boxes-nondegenerate", "cubes", "degenerate", "d0", "cuts")
 
 
 class UsageError(Exception):

@@ -321,7 +321,7 @@ def project(ps: PointSet, keep: Sequence[int]) -> PointSet:
     if len(set(axes)) != len(axes):
         raise DomainError("projection axes must be distinct")
     for a in axes:
-        if not isinstance(a, int) or not 0 <= a < ps.dim:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < ps.dim:
             raise DimensionMismatchError(f"projection axis {a!r} out of range")
     projected = [tuple(p[a] for a in axes) for p in ps.points]
     if len(set(projected)) != len(projected):

@@ -28,13 +28,14 @@ A raw rank matrix is kept when it is the least image in its orbit.
 ``_lower`` decides that by a pruned depth-first search over the images, row
 by row (in the spirit of McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998), instead of building all d!*2^d of them: it stops
-at the first image row below the matrix's row there.  The same search,
-repeated from sentinel rows until nothing lowers them, finds the least
-image itself, which is the order key of the cube search.  A rank row's own
-images (itself and, with reflections, its reflection), each with the
-getter that relabels points so that it ascends, come from a table
-(``_RowImages``) that the enumeration fills once per level, on a row's
-first use, so the search neither reflects nor sorts.
+at the first image row below the matrix's row there and returns it,
+writing nothing.  The cube search's order key is the least image itself:
+``_order_key`` starts from sentinel rows and writes each row the search
+returns until none comes back.  A rank row's own images (itself and, with
+reflections, its reflection), each with the getter that relabels points so
+that it ascends, come from a table (``_RowImages``) that the enumeration
+fills once per level, on a row's first use, so the search neither reflects
+nor sorts.
 
 Matrices are generated in an orderly way (Read, "Every one a winner",
 Ann. Discrete Math. 2, 1978): row by row, with each proper row prefix
@@ -65,7 +66,7 @@ asks only whether a score reaches a floor: a hill-climb move is kept only
 if it beats the current score, and a first score matters only if the trial
 climbs or can enter the local top.  The scorer is exact at or above the
 floor and otherwise stops at the miss that settles it, counting the box
-misses first and then trying first the masks the current columns missed;
+misses first and then trying first the masks the order type last missed;
 every score a report holds is exact.  A move's new value is drawn by index
 among the values its axis leaves free (``_draw_other``), as ``rng.choice``
 would draw it from their list, without building the list.
@@ -190,8 +191,11 @@ class _RowImages(dict):
         return entry
 
 
-def _lower(rows: List[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]) -> bool:
-    """Lower ``rows`` toward the least image of its orbit, one row at a time.
+def _lower(
+    rows: Sequence[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The first image row that lowers ``rows``, or None when ``rows`` is
+    the least image of its orbit; ``rows`` is only read.
 
     ``images[k]`` is the ``_RowImages`` entry of axis k's rank row, and
     ``rows`` bounds the orbit's least image from above: an image, or a
@@ -201,17 +205,16 @@ def _lower(rows: List[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]) -> 
     getter fixes the point relabeling; then rows 1, 2, ... from the unused
     choices, relabeled by it.  Row tuples compare lexicographically, so a
     row above ``rows[k]`` prunes the branch and only ties descend.  The
-    first image row below ``rows[k]`` is written there, ``rows[k+1:]``
-    become sentinels, and True is returned; False means ``rows`` is the
-    least image.  So a matrix whose first row ascends is least in its orbit
-    iff ``not _lower(list(mat), images)``, and ``while _lower(rows,
-    images)`` from all-sentinel rows leaves the least image in ``rows``.
+    first image row below ``rows[k]`` is returned as ``(k, row)``.  So a
+    matrix whose first row ascends is least in its orbit iff ``_lower(mat,
+    images)`` is None, and ``_order_key`` finds the least image by writing
+    each returned row, with sentinels after it, until None comes back.
     """
     d = len(rows)
 
-    def descend(k: int, free: Tuple[int, ...], permute) -> bool:
+    def descend(k: int, free: Tuple[int, ...], permute):
         if k == d:
-            return False
+            return None
         target = rows[k]
         for i, a in enumerate(free):
             rest = free[:i] + free[i + 1:]
@@ -221,12 +224,10 @@ def _lower(rows: List[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]) -> 
                 else:
                     img, permute = ascending, relabel
                 if img < target:
-                    rows[k] = img
-                    rows[k + 1:] = [(len(img) + 1,)] * (d - k - 1)
-                    return True
-                if img == target and descend(k + 1, rest, permute):
-                    return True
-        return False
+                    return k, img
+                if img == target and (found := descend(k + 1, rest, permute)):
+                    return found
+        return None
 
     return descend(0, tuple(range(d)), None)
 
@@ -321,10 +322,10 @@ def _enumerate(
             images = prefix_images + (table[row],)
             if k == dim:
                 budget.charge(counters)
-                if not _lower(list(mat), images):
+                if _lower(mat, images) is None:
                     counters.emitted += 1
                     yield mat
-            elif not _lower(list(mat), images):
+            elif _lower(mat, images) is None:
                 yield from extend(mat, images)
             else:
                 budget.charge(counters, block[k])
@@ -667,15 +668,17 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
 
 def _order_key(ps: PointSet) -> Tuple[Tuple[int, ...], ...]:
     """The least image of the points' rank matrix under relabeling points,
-    permuting axes and reflecting axes, lowered by ``_lower`` from
-    all-sentinel rows.  The cube search's coordinates are distinct per
+    permuting axes and reflecting axes: from all-sentinel rows, each row
+    ``_lower`` returns is written, with sentinels after it, until nothing
+    lowers the rows.  The cube search's coordinates are distinct per
     axis, so a value's rank is its index in the sorted column."""
     n = len(ps)
     table = _RowImages(n, True)
     images = [table[tuple(map(sorted(col).index, col))] for col in zip(*ps.points)]
     rows = [(n + 1,)] * ps.dim
-    while _lower(rows, images):
-        pass
+    while (found := _lower(rows, images)) is not None:
+        k, row = found
+        rows[k:] = [row] + [(n + 1,)] * (ps.dim - k - 1)
     return tuple(rows)
 
 

@@ -48,6 +48,7 @@ from .constructions import (
 from .errors import VclabError
 from .geometry import Box, Interval, PointSet, project
 from .oracles import cube_feasible_unpruned, oracle_feasible
+from .scalars import check_int
 from .search import exact_vc_ordinal, random_cube_search, resolve_even_degenerate
 from .shatter import is_shattered, sauer_shelah_bound, shattering_count
 
@@ -538,6 +539,7 @@ ITEMS: Tuple[Tuple[int, str, Optional[float], Callable], ...] = (
 def run_verification(level: str = "full", jobs: int = 1) -> VerificationReport:
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
+    check_int("jobs", jobs, 1)
     ctx = SuiteContext(jobs=jobs)
     results: List[ItemResult] = []
     for number, name, budget, fn in ITEMS:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 from vclab import PointSet, load_point_set, origin_ball_witness, save_point_set
 from vclab.cli import _default_jobs, main
+from vclab.errors import DomainError
 from vclab.serialize import canonical_dumps, concept_from_json
 
 
@@ -244,6 +246,15 @@ def test_ordinal_vc_cuts_d2(capsys):
     assert rep["result"]["vc_exact"] == 2
 
 
+@pytest.mark.parametrize("dim,vc", [(1, 2), (2, 4)])
+def test_ordinal_vc_boxes_nondegenerate(capsys, dim, vc):
+    argv = ["ordinal-vc", "--class", "boxes-nondegenerate", "--dim", str(dim)]
+    rc, rep, _ = run(capsys, argv)
+    assert rc == 0
+    assert rep["result"]["vc_exact"] == vc
+    assert rep["class"]["kind"] == rep["result"]["kind"] == "boxes-nondegenerate"
+
+
 def test_ordinal_vc_rejects_anchored_token(capsys):
     rc, _, err = run(capsys, ["ordinal-vc", "--class", "anchored", "--dim", "2"])
     assert rc == 1
@@ -355,6 +366,21 @@ def test_verify_paper_fast_passes(capsys):
 def test_verify_paper_level_validated(capsys):
     rc, _, _ = run(capsys, ["verify-paper", "--level", "turbo"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+@pytest.mark.parametrize("jobs", [0, -1, True, 2.0, "2", None])
+def test_verification_refuses_bad_jobs_before_any_item(monkeypatch, level, jobs):
+    verify = importlib.import_module("vclab.verify")
+    ran = []
+    items = [(n, name, budget, lambda ctx, n=n: ran.append(n) or (True, {}))
+             for n, name, budget, _ in verify.ITEMS]
+    monkeypatch.setattr(verify, "ITEMS", items)
+    with pytest.raises(DomainError, match="jobs"):
+        verify.run_verification(level, jobs=jobs)
+    assert ran == []
+    assert verify.run_verification(level, jobs=1).all_passed
+    assert ran == [n for n, *_ in items if level == "full" or n in verify.FAST_ITEMS]
 
 
 # ---------------------------------------------------------------------------

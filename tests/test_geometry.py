@@ -97,3 +97,10 @@ def test_project_collision_is_rejected():
     ps = PointSet.of([(0, 1), (0, 2)])
     with pytest.raises(DuplicateAfterProjectionError):
         project(ps, (0,))
+
+
+@pytest.mark.parametrize("keep", [[True], [False], (0, True)])
+def test_project_refuses_bool_axes(keep):
+    ps = PointSet.of([(1, 2, 3), (4, 5, 6)])
+    with pytest.raises(DimensionMismatchError):
+        project(ps, keep)

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from importlib import import_module
 from itertools import permutations, product
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -140,11 +140,22 @@ DIFFERENTIAL_CELLS = [
 
 
 def _least_image(rows, images):
-    """The rows the search's loop leaves: the least image, when ``rows``
-    bounds it from above."""
-    while _lower(rows, images):
-        pass
-    return tuple(rows)
+    """The least image, when ``rows`` bounds it from above, found as the
+    cube search's order key finds it: each row ``_lower`` returns is
+    written, with sentinel rows after it, until none comes back.  Every
+    step lowers the rows to a prefix of an image followed by sentinels, so
+    d * d! * 2^d steps bound the loop; one more fails instead of hanging."""
+    rows = list(rows)
+    d = len(rows)
+    sentinel = (len(images[0][0][0]) + 1,)
+    cap = d * factorial(d) * 2 ** d + 1
+    for _ in range(cap):
+        found = _lower(rows, images)
+        if found is None:
+            return tuple(rows)
+        k, row = found
+        rows[k:] = [row] + [sentinel] * (d - k - 1)
+    raise AssertionError(f"no least image after {cap} steps")
 
 
 def _check_minimality_search(n, dim, with_origin, reflect):
@@ -169,6 +180,35 @@ def _check_minimality_search(n, dim, with_origin, reflect):
 @pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
 def test_pruned_minimality_test_matches_full_canonical_form(n, dim, with_origin, variant):
     _check_minimality_search(n, dim, with_origin, SYMMETRY_VARIANTS[variant])
+
+
+@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
+def test_minimality_search_reads_its_rows_and_returns_a_lowering_image_row(
+    n, dim, with_origin, variant
+):
+    # the search writes nothing; what it returns is row k of an image whose
+    # rows 0..k-1 are those of the argument, below the argument's row k
+    reflect = SYMMETRY_VARIANTS[variant]
+    m = n + (1 if with_origin else 0)
+    table = _RowImages(m, reflect)
+    lowered = 0
+    for mat in _raw_configs(n, dim, with_origin):
+        rows = list(mat)
+        found = _lower(rows, [table[row] for row in mat])
+        assert rows == list(mat), mat
+        if found is None:
+            assert _canonical(mat, m, reflect) == mat
+            continue
+        lowered += 1
+        k, row = found
+        assert row < mat[k], (mat, found)
+        images = {
+            _relabel_sorted(transform_ranks(mat, m, tau, refl))
+            for tau in permutations(range(dim))
+            for refl in (product((False, True), repeat=dim) if reflect else [(False,) * dim])
+        }
+        assert any(img[:k] == mat[:k] and img[k] == row for img in images), (mat, found)
+    assert lowered
 
 
 @pytest.mark.parametrize("variant", sorted(SYMMETRY_VARIANTS))
@@ -334,7 +374,7 @@ def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
     tested = []
 
     def recording(rows, images):
-        tested.append(tuple(rows))  # before the search lowers them
+        tested.append(tuple(rows))
         return _lower(rows, images)
 
     monkeypatch.setattr(search_module, "_lower", recording)
@@ -1016,6 +1056,13 @@ def test_bounded_cube_score_stops_at_the_miss_that_settles_it(monkeypatch):
     del calls[:]
     assert scorer(cols, 16) < 16
     assert len(calls) == 2
+    # and keeps it first, per order type, while other order types are scored
+    scorer = cube_scorer()
+    assert scorer(cols, 0) == 15
+    assert scorer([[0, 1, 2], [0, 2, 1]], 0) == 8
+    del calls[:]
+    assert scorer(cols, 16) < 16
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -1033,8 +1080,8 @@ def test_box_sieve_misses_exactly_the_masks_no_box_carves(dim):
             traces = trace_set(PointSet.of(list(zip(*cols))), boxes(dim))
             missed, carved = _box_sieve(axes, full)
             assert missed == [m for m in tested if m not in traces], cols
-            assert list(carved) == [m for m in tested if m in traces], cols
-            for mask, hulls in carved.items():
+            assert [mask for mask, _ in carved] == [m for m in tested if m in traces], cols
+            for mask, hulls in carved:
                 # per axis: the distinct values below the mask's least, and up to its greatest
                 on = [[col[i] for i in range(n) if mask >> i & 1] for col in cols]
                 assert list(hulls) == [
