@@ -72,17 +72,22 @@ of hull(S') (plus anchor) that would exclude it.  Per axis only the
 tightest committed threshold of each side matters.  A degenerate ball
 commits a side at the hull edge, which excludes every point beyond it, so
 its options are read off the kernel's own ``_sides`` masks; a cube commits
-it at the point being excluded, on the integer image.  A degenerate ball never closes
-both sides of an axis; a cube may, when their gap exceeds w.  The search
-runs only on accepted masks, so finding nothing is an internal error.  A
-degenerate ball's committed side ends at ``own`` of the first value past
-its side mask, or at the anchor's bound when that mask is the anchor's
-own; a cube's centre and radius are divided by L.  Box witnesses take the
-hull's ends from ``own``, and cut witnesses a prefix index.  The re-check of a built
-concept (``_trace_mask``) runs on the integer image, exactly: each finite
-bound b becomes floor(b * L) when it bounds from above and ceil(b * L) when
-it bounds from below, which keeps every comparison with an integer, and
-each axis is then one difference of prefix bitmasks.
+it at the point being excluded, on the integer image.  A degenerate ball
+never closes both sides of an axis; a cube may, when their gap exceeds w.
+The search runs only on accepted masks, so finding nothing is an internal
+error.  A degenerate ball's committed side ends at ``own`` of the first
+value past its side mask, or at the anchor's bound when that mask is the
+anchor's own.  A cube's radius and centre are solved in integers, in
+sixteenths of the image, and each is divided by 16L once.  Box witnesses
+take the hull's ends from ``own``, and cut witnesses a prefix index.  The
+degenerate-ball and box kernels each keep a dict of the ``Interval`` sides
+they have made, keyed by what decides a side (its side mask, or the
+hull's two indices), so each side is made, and validated, once per
+kernel, and witnesses share it.  The re-check of a built concept
+(``_trace_mask``) runs on the integer image, exactly: each finite bound b
+becomes floor(b * L) when it bounds from above and ceil(b * L) when it
+bounds from below, which keeps every comparison with an integer, and each
+axis is then one difference of prefix bitmasks.
 """
 
 from __future__ import annotations
@@ -268,10 +273,6 @@ def _checked(concept, ps: PointSet, mask: int, descriptor: ClassDescriptor) -> C
             f"decider witness has wrong trace: wanted {mask:#x}, got {got:#x}"
         )
     return CarveWitness(descriptor, mask, concept)
-
-
-def _unscale(v: Scalar, den: int) -> Scalar:
-    return v if den == 1 else as_scalar(Fraction(v, den))
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +529,23 @@ def _far_low_box(ps: PointSet) -> Box:
     return Box.from_bounds([m - 2 for m in mins], [m - 1 for m in mins])
 
 
-def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
+def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool, made: dict) -> Box:
+    """The hull of S' as a box, each side made once per kernel: ``made``
+    maps ``(axis, a, b)`` (``_hull_indices``) to ``[own[a], own[b - 1]]``.
+    A nondegenerate box inflates a hull with a single-point side, and makes
+    its own sides."""
     if not mask:
         return _far_low_box(ps)
-    lows, highs = [], []
-    for _, prefix, own in ps.axes:
+    box = []
+    for i, (_, prefix, own) in enumerate(ps.axes):
         a, b = _hull_indices(prefix, mask)
-        lows.append(own[a])
-        highs.append(own[b - 1])
-    if nondegenerate and any(l == h for l, h in zip(lows, highs)):
+        iv = made.get((i, a, b))
+        if iv is None:
+            iv = made[i, a, b] = Interval(own[a], own[b - 1])
+        box.append(iv)
+    if nondegenerate and any(iv.lo == iv.hi for iv in box):
+        lows = [iv.lo for iv in box]
+        highs = [iv.hi for iv in box]
         # inflate by half the least exclusion slack
         exc = [p for i, p in enumerate(ps.points) if not mask >> i & 1]
         if exc:
@@ -546,9 +555,8 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool) -> Box:
             eps = as_scalar(Fraction(slack, 2))
         else:
             eps = 1
-        lows = [v - eps for v in lows]
-        highs = [v + eps for v in highs]
-    return Box.from_bounds(lows, highs)
+        return Box.from_bounds([v - eps for v in lows], [v + eps for v in highs])
+    return Box(tuple(box))
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +638,22 @@ def _cover(options, dim: int, max_width: Optional[Scalar]):
 # degenerate balls (optionally anchored)
 
 
-def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box], sides) -> Box:
+def _degenerate_build(
+    ps: PointSet, mask: SubsetMask, anchor: Optional[Box], sides, fences, made: dict
+) -> Box:
     """The witness of a mask the kernel accepts: the cover search over the
     options that the kernel's ``sides`` (from ``_sides``) give each
     excluded point, each committed side at the edge of hull(S') plus anchor
-    (a point's own coordinate, or the anchor's bound)."""
+    (a point's own coordinate, or the anchor's bound).
+
+    The kernel reads ``fences = sides(0)`` once and keeps ``made``, which
+    maps ``(axis, side, side mask)`` to the side it commits, so each side
+    is made once per kernel; ``made[None]`` is the kernel's full line."""
     dim = ps.dim
+    line = made[None]
     if not mask and anchor is None:
         top = ps.axes[0][2][-1]  # the largest coordinate on axis 0
-        return Box(
-            (Interval(top + 1, POS_INF),) + tuple(Interval.full_line() for _ in range(dim - 1))
-        )
+        return Box((Interval(top + 1, POS_INF),) + (line,) * (dim - 1))
     pairs = sides(mask)
     options = [
         [(i, _LOW if below >> j & 1 else _HIGH, 0)
@@ -654,18 +667,23 @@ def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box], sid
     full = (1 << len(ps)) - 1
     box = []
     for i, ((_, prefix, own), (below, above), (low, high)) in enumerate(
-        zip(ps.axes, pairs, sides(0))
+        zip(ps.axes, pairs, fences)
     ):
         # a committed side ends at the first value past its mask, or at the
         # anchor's bound when the mask is the anchor's own (S' reaches no further)
         if lo_max[i] is not None:
-            lo = own[prefix.index(below)] if below != low else anchor.intervals[i].lo
-            box.append(Interval(lo, POS_INF))
+            iv = made.get((i, _LOW, below))
+            if iv is None:
+                lo = own[prefix.index(below)] if below != low else anchor.intervals[i].lo
+                iv = made[i, _LOW, below] = Interval(lo, POS_INF)
         elif hi_min[i] is not None:
-            hi = own[prefix.index(full ^ above) - 1] if above != high else anchor.intervals[i].hi
-            box.append(Interval(NEG_INF, hi))
+            iv = made.get((i, _HIGH, above))
+            if iv is None:
+                hi = own[prefix.index(full ^ above) - 1] if above != high else anchor.intervals[i].hi
+                iv = made[i, _HIGH, above] = Interval(NEG_INF, hi)
         else:
-            box.append(Interval.full_line())
+            iv = line
+        box.append(iv)
     return Box(tuple(box))
 
 
@@ -676,13 +694,16 @@ def _degenerate_build(ps: PointSet, mask: SubsetMask, anchor: Optional[Box], sid
 def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
     """The witness of a mask the kernel accepts: the cover search at the
     excluded points of the image of S', then a radius and centre between
-    the bounds that search committed.
+    the bounds that search committed, solved in integers.
 
     Containment of S' forces 2r >= every hull width; excluding a point via
     (axis, high) forces center + r below that point's coordinate, and dually.
     An axis carrying both thresholds forces 2r strictly below their gap, so
-    the radius sits between half the widest hull side and half the least
-    such gap, and each center coordinate between its two bounds.
+    the radius sits midway between W/2, half the widest hull side W, and
+    g/2, half the least such gap g: 8r = 2(W + g), or 8r = 4W when no axis
+    closes both sides.  Each center coordinate sits midway between its two
+    bounds, so 16c is their sum in eighths.  Every quantity is an integer
+    on the image, and each coordinate is divided by 16L once.
     """
     dim = ps.dim
     if not mask:
@@ -695,7 +716,7 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
         lo.append(values[a])
         hi.append(values[b - 1])
     exc = [p for i, p in enumerate(ps.scaled[1]) if not mask >> i & 1]
-    max_width = max(h - l for h, l in zip(hi, lo))  # = 2 * R0
+    max_width = max(h - l for h, l in zip(hi, lo))
     options = [
         [(i, _LOW if x < l else _HIGH, x) for i, (x, l, h) in enumerate(zip(q, lo, hi))
          if not l <= x <= h]
@@ -706,27 +727,15 @@ def _cube_build(ps: PointSet, mask: SubsetMask) -> Cube:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found
 
-    r0 = Fraction(max_width, 2)
-    pair_bounds = [
-        Fraction(hi_min[i] - lo_max[i], 2)
-        for i in range(dim)
-        if hi_min[i] is not None and lo_max[i] is not None
-    ]
-    if pair_bounds:
-        r = midpoint(r0, min(pair_bounds))
-    else:
-        r = as_scalar(r0)
-    center = []
-    for i in range(dim):
-        c_lo = hi[i] - r
-        if lo_max[i] is not None and lo_max[i] + r > c_lo:
-            c_lo = lo_max[i] + r
-        c_hi = lo[i] + r
-        if hi_min[i] is not None and hi_min[i] - r < c_hi:
-            c_hi = hi_min[i] - r
-        center.append(midpoint(c_lo, c_hi))
+    gaps = [u - t for u, t in zip(hi_min, lo_max) if u is not None and t is not None]
+    r8 = 2 * (max_width + min(gaps)) if gaps else 4 * max_width
     den = ps.scaled[0]
-    return Cube(tuple(_unscale(c, den) for c in center), _unscale(r, den))
+    center = []
+    for l, h, u, t in zip(lo, hi, hi_min, lo_max):
+        c_lo = 8 * h - r8 if t is None else max(8 * h - r8, 8 * t + r8)
+        c_hi = 8 * l + r8 if u is None else min(8 * l + r8, 8 * u - r8)
+        center.append(Fraction(c_lo + c_hi, 16 * den))
+    return Cube(tuple(center), Fraction(r8, 8 * den))
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +779,9 @@ def _kernel(
     uncovered, it takes the other without branching.  A cube is the window
     test ``_window``; an axis cut looks its mask up among the prefix masks.
     ``build(mask)`` is the validated witness of a mask ``decide`` accepted;
-    a degenerate ball's builder shares the kernel's ``sides``.  The
+    a degenerate ball's builder shares the kernel's ``sides`` and reads its
+    fences ``sides(0)`` once, and the degenerate and box builders each keep
+    a dict of the sides they have made, which lives as long as the kernel.  The
     order-type scans in ``search`` run no kernel: they read each config's
     carved masks off per-row lists of ``_factor_traces``.
     """
@@ -793,7 +804,8 @@ def _kernel(
         sides = _sides(ps, None)
         decide = lambda mask: _union(sides(mask), mask) == full
         nondegenerate = kind is ClassKind.BOXES_NONDEGENERATE
-        make = lambda mask: _box_build(ps, mask, nondegenerate)
+        made = {}
+        make = lambda mask: _box_build(ps, mask, nondegenerate, made)
     elif kind in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS):
         anchor, dim = descriptor.anchor, ps.dim
         sides = _sides(ps, anchor)
@@ -819,7 +831,9 @@ def _kernel(
 
             return covers(0, full ^ mask)
 
-        make = lambda mask: _degenerate_build(ps, mask, anchor, sides)
+        fences = sides(0)
+        made = {None: Interval.full_line()}
+        make = lambda mask: _degenerate_build(ps, mask, anchor, sides, fences, made)
     else:
         raise DomainError(f"unknown class kind {kind!r}")
     return decide, lambda mask: _checked(make(mask), ps, mask, descriptor)

@@ -238,7 +238,7 @@ class Box:
     @property
     def is_degenerate_ball(self) -> bool:
         """Every side unbounded in at least one direction."""
-        return all(iv.is_degenerate_side for iv in self.intervals)
+        return all(iv.lo is NEG_INF or iv.hi is POS_INF for iv in self.intervals)
 
     def contains(self, point: Sequence[Scalar]) -> bool:
         if len(point) != self.dim:
@@ -248,8 +248,10 @@ class Box:
     def contains_box(self, other: "Box") -> bool:
         if other.dim != self.dim:
             raise DimensionMismatchError("box/box dimension mismatch")
+        # an unbounded end contains every end on its side, with no comparison
         return all(
-            a.contains_interval(b) for a, b in zip(self.intervals, other.intervals)
+            (a.lo is NEG_INF or a.lo <= b.lo) and (a.hi is POS_INF or b.hi <= a.hi)
+            for a, b in zip(self.intervals, other.intervals)
         )
 
 

@@ -78,7 +78,7 @@ class ShatteringCertificate:
     def validate(self) -> bool:
         """Every witness is of this certificate's class and has its mask as trace."""
         for mask, w in enumerate(self.witnesses):
-            if w.mask != mask or w.descriptor != self.descriptor:
+            if not isinstance(w, CarveWitness) or w.mask != mask or w.descriptor != self.descriptor:
                 return False
             if not _concept_in_class(w.concept, self.descriptor):
                 return False

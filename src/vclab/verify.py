@@ -45,7 +45,7 @@ from .constructions import (
     origin_ball_witness,
     perturb_to_injective,
 )
-from .errors import VclabError
+from .errors import DomainError, VclabError
 from .geometry import Box, Interval, PointSet, project
 from .oracles import cube_feasible_unpruned, oracle_feasible
 from .scalars import check_int
@@ -57,6 +57,7 @@ FAST_ITEMS = (1, 2, 5, 9)
 
 def class_paper_vc(kind: ClassKind, dim: int) -> int:
     """Published VC value (or stated upper bound) used by the growth check."""
+    check_int("class dimension", dim, 1)
     if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
         return 2 * dim
     if kind is ClassKind.CUBES:
@@ -71,7 +72,7 @@ def class_paper_vc(kind: ClassKind, dim: int) -> int:
         while math.comb(m + 1, (m + 1) // 2) <= dim:
             m += 1
         return m
-    raise ValueError(kind)
+    raise DomainError(f"unknown class kind {kind!r}")
 
 
 @dataclass
@@ -538,7 +539,7 @@ ITEMS: Tuple[Tuple[int, str, Optional[float], Callable], ...] = (
 
 def run_verification(level: str = "full", jobs: int = 1) -> VerificationReport:
     if level not in ("fast", "full"):
-        raise ValueError("level must be 'fast' or 'full'")
+        raise DomainError(f"level must be 'fast' or 'full', got {level!r}")
     check_int("jobs", jobs, 1)
     ctx = SuiteContext(jobs=jobs)
     results: List[ItemResult] = []

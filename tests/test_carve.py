@@ -23,14 +23,18 @@ from vclab import (
     boxes,
     carve,
     carve_feasible,
+    cube_witness,
     cubes,
     degenerate_balls,
+    is_shattered,
     origin_anchored,
+    origin_ball_witness,
 )
 from vclab.carve import _HIGH, _LOW, _cover, _kernel, _trace_mask
 from vclab.errors import DimensionMismatchError
 from vclab.geometry import prefix_table
 from vclab.oracles import cube_feasible_unpruned, trace_set
+from vclab.scalars import as_scalar, midpoint
 from vclab.serialize import canonical_dumps, concept_to_json
 
 from conftest import instances
@@ -608,3 +612,105 @@ def test_cube_carve_decides_infeasible_masks_without_the_cover_search(monkeypatc
     assert carve(PointSet.of([(0,), (1,), (2,)]), mask_of([0, 2]), cubes(1)) is None
     ps = PointSet.of([(0, 0), (2, 2), (1, 1)])
     assert carve(ps, mask_of([0, 1]), cubes(2)) is None
+
+
+# ---------------------------------------------------------------------------
+# witness building: integer cube witnesses, sides made once per kernel
+# ---------------------------------------------------------------------------
+
+
+def _fraction_cube_witness(ps, mask):
+    # the cube witness as solved over Fractions before the integer formula;
+    # kept as the reference the builder must reproduce exactly
+    lo, hi = [], []
+    for values, prefix, _ in ps.axes:
+        a, b = carve_module._hull_indices(prefix, mask)
+        lo.append(values[a])
+        hi.append(values[b - 1])
+    exc = [p for i, p in enumerate(ps.scaled[1]) if not mask >> i & 1]
+    max_width = max(h - l for h, l in zip(hi, lo))
+    options = [
+        [(i, _LOW if x < l else _HIGH, x) for i, (x, l, h) in enumerate(zip(q, lo, hi))
+         if not l <= x <= h]
+        for q in exc
+    ]
+    hi_min, lo_max = _cover(options, ps.dim, max_width)
+    r0 = Fraction(max_width, 2)
+    pair_bounds = [
+        Fraction(hi_min[i] - lo_max[i], 2)
+        for i in range(ps.dim)
+        if hi_min[i] is not None and lo_max[i] is not None
+    ]
+    r = midpoint(r0, min(pair_bounds)) if pair_bounds else as_scalar(r0)
+    center = []
+    for i in range(ps.dim):
+        c_lo = hi[i] - r
+        if lo_max[i] is not None and lo_max[i] + r > c_lo:
+            c_lo = lo_max[i] + r
+        c_hi = lo[i] + r
+        if hi_min[i] is not None and hi_min[i] - r < c_hi:
+            c_hi = hi_min[i] - r
+        center.append(midpoint(c_lo, c_hi))
+    den = ps.scaled[0]
+    unscale = lambda v: v if den == 1 else as_scalar(Fraction(v, den))
+    return Cube(tuple(unscale(c) for c in center), unscale(r))
+
+
+def _cube_reference_sets():
+    rng = random.Random("integer-cube-witness")
+    for k in range(200):
+        d = rng.randint(1, 5)
+        # an integer line holds only 7 tied coordinates
+        yield _tied_point_set(rng, d, rng.randint(1, 7 if d == 1 else 8), rational=k % 2 == 1)
+    for d in range(2, 7):
+        for scale in (1, Fraction(3, 7), Fraction(22, 5)):
+            shift = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(d)]
+            points = cube_witness(d).points
+            yield PointSet.of([[c * scale + v for c, v in zip(p, shift)] for p in points])
+
+
+def test_integer_cube_witness_is_the_fraction_formula():
+    checked = 0
+    for ps in _cube_reference_sets():
+        decide, build = _kernel(ps, cubes(ps.dim))
+        for mask in range(1, 1 << len(ps)):
+            if decide(mask):
+                got, want = build(mask).concept, _fraction_cube_witness(ps, mask)
+                assert got == want, (ps, mask)
+                assert canonical_dumps(concept_to_json(got)) == canonical_dumps(concept_to_json(want))
+                checked += 1
+    assert checked > 5000
+
+
+def _rational_image(ps, rng):
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(ps.dim)]
+    return PointSet.of([[c * s for c, s in zip(p, scales)] for p in ps.points])
+
+
+@pytest.mark.parametrize("name", ["degenerate", "d0", "anchored", "boxes"])
+def test_equal_sides_are_one_object_within_a_certificate(name):
+    rng = random.Random(name)
+    for d in range(2, 6):
+        if name == "boxes":
+            ps, desc = _rational_image(cube_witness(d), rng), boxes(d)
+        elif name == "anchored":
+            # expanded about the anchor [-1, 0]^d, whose collapse it undoes
+            points = _rational_image(origin_ball_witness(d), rng).points
+            ps = PointSet.of([[c if c > 0 else c - 1 if c < 0 else Fraction(-1, 2) for c in p]
+                              for p in points])
+            desc = anchored(Box.from_bounds([-1] * d, [0] * d))
+        else:
+            ps = _rational_image(origin_ball_witness(d), rng)
+            desc = degenerate_balls(d) if name == "degenerate" else origin_anchored(d)
+        cert = is_shattered(ps, desc).certificate
+        assert cert is not None and cert.validate()
+        made = set()
+        for i in range(d):
+            sides = {}
+            for w in cert.witnesses:
+                iv = w.concept.intervals[i]
+                assert sides.setdefault(iv, iv) is iv, (name, d, i, iv)
+                made.add(id(iv))
+        if name != "boxes":
+            m = [len(values) for values, _, _ in ps.axes]
+            assert len(made) <= sum(2 * k + 1 for k in m) <= d * (2 * max(m) + 1)

@@ -383,6 +383,34 @@ def test_verification_refuses_bad_jobs_before_any_item(monkeypatch, level, jobs)
     assert ran == [n for n, *_ in items if level == "full" or n in verify.FAST_ITEMS]
 
 
+@pytest.mark.parametrize("level", ["turbo", None, 1, "FULL"])
+def test_verification_refuses_an_unknown_level_with_a_domain_error(monkeypatch, level):
+    verify = importlib.import_module("vclab.verify")
+    ran = []
+    items = [(n, name, budget, lambda ctx, n=n: ran.append(n) or (True, {}))
+             for n, name, budget, _ in verify.ITEMS]
+    monkeypatch.setattr(verify, "ITEMS", items)
+    with pytest.raises(DomainError, match="level"):
+        verify.run_verification(level, jobs=1)
+    assert ran == []
+
+
+@pytest.mark.parametrize("dim", [-3, 0, True, 2.0, "2", None])
+def test_paper_vc_refuses_a_dimension_that_is_not_a_positive_int(dim):
+    verify = importlib.import_module("vclab.verify")
+    for kind in verify.ClassKind:
+        with pytest.raises(DomainError, match="dimension"):
+            verify.class_paper_vc(kind, dim)
+
+
+@pytest.mark.parametrize("kind", ["cubes", None, 3])
+def test_paper_vc_refuses_a_kind_that_is_not_a_class_kind(kind):
+    verify = importlib.import_module("vclab.verify")
+    with pytest.raises(DomainError, match="kind"):
+        verify.class_paper_vc(kind, 2)
+    assert verify.class_paper_vc(verify.ClassKind.CUBES, 3) == 5
+
+
 # ---------------------------------------------------------------------------
 # pinned report bytes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Point sets, intervals, boxes, and cubes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,32 @@ def test_box_degeneracy_flags():
     assert Box.from_bounds([0, NEG_INF], [POS_INF, 1]).is_degenerate_ball
     assert not Box.from_bounds([0, 0], [1, POS_INF]).is_degenerate_ball
     assert Box.full_space(2).is_degenerate_ball
+
+
+def _random_interval(rng):
+    # small ranges and frequent infinite ends, so containment often holds
+    lo = NEG_INF if rng.random() < 0.3 else Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+    if rng.random() < 0.3:
+        return Interval(lo, POS_INF)
+    base = Fraction(rng.randint(-4, 4), 2) if lo is NEG_INF else lo
+    return Interval(lo, base + Fraction(rng.randint(0, 6), 2))
+
+
+def test_class_checks_agree_with_the_per_interval_definitions():
+    rng = random.Random("box-class-checks")
+    seen = set()
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        a = Box(tuple(_random_interval(rng) for _ in range(d)))
+        b = Box(tuple(_random_interval(rng) for _ in range(d)))
+        assert a.is_degenerate_ball == all(iv.is_degenerate_side for iv in a.intervals)
+        want = all(x.contains_interval(y) for x, y in zip(a.intervals, b.intervals))
+        assert a.contains_box(b) == want, (a, b)
+        assert a.contains_box(a)
+        seen.add((a.is_degenerate_ball, want))
+        with pytest.raises(DimensionMismatchError):
+            a.contains_box(Box(b.intervals + (Interval.full_line(),)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_cube_membership_is_closed_sup_ball():

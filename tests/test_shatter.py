@@ -264,6 +264,15 @@ def test_certificate_rejects_witnesses_outside_its_class():
     assert not ShatteringCertificate(ps, boxes(1), cert.witnesses).validate()
 
 
+@pytest.mark.parametrize("entry", [None, "witness", 0])
+def test_certificate_with_an_entry_that_is_not_a_witness_is_invalid(entry):
+    ps, cert = _shattered_pair()
+    for mask in range(4):
+        witnesses = list(cert.witnesses)
+        witnesses[mask] = cert.witnesses[mask].concept if entry == "witness" else entry
+        assert not ShatteringCertificate(ps, cubes(1), tuple(witnesses)).validate()
+
+
 def test_certificate_rejects_a_bound_moved_less_than_one_lattice_step_across_a_point():
     ps = PointSet.of([
         (Fraction(1, 3), Fraction(-2, 7)),
