@@ -10,9 +10,11 @@ Exit-code protocol (stable, for shell harnesses):
 * 5 — search budget exceeded (a partial report is still printed)
 * 6 — verification suite ran and at least one item failed
 
-Reports are JSON on stdout (optionally mirrored to ``--out``).  Result
-payloads are deterministic for fixed flags and seed — wall-clock timing
-lives outside the ``result`` subtree.
+Reports are JSON on stdout (optionally mirrored to ``--out``), printed with
+two-space indentation and sorted keys: byte-identical to
+``json.dumps(report, indent=2, sort_keys=True)``, written by
+``serialize.pretty_dumps``.  Result payloads are deterministic for fixed
+flags and seed — wall-clock timing lives outside the ``result`` subtree.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .serialize import (
     make_report,
     parse_mask,
     point_set_to_json,
+    pretty_dumps,
     resolve_report_to_json,
     save_point_set,
     vc_lower_bound_to_json,
@@ -226,7 +229,7 @@ def _run(args) -> int:
         seed=parts.seed,
         wall_time=time.monotonic() - start,
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = pretty_dumps(report)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,14 +1,19 @@
 """Reference oracles, deliberately independent of the carve deciders.
 
+They share no code with the deciders: no prefix tables, no integer images,
+nothing from ``carve`` but the class descriptor and kind.
+
 The interval-shaped classes (boxes, degenerate balls, anchored degenerate
 balls, axis cuts) are checked by brute enumeration: per axis, list every
 distinct trace an admissible interval can leave on the point coordinates
 (endpoints drawn from a finite grid: the coordinates themselves, anchor
 corners, midpoints of consecutive grid values, and sentinels beyond the
-extremes), then intersect axiswise.  The midpoints matter only for the
-nondegenerate-box variant, where a carve can genuinely need an endpoint
-strictly between two data values; for the closed classes they are redundant
-but harmless.
+extremes), then intersect axiswise.  Each grid value is compared with every
+coordinate once, giving the mask of coordinates at or above it and the mask
+of those at or below it; the trace of ``[lo, hi]`` is then the AND of the
+two.  The midpoints matter only for the nondegenerate-box variant, where a
+carve can genuinely need an endpoint strictly between two data values; for
+the closed classes they are redundant but harmless.
 
 Cubes get two oracles: an unpruned enumeration over all assignments of
 excluded points to (axis, side) slots, and a finite center/radius grid that
@@ -25,7 +30,7 @@ from typing import FrozenSet, Optional, Set
 from .carve import ClassDescriptor, ClassKind
 from .errors import DomainError
 from .geometry import Cube, PointSet
-from .scalars import NEG_INF, POS_INF, midpoint
+from .scalars import midpoint
 
 
 def _axis_grid(coords, anchor_iv) -> list:
@@ -45,30 +50,35 @@ def _axis_grid(coords, anchor_iv) -> list:
 
 
 def _axis_traces(coords, kind: ClassKind, anchor_iv) -> Set[int]:
+    """Every trace an admissible interval with endpoints on the grid leaves
+    on ``coords``: the points at or above ``lo`` AND those at or below ``hi``."""
     grid = _axis_grid(coords, anchor_iv)
-    lows = [NEG_INF] + grid
-    highs = grid + [POS_INF]
+    top = len(grid)  # the index of POS_INF among the highs; NEG_INF is -1
+    full = (1 << len(coords)) - 1
+    lows = [(-1, full)]
+    highs = []
+    for k, g in enumerate(grid):
+        above = below = 0
+        for i, c in enumerate(coords):
+            if c >= g:
+                above |= 1 << i
+            if c <= g:
+                below |= 1 << i
+        lows.append((k, above))
+        highs.append((k, below))
+    highs.append((top, full))
+    if anchor_iv is not None:
+        lows = [(k, m) for k, m in lows if k < 0 or grid[k] <= anchor_iv.lo]
+        highs = [(k, m) for k, m in highs if k == top or anchor_iv.hi <= grid[k]]
+    # a degenerate factor leaves at least one side unbounded
+    bounded = kind not in (ClassKind.DEGENERATE_BALLS, ClassKind.ANCHORED_DEGENERATE_BALLS)
+    strict = kind is ClassKind.BOXES_NONDEGENERATE
     traces: Set[int] = set()
-    for lo in lows:
-        for hi in highs:
-            if lo is not NEG_INF and hi is not POS_INF:
-                if lo > hi:
-                    continue
-                if kind is ClassKind.BOXES_NONDEGENERATE and lo == hi:
-                    continue
-                if kind in (
-                    ClassKind.DEGENERATE_BALLS,
-                    ClassKind.ANCHORED_DEGENERATE_BALLS,
-                ):
-                    continue  # both sides bounded: not a degenerate factor
-            if anchor_iv is not None:
-                if not (lo <= anchor_iv.lo and anchor_iv.hi <= hi):
-                    continue
-            m = 0
-            for i, c in enumerate(coords):
-                if lo <= c <= hi:
-                    m |= 1 << i
-            traces.add(m)
+    for i, above in lows:
+        for j, below in highs:
+            if i >= 0 and j < top and (not bounded or i > j or (strict and i == j)):
+                continue
+            traces.add(above & below)
     return traces
 
 

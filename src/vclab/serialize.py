@@ -133,8 +133,7 @@ def load_point_set(path: str) -> PointSet:
 
 def save_point_set(path: str, ps: PointSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(point_set_to_json(ps), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(pretty_dumps(point_set_to_json(ps)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +427,64 @@ def canonical_dumps(obj) -> str:
 
 def digest(obj) -> str:
     return "sha256:" + hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def pretty_dumps(obj) -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder;
+    this writer covers only what reports hold (dicts with ``str`` keys,
+    lists, tuples, ``str``, ``int``, ``bool``, ``None`` and finite ``float``
+    timings) and appends one piece per key or item to a single list, joined
+    once.  Any other value, or a key that is not a ``str``, raises
+    ``TypeError``.
+    """
+    out: List[str] = []
+    _pretty(obj, "", "\n", out)
+    return "".join(out)
+
+
+def _pretty(obj, head: str, newline: str, out: List[str]) -> None:
+    """Append ``obj`` to ``out``, led by ``head`` (the separator, indent and
+    key before it); ``newline`` is the line break plus the current indent."""
+    # the type tests run in the order json's encoder runs them
+    if isinstance(obj, str):
+        out.append(head + _quote(obj))
+    elif obj is None:
+        out.append(head + "null")
+    elif obj is True:
+        out.append(head + "true")
+    elif obj is False:
+        out.append(head + "false")
+    elif isinstance(obj, int):
+        out.append(head + int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(head + float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in obj:
+            _pretty(item, head, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key in sorted(obj):  # _quote raises TypeError on a key that is not a str
+            _pretty(obj[key], head + _quote(key) + ": ", inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def make_report(

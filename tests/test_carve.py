@@ -266,6 +266,8 @@ def test_anchored_radius_large_cube_contains_degenerate_trace():
 
 def _tied_point_set(rng, d, n, rational):
     # coordinates from a small range, so most axes carry ties
+    if n > (13 if rational else 7) ** d:
+        raise ValueError(f"{n} distinct points do not fit in the {d}-dimensional range")
     pts = set()
     while len(pts) < n:
         if rational:
@@ -273,6 +275,16 @@ def _tied_point_set(rng, d, n, rational):
         else:
             pts.add(tuple(rng.randint(-3, 3) for _ in range(d)))
     return PointSet.of(sorted(pts))
+
+
+def test_tied_point_set_refuses_more_points_than_its_range_holds():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        _tied_point_set(rng, 1, 8, rational=False)
+    with pytest.raises(ValueError):
+        _tied_point_set(rng, 1, 14, rational=True)
+    assert len(_tied_point_set(rng, 1, 7, rational=False)) == 7
+    assert len(_tied_point_set(rng, 1, 13, rational=True)) == 13
 
 
 def _rational_anchor(rng, d):

@@ -486,6 +486,22 @@ PINNED_RUNS = {
 }
 
 
+# every pinned command line, and one report without a certificate; each
+# report must print as json.dumps with indent=2 and sorted keys prints it
+WRITER_RUNS = {name: pinned[0] for name, pinned in PINNED_RUNS.items()}
+WRITER_RUNS["shatter-no-certificate"] = "shatter --class d0 --points {w} --no-certificate"
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_RUNS))
+def test_report_text_is_json_dumps_with_two_space_indent(name, capsys, points_file):
+    paths = {key: points_file(f"{key}.json", pts) for key, pts in PINNED_POINTS.items()}
+    template = WRITER_RUNS[name]
+    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in shlex.split(template)]
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_cli_report_bytes_are_pinned(name, capsys, monkeypatch, points_file, tmp_path):
     template, want_rc, want_digest = PINNED_RUNS[name]

@@ -1,6 +1,7 @@
 """Independent enumeration oracles versus the production deciders."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,14 @@ from vclab import (
     ClassDescriptor,
     ClassKind,
     DomainError,
+    Interval,
     PointSet,
     boxes,
     carve_feasible,
     cubes,
 )
 from vclab.oracles import (
+    _axis_traces,
     cube_feasible_grid,
     cube_feasible_unpruned,
     oracle_count,
@@ -23,6 +26,7 @@ from vclab.oracles import (
 )
 
 from conftest import instances, random_descriptor, random_point_set
+from oracle_reference import axis_traces
 
 
 def test_oracle_rejects_cubes():
@@ -105,3 +109,32 @@ def test_cube_grid_oracle_is_sound():
             assert grid  # complete on this grid-aligned family
         agreements += grid == dfs
     assert agreements == 300
+
+
+def _scalar(v: Fraction):
+    return int(v) if v.denominator == 1 else v
+
+
+def test_axis_traces_match_the_per_interval_reference():
+    # halves in -3..3, so most axes carry ties; anchors have a bound on a
+    # coordinate or are a single point, and the per-value masks must leave
+    # exactly the traces of the per-interval membership loop
+    rng = random.Random(2525)
+    kinds = [k for k in ClassKind if k is not ClassKind.CUBES]
+    seen = {"tie": 0, "bound_on_coordinate": 0, "point_anchor": 0}
+    for kind in kinds:
+        for n in range(1, 8):
+            for _ in range(12):
+                coords = [_scalar(Fraction(rng.randint(-6, 6), 2)) for _ in range(n)]
+                seen["tie"] += len(set(coords)) < n
+                anchor_iv = None
+                if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+                    lo = rng.choice(coords + [_scalar(Fraction(rng.randint(-8, 8), 3))])
+                    hi = rng.choice([lo, max(coords), lo + Fraction(rng.randint(1, 4), 4)])
+                    hi = _scalar(Fraction(max(lo, hi)))
+                    anchor_iv = Interval(lo, hi)
+                    seen["bound_on_coordinate"] += lo in coords or hi in coords
+                    seen["point_anchor"] += lo == hi
+                got = _axis_traces(coords, kind, anchor_iv)
+                assert got == axis_traces(coords, kind, anchor_iv), (kind, coords, anchor_iv)
+    assert all(count > 10 for count in seen.values()), seen

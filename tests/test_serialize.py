@@ -1,5 +1,6 @@
 """Exact JSON encodings: no floats, lossless round trips, stable digests."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from vclab.serialize import (
     extended_from_json,
     extended_to_json,
     mask_indices,
+    pretty_dumps,
     scalar_from_json,
     scalar_to_json,
     witness_to_json,
@@ -105,6 +107,14 @@ def test_point_set_file_round_trip(tmp_path):
     assert load_point_set(str(path)) == ps
     text = path.read_text()
     assert "0.3" not in text and "1/3" in text
+
+
+def test_point_set_file_is_json_dump_with_two_space_indent(tmp_path):
+    ps = PointSet.of([(Fraction(1, 3), -2), (5, Fraction(-7, 2)), (0, 0)])
+    path = tmp_path / "pts.json"
+    save_point_set(str(path), ps)
+    want = json.dumps(point_set_to_json(ps), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_point_set_json_infers_dim():
@@ -226,6 +236,53 @@ def test_canonical_dumps_is_order_insensitive():
     assert a == b
     assert digest({"b": 1, "a": [1, 2]}) == digest({"a": [1, 2], "b": 1})
     assert digest({}).startswith("sha256:")
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24,
+)
+
+
+def _indented(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@given(json_values)
+def test_pretty_dumps_is_json_dumps_with_two_space_indent(obj):
+    assert pretty_dumps(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, []], "d": [[[]], {"e": {}}]},
+        (1, (2, ()), [3, ("x",)]),
+        {"t": True, "one": 1, "list": [True, 1, False, 0, None]},
+        1.5,
+        {"wall_time": 0.1 + 0.2, "big": 1e300, "small": -2.5e-08},
+        'quote " newline \n accent \u00e9 space \u00a0 tab \t',
+        {'k"\n\u00e9\u00a0': ['"', "\n", "\u00e9", "\u00a0"]},
+        {"b": 2, "a": 1, "B": 3, "": 0},
+    ],
+)
+def test_pretty_dumps_edge_shapes(obj):
+    assert pretty_dumps(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Fraction(1, 3), {1, 2}, {1: "int key"}, {"a": [Fraction(1, 2)]}, {"a": {"b": {2}}}],
+)
+def test_pretty_dumps_refuses_values_outside_json(obj):
+    with pytest.raises(TypeError):
+        pretty_dumps(obj)
 
 
 def test_make_report_envelope():
