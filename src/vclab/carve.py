@@ -55,16 +55,16 @@ carving cube to r = w/2 keeps S' inside and excludes at least as much, so
 the radius is fixed.  Each axis then slides a closed window of length w;
 the points inside form a run of that axis's sorted values (``_runs``), and
 S' is carved iff one run per axis intersects to exactly S'.  The kernel
-runs it on ``PointSet.axes``; ``cube_score`` counts the carved subsets of a
-set of integer columns with it, on ``prefix_table`` of each column, and
-``cube_scorer`` counts them only up to the miss that puts the count below a
-floor, which is all a hill-climb step needs to know.  Every cube is a box,
-so the scorer sifts the masks through boxes first (``_box_sieve``), once
-per order type: a mask no box carves is a miss without a window test, and
-each mask a box carves keeps its hulls for the window test, in a list to
-whose front a window miss moves, so the order type tries it first next
-time.  Every hull of S' is found one way, ``_hull_indices``: by the
-kernels, the box sieve and the box and cube builders.
+runs it on ``PointSet.axes``; ``cube_scorer`` runs it on ``prefix_table``
+of each of a set of integer columns and counts the carved subsets only up
+to the miss that puts the count below a floor, which is all a hill-climb
+step needs to know.  Every cube is a box, so the scorer sifts the masks
+through boxes first (``_box_sieve``), once per order type: a mask no box
+carves is a miss without a window test, and each mask a box carves keeps
+its hulls for the window test, in a list to whose front a window miss
+moves, so the order type tries it first next time.  Every hull of S' is
+found one way, ``_hull_indices``: by the kernels, the box sieve and the box
+and cube builders.
 
 Degenerate-ball and cube witnesses come from one cover search (``_cover``)
 over each excluded point's options: the sides, (axis, low) or (axis, high),
@@ -440,9 +440,11 @@ def _box_sieve(
 
 
 def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
-    """A bounded ``cube_score``: ``score(columns, floor)`` is the exact
-    score when that is at least floor, and floor - 1 otherwise; a floor
-    above 2^n counts as 2^n.
+    """A bounded count of the subsets cubes carve: ``score(columns, floor)``
+    is the exact number when that is at least floor, and floor - 1
+    otherwise; a floor above 2^n counts as 2^n, and floor 0 decides every
+    mask.  ``columns[axis][point]`` are integer coordinates of distinct
+    points; projections may tie.
 
     A score of 2^n - k has k missed masks, so a pass stops at its
     (2^n - floor + 1)-th miss.  The empty set, the full set and every
@@ -506,18 +508,6 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
         return full + 1 - misses
 
     return score
-
-
-def cube_score(columns: Sequence[Sequence[int]]) -> int:
-    """Number of subsets of a point set carved by cubes, exactly.
-
-    ``columns[axis][point]`` are integer coordinates of distinct points;
-    projections may tie.  It is ``cube_scorer``'s pass with floor 0, which
-    decides every mask.  This whole-set count is what the randomized search
-    scores with.  It equals the number of masks the cube kernel accepts
-    (the tests compare the two) and needs no ``PointSet``.
-    """
-    return cube_scorer()(columns, 0)
 
 
 # ---------------------------------------------------------------------------

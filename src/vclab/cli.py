@@ -337,6 +337,8 @@ def cmd_ordinal_vc(args) -> _Parts:
         )
     except BudgetExceededError as err:
         return _over_budget(err, desc)
+    except DomainError as err:  # the command reads only flags
+        raise UsageError(str(err))
     inputs = {"class": descriptor_to_json(desc), "n_max": args.n_max}
     return _Parts(vc_search_report_to_json(rep), True, desc, inputs)
 
@@ -354,15 +356,18 @@ def cmd_resolve_d2(args) -> _Parts:
 
 
 def cmd_search_cubes(args) -> _Parts:
-    rep = random_cube_search(
-        args.dim,
-        args.n,
-        args.trials,
-        seed=args.seed,
-        coordinate_range=args.range,
-        jobs=_jobs(args),
-        keep=args.keep,
-    )
+    try:
+        rep = random_cube_search(
+            args.dim,
+            args.n,
+            args.trials,
+            seed=args.seed,
+            coordinate_range=args.range,
+            jobs=_jobs(args),
+            keep=args.keep,
+        )
+    except DomainError as err:  # the command reads only flags
+        raise UsageError(str(err))
     inputs = {"dim": args.dim, "n": args.n, "trials": args.trials, "range": args.range}
     return _Parts(
         cube_search_report_to_json(rep), True, cubes(args.dim), inputs, seed=args.seed

@@ -10,10 +10,10 @@ Contents:
   concepts in both directions;
 * a perturbation routine making all coordinate projections injective while
   preserving shattering (verify-and-shrink with exact re-checking);
-* extremal certificates: per-axis min/max representatives, the count k of
-  representatives appearing exactly once, and the tie-robust list of points
-  that are extremal on no axis (such a point can never be carved against,
-  which refutes shattering outright);
+* extremal certificates: a point attaining each axis minimum and maximum,
+  the count k of points chosen for exactly one of them, and the tie-robust
+  list of points that are extremal on no axis (such a point can never be
+  carved against, which refutes shattering outright);
 * the downward projection: drop the widest axis of a cube-shattered set,
   remove the two poles on it, and re-anchor the rest at the poles' hull.
 """
@@ -256,16 +256,18 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
 
 @dataclass(frozen=True)
 class ExtremalCertificate:
-    """Per-axis extremal representatives and the derived counting facts.
+    """A point attaining each axis minimum and maximum, and the derived
+    counting facts.
 
-    ``representatives`` interleaves (low_0, high_0, low_1, high_1, ...) as
-    point indices, each the lexicographically least index attaining the axis
-    minimum / maximum.  ``once_count`` counts the indices appearing exactly
-    once in that list under that fixed tie-break; the counting refutation it
-    feeds is only sound for injective projections, so consumers must check
-    ``projections_injective`` first.  ``nonextremal`` lists the points
-    attaining no axis minimum or maximum under ANY choice of representatives,
-    which is tie-robust.
+    ``low_reps`` and ``high_reps`` hold, per axis, the least point index
+    attaining the axis minimum / maximum.  ``once_count`` counts the indices
+    appearing exactly once among all 2d of them under that fixed tie-break;
+    the counting bound it feeds (k <= d and #S <= d + k/2 for a set
+    shattered by origin/box-anchored degenerate balls) is only sound for
+    injective projections.  ``nonextremal`` lists the points attaining no
+    axis minimum or maximum at all, which is tie-robust: such a point lies
+    in the hull of the others, so no box-like (hull-monotone) concept carves
+    "everyone else".
     """
 
     points: PointSet
@@ -273,40 +275,6 @@ class ExtremalCertificate:
     high_reps: Tuple[int, ...]
     once_count: int
     nonextremal: Tuple[int, ...]
-    projections_injective: bool
-
-    @property
-    def representatives(self) -> Tuple[int, ...]:
-        out = []
-        for l, u in zip(self.low_reps, self.high_reps):
-            out.extend((l, u))
-        return tuple(out)
-
-    @property
-    def refutes_box_shattering(self) -> bool:
-        """A point that is nowhere extremal lies in the hull of the others,
-        so the subset "everyone else" can never be carved by a box-like
-        (hull-monotone) concept."""
-        return bool(self.nonextremal)
-
-    @property
-    def obstructing_mask(self) -> Optional[int]:
-        if not self.nonextremal:
-            return None
-        full = (1 << len(self.points)) - 1
-        return full ^ (1 << self.nonextremal[0])
-
-    def refutes_anchored_shattering(self) -> bool:
-        """Counting bound for origin/box-anchored degenerate balls: a
-        shattered set with injective projections must satisfy k <= d and
-        #S <= d + k/2.  Only sound for injective projections, so tied
-        inputs never refute."""
-        if not self.projections_injective:
-            return False
-        d = self.points.dim
-        n = len(self.points)
-        k = self.once_count
-        return k >= d + 1 or 2 * n > 2 * d + k
 
 
 def extremal_certificate(ps: PointSet) -> ExtremalCertificate:
@@ -324,10 +292,7 @@ def extremal_certificate(ps: PointSet) -> ExtremalCertificate:
         for i, c in enumerate(col):
             if c == lo or c == hi:
                 attains[i] = True
-    injective = all(len({p[j] for p in ps.points}) == n for j in range(d))
-    reps = []
-    for l, u in zip(low_reps, high_reps):
-        reps.extend((l, u))
+    reps = low_reps + high_reps
     once = sum(1 for i in set(reps) if reps.count(i) == 1)
     nonextremal = tuple(i for i in range(n) if not attains[i])
     return ExtremalCertificate(
@@ -336,7 +301,6 @@ def extremal_certificate(ps: PointSet) -> ExtremalCertificate:
         tuple(high_reps),
         once,
         nonextremal,
-        injective,
     )
 
 

@@ -179,27 +179,11 @@ class Interval:
         return cls(NEG_INF, POS_INF)
 
     @property
-    def unbounded_below(self) -> bool:
-        return self.lo is NEG_INF
-
-    @property
-    def unbounded_above(self) -> bool:
-        return self.hi is POS_INF
-
-    @property
     def is_bounded(self) -> bool:
         return is_finite(self.lo) and is_finite(self.hi)
 
-    @property
-    def is_degenerate_side(self) -> bool:
-        """Unbounded in at least one direction (a degenerate-ball factor)."""
-        return self.unbounded_below or self.unbounded_above
-
     def contains(self, x: Scalar) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
 
 @dataclass(frozen=True)
@@ -222,10 +206,6 @@ class Box:
         if len(lows) != len(highs):
             raise DimensionMismatchError("bounds length mismatch")
         return cls(tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)))
-
-    @classmethod
-    def full_space(cls, dim: int) -> "Box":
-        return cls(tuple(Interval.full_line() for _ in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -289,12 +269,6 @@ class Cube:
             if d > r or -d > r:
                 return False
         return True
-
-    def to_box(self) -> Box:
-        return Box.from_bounds(
-            [c - self.radius for c in self.center],
-            [c + self.radius for c in self.center],
-        )
 
 
 def rect_hull(points) -> Box:

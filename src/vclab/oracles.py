@@ -15,21 +15,18 @@ two.  The midpoints matter only for the nondegenerate-box variant, where a
 carve can genuinely need an endpoint strictly between two data values; for
 the closed classes they are redundant but harmless.
 
-Cubes get two oracles: an unpruned enumeration over all assignments of
-excluded points to (axis, side) slots, and a finite center/radius grid that
-exhibits concrete cubes (sound but not complete, so it is only used in the
-direction "grid found one => decider must agree").
+Cubes are checked by an unpruned enumeration over all assignments of
+excluded points to (axis, side) slots.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import FrozenSet, Optional, Set
 
 from .carve import ClassDescriptor, ClassKind
 from .errors import DomainError
-from .geometry import Cube, PointSet
+from .geometry import PointSet
 from .scalars import midpoint
 
 
@@ -87,7 +84,6 @@ def trace_set(ps: PointSet, descriptor: ClassDescriptor) -> FrozenSet[int]:
     if ps.dim != descriptor.dim:
         raise DomainError("dimension mismatch")
     kind = descriptor.kind
-    n = len(ps)
     if kind is ClassKind.AXIS_CUTS:
         out = {0}
         for i in range(ps.dim):
@@ -120,10 +116,6 @@ def oracle_feasible(ps: PointSet, mask: int, descriptor: ClassDescriptor) -> boo
     return mask in trace_set(ps, descriptor)
 
 
-def oracle_count(ps: PointSet, descriptor: ClassDescriptor) -> int:
-    return len(trace_set(ps, descriptor))
-
-
 def cube_feasible_unpruned(ps: PointSet, mask: int) -> bool:
     """Unpruned enumeration over all (axis, side) assignments of excluded points.
 
@@ -132,7 +124,6 @@ def cube_feasible_unpruned(ps: PointSet, mask: int) -> bool:
     every low threshold strictly below it, and on axes carrying both a gap
     strictly exceeding the largest hull width (the forced diameter).
     """
-    n = len(ps)
     d = ps.dim
     inc = [p for i, p in enumerate(ps.points) if mask >> i & 1]
     exc = [p for i, p in enumerate(ps.points) if not mask >> i & 1]
@@ -171,65 +162,4 @@ def cube_feasible_unpruned(ps: PointSet, mask: int) -> bool:
                 break
         if ok:
             return True
-    return False
-
-
-def cube_feasible_grid(ps: PointSet, mask: int) -> bool:
-    """Exhibit a carving cube with center/radius on a finite grid, or give up.
-
-    Sound (any hit is membership-checked) but not complete; intended for
-    small instances only.
-    """
-    n = len(ps)
-    d = ps.dim
-    inc = [p for i, p in enumerate(ps.points) if mask >> i & 1]
-    if not inc or len(inc) == n:
-        return True
-
-    radii = {Fraction(0)}
-    for i in range(d):
-        coords = sorted({p[i] for p in ps.points})
-        for a in coords:
-            for b in coords:
-                if a < b:
-                    radii.add(Fraction(b - a, 2))
-    radii = sorted(radii)
-    extended = list(radii)
-    for a, b in zip(radii, radii[1:]):
-        extended.append(midpoint(a, b))
-    extended.append(radii[-1] + 1)
-
-    lo = [min(p[i] for p in inc) for i in range(d)]
-    hi = [max(p[i] for p in inc) for i in range(d)]
-
-    def trace(cube: Cube) -> int:
-        m = 0
-        for j, p in enumerate(ps.points):
-            if cube.contains(p):
-                m |= 1 << j
-        return m
-
-    for r in sorted(set(extended)):
-        per_axis = []
-        feasible_r = True
-        for i in range(d):
-            cands = set()
-            for p in ps.points:
-                cands.add(p[i] - r)
-                cands.add(p[i] + r)
-            cands = sorted(cands)
-            full = list(cands)
-            for a, b in zip(cands, cands[1:]):
-                full.append(midpoint(a, b))
-            # containment window for this axis
-            window = [c for c in full if hi[i] - r <= c <= lo[i] + r]
-            if not window:
-                feasible_r = False
-                break
-            per_axis.append(sorted(set(window)))
-        if not feasible_r:
-            continue
-        for center in product(*per_axis):
-            if trace(Cube(tuple(center), r)) == mask:
-                return True
     return False

@@ -127,7 +127,8 @@ class OrderConfig:
     With ``with_origin`` one rank slot per axis is reserved for the origin
     (the missing value); realization shifts ranks so the origin lands at 0.
     The scans decide a config on its rank rows alone (``_RowTraces``) and
-    realize only a config a report holds.
+    realize only a config a report holds.  ``n`` and ``dim`` are ints >= 1,
+    as in ``enumerate_order_types``.
     """
 
     n: int
@@ -136,8 +137,8 @@ class OrderConfig:
     ranks: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        check_int("n", self.n, 0)
-        check_int("dim", self.dim, 0)
+        check_int("n", self.n, 1)
+        check_int("dim", self.dim, 1)
         _check_flag("with_origin", self.with_origin)
         m = self.n + (1 if self.with_origin else 0)
         if len(self.ranks) != self.dim:
@@ -257,7 +258,7 @@ class _Budget:
 class EnumerationCounters:
     """``examined``: raw configs covered, whether tested one by one or
     skipped as the block of completions of a non-canonical row prefix;
-    ``emitted``: canonical representatives yielded."""
+    ``emitted``: canonical configs yielded, one per orbit."""
 
     examined: int = 0
     emitted: int = 0
@@ -771,7 +772,8 @@ def random_cube_search(
     merge sorts on the workers' keys.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
-    scratch by the shattering checker.  ``coordinate_range`` must be an int
+    scratch by the shattering checker; one that fails is an internal fault
+    and raises ``RuntimeError``.  ``coordinate_range`` must be an int
     >= 0 and ``jobs`` an int >= 1 (else ``DomainError``), and more than
     ``DEFAULT_MASK_CAP`` points raise ``CapExceededError``, all before
     anything is scored.
@@ -812,7 +814,7 @@ def random_cube_search(
     for cand in shattered:
         verdict = is_shattered(cand.points, cubes(dim), want_certificate=False)
         if not verdict.shattered:
-            raise DomainError("internal error: shattered candidate failed revalidation")
+            raise RuntimeError("shattered candidate failed revalidation")
     return CubeSearchReport(
         dim=dim,
         n=n,

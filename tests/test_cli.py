@@ -290,6 +290,21 @@ def test_resolve_d2_odd_dim_is_a_usage_error(capsys, dim):
     assert "usage error" in err and "even" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordinal-vc", "--class", "cubes", "--dim", "2"],
+        ["search-cubes", "--dim", "1", "--n", "4", "--trials", "1", "--range", "1"],
+    ],
+    ids=["ordinal-vc", "search-cubes"],
+)
+def test_a_value_refused_by_a_flag_only_command_is_a_usage_error(capsys, argv):
+    rc, rep, err = run(capsys, argv)
+    assert rc == 1
+    assert rep is None
+    assert "usage error" in err
+
+
 def test_mask_scans_run_in_process_and_ignore_jobs(capsys, monkeypatch, points_file):
     def no_pool(*args, **kwargs):
         raise RuntimeError("mask scans must not start a process pool")

@@ -9,6 +9,7 @@ from fractions import Fraction
 from importlib import import_module
 from itertools import permutations, product
 from math import factorial, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,9 +41,9 @@ from vclab import (
 from vclab import carve as carve_module
 from vclab import search as search_module
 from vclab import shatter as shatter_module
-from vclab.carve import _axis_hulls, _box_sieve, _kernel, cube_score, cube_scorer
+from vclab.carve import _axis_hulls, _box_sieve, _kernel, cube_scorer
 from vclab.geometry import prefix_table
-from vclab.oracles import cube_feasible_unpruned, oracle_count, trace_set
+from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.search import (
     EnumerationCounters,
     _axis_rows,
@@ -400,8 +401,14 @@ def test_non_bool_flags_are_refused_before_any_work(monkeypatch, flag, value):
 
 @pytest.mark.parametrize(
     "args",
-    [(2, 1, False, ((True, False),)), (True, 1, False, ((0,),)), (1, True, False, ((0,),))],
-    ids=["ranks", "n", "dim"],
+    [
+        (2, 1, False, ((True, False),)),
+        (True, 1, False, ((0,),)),
+        (1, True, False, ((0,),)),
+        (0, 1, False, ((),)),
+        (1, 0, False, ()),
+    ],
+    ids=["ranks", "n", "dim", "n0", "dim0"],
 )
 def test_order_config_refuses_booleans(args):
     with pytest.raises(DomainError):
@@ -496,7 +503,7 @@ def test_max_coefficient_counts_its_best_points_as_the_kernel_and_oracle_do(kind
     else:
         desc = ClassDescriptor(kind, dim)
     assert rep.best_count == shattering_count(rep.best_points, desc).realized
-    assert rep.best_count == oracle_count(rep.best_points, desc)
+    assert rep.best_count == len(trace_set(rep.best_points, desc))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +711,15 @@ def test_cube_search_refuses_a_range_too_small_for_injective_projections():
     random_cube_search(1, 3, 2, coordinate_range=1)
     with pytest.raises(DomainError, match="too small"):
         random_cube_search(1, 4, 2, coordinate_range=1)
+
+
+def test_cube_search_find_that_fails_revalidation_is_an_internal_fault(monkeypatch):
+    # every two points on a line are shattered, so the one trial finds one
+    assert random_cube_search(1, 2, 1).shattered_found
+    refused = SimpleNamespace(shattered=False)
+    monkeypatch.setattr(search_module, "is_shattered", lambda *args, **kwargs: refused)
+    with pytest.raises(RuntimeError, match="revalidation"):
+        random_cube_search(1, 2, 1)
 
 
 def test_cube_search_accepts_keep_one():
@@ -988,7 +1004,7 @@ def test_cube_score_matches_per_mask_decider_and_oracle(dim):
             cols = _random_columns(rng, dim, n, spread)
             tied += any(len(set(col)) < n for col in cols)
             ps = PointSet.of([tuple(col[i] for col in cols) for i in range(n)])
-            score = cube_score(cols)
+            score = cube_scorer()(cols, 0)
             assert score == _per_mask_score(ps), cols
             if k < 6 and (2 * dim) ** (n - 1) <= 1024:
                 oracle = sum(cube_feasible_unpruned(ps, m) for m in range(1 << n))
@@ -998,16 +1014,16 @@ def test_cube_score_matches_per_mask_decider_and_oracle(dim):
 
 
 def test_cube_score_small_and_shattered_sets():
-    assert cube_score([[5]]) == 2
-    assert cube_score([[0], [3], [-2]]) == 2
-    assert cube_score([[0, 1]]) == 4
-    assert cube_score([[0, 1, 2]]) == 7  # the middle point alone is cut out
+    assert cube_scorer()([[5]], 0) == 2
+    assert cube_scorer()([[0], [3], [-2]], 0) == 2
+    assert cube_scorer()([[0, 1]], 0) == 4
+    assert cube_scorer()([[0, 1, 2]], 0) == 7  # the middle point alone is cut out
     for dim in (2, 3):
         ps = perturb_to_injective(cube_witness(dim), cubes(dim))
         scale = lcm(*(Fraction(x).denominator for p in ps.points for x in p))
         cols = [[int(p[j] * scale) for p in ps.points] for j in range(dim)]
         assert all(len(set(col)) == len(ps) for col in cols)
-        assert cube_score(cols) == 1 << len(ps)
+        assert cube_scorer()(cols, 0) == 1 << len(ps)
 
 
 def test_bounded_cube_score_is_exact_at_or_above_its_floor():
@@ -1020,7 +1036,7 @@ def test_bounded_cube_score_is_exact_at_or_above_its_floor():
                 sets.append(_random_columns(rng, dim, n, spread))
     calls = []
     for cols in sets:
-        score = cube_score(cols)
+        score = cube_scorer()(cols, 0)
         for floor in range((1 << len(cols[0])) + 2):
             got = cube_scorer()(cols, floor)
             assert got == score if score >= floor else got < floor, (cols, floor, got)
@@ -1112,7 +1128,7 @@ def test_cube_scorer_memo_cleared_at_its_bound_changes_no_score(monkeypatch):
         for n in range(1, 8):
             for k in range(4):
                 cols = _random_columns(rng, dim, n, n // 2 + 1 if k % 2 else 16)
-                score = cube_score(cols)
+                score = cube_scorer()(cols, 0)
                 for floor in {0, score - 1, score, score + 1, 1 << n}:
                     stream.append((cols, floor, score))
     rng.shuffle(stream)
