@@ -555,21 +555,20 @@ def _box_build(ps: PointSet, mask: SubsetMask, nondegenerate: bool, made: dict) 
 _LOW, _HIGH = 0, 1
 
 
-def _cover(options, dim: int, max_width: Optional[Scalar]):
+def _cover(options, dim: int, max_width: Scalar):
     """Commit (axis, side) thresholds that exclude every point outside S'.
 
     ``options[j]`` lists the sides ``(axis, side, threshold)`` that can
     exclude the j-th such point, axis by axis (at most one per axis, as the
-    point lies on one side of a hull).  ``max_width`` picks the module
-    docstring's two rules.  None means degenerate balls: a side is
-    committed at the hull edge, so it excludes every point that has it,
-    and an axis never closes both sides; each option carries the same
-    placeholder threshold.  A width means cubes: a side is committed at the
-    excluded point, and an axis closes both sides only when their gap
-    exceeds that width (a singleton hull has width 0).  Depth-first search
-    branching on the point with the fewest viable options, in list order.
-    Returns the tightest committed thresholds ``(hi_min, lo_max)`` per
-    axis, or None.
+    point lies on one side of a hull).  An axis closes both sides only when
+    their thresholds' gap exceeds ``max_width``.  Cubes commit a side at the
+    excluded point, with the widest hull side as ``max_width`` (a singleton
+    hull has width 0).  Degenerate balls commit a side at the hull edge, so
+    it excludes every point that has it: each option carries threshold 0
+    and ``max_width`` is 0, so the gap is never positive and an axis never
+    closes both sides.  Depth-first search branching on the point with the
+    fewest viable options, in list order.  Returns the tightest committed
+    thresholds ``(hi_min, lo_max)`` per axis, or None.
     """
     order = sorted(range(len(options)), key=lambda j: (len(options[j]), j))
     hi_min = [None] * dim
@@ -585,11 +584,11 @@ def _cover(options, dim: int, max_width: Optional[Scalar]):
                 i, s, v = opt
                 if s == _HIGH:
                     t = lo_max[i]
-                    if t is None or max_width is not None and v - t > max_width:
+                    if t is None or v - t > max_width:
                         viable.append(opt)
                 else:
                     t = hi_min[i]
-                    if t is None or max_width is not None and t - v > max_width:
+                    if t is None or t - v > max_width:
                         viable.append(opt)
             if not viable:
                 return False
@@ -650,7 +649,7 @@ def _degenerate_build(
          for i, (below, above) in enumerate(pairs) if (below | above) >> j & 1]
         for j in range(len(ps)) if not mask >> j & 1
     ]
-    found = _cover(options, dim, max_width=None)
+    found = _cover(options, dim, max_width=0)
     if found is None:
         raise RuntimeError(f"cover search found no witness for accepted mask {mask:#x}")
     hi_min, lo_max = found

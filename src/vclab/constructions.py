@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .carve import ClassDescriptor, ClassKind, anchored, cubes
 from .errors import (
@@ -174,15 +174,6 @@ def expand_anchor_box(anchor: Box, ball: Box) -> Box:
 # Perturbation to injective projections
 # ---------------------------------------------------------------------------
 
-_PERTURBABLE = (
-    ClassKind.BOXES,
-    ClassKind.BOXES_NONDEGENERATE,
-    ClassKind.CUBES,
-    ClassKind.DEGENERATE_BALLS,
-    ClassKind.ANCHORED_DEGENERATE_BALLS,
-)
-
-
 def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
     """Perturb a shattered set so every coordinate projection is injective.
 
@@ -197,7 +188,7 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
     masks, so more than ``DEFAULT_MASK_CAP`` points raise
     ``CapExceededError`` before any perturbation.
     """
-    if descriptor.kind not in _PERTURBABLE:
+    if descriptor.kind is ClassKind.AXIS_CUTS:
         raise DomainError(f"perturbation not supported for {descriptor.kind.value}")
     verdict = is_shattered(ps, descriptor, want_certificate=False)
     if not verdict.shattered:
@@ -210,21 +201,18 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
     pts = [tuple(p) for p in ps.points]
     delta = Fraction(1)
 
-    def fresh_proposal(t: int, dl: Fraction) -> Optional[Point]:
+    def fresh_proposal(t: int, dl: Fraction) -> Point:
         new = list(pts[t])
         for j in range(d):
             others = {pts[i][j] for i in range(n) if i != t}
             if new[j] not in others:
                 continue
-            found = None
+            # n + 1 distinct candidates against at most n - 1 others: one is free
             for m in range(1, n + 2):
                 cand = as_scalar(new[j] + dl / m)
                 if cand not in others:
-                    found = cand
+                    new[j] = cand
                     break
-            if found is None:
-                return None
-            new[j] = found
         return tuple(new)
 
     for t in range(n):
@@ -235,12 +223,11 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
             continue
         while True:
             candidate = fresh_proposal(t, delta)
-            if candidate is not None:
-                trial = PointSet(d, tuple(candidate if i == t else p for i, p in enumerate(pts)))
-                v = is_shattered(trial, descriptor, want_certificate=False)
-                if v.shattered:
-                    pts[t] = candidate
-                    break
+            trial = PointSet(d, tuple(candidate if i == t else p for i, p in enumerate(pts)))
+            v = is_shattered(trial, descriptor, want_certificate=False)
+            if v.shattered:
+                pts[t] = candidate
+                break
             delta /= 2
             if delta < DELTA_FLOOR:
                 raise NoConvergenceError(

@@ -1,59 +1,53 @@
-"""Error types with stable machine-readable codes.
+"""Error types.
 
 Every failure mode that callers (or the CLI exit-code protocol) need to
-distinguish gets its own class; the ``code`` attribute is what reports and
-tests key on, the message is free-form.
+distinguish gets its own class; callers tell them apart by class, and the
+message is free-form.
 """
 
 
 class VclabError(Exception):
     """Base class for all package errors."""
 
-    code = "DOMAIN"
-
 
 class DomainError(VclabError):
     """A value violates a type invariant (bad interval, negative radius, ...)."""
-
-    code = "DOMAIN"
 
 
 class ParseError(VclabError):
     """Malformed input file or serialized value."""
 
-    code = "PARSE"
-
 
 class EmptySetError(VclabError):
-    code = "EMPTY_SET"
+    """A point set, or a collection to take the hull of, is empty."""
 
 
 class DimensionMismatchError(VclabError):
-    code = "DIMENSION_MISMATCH"
+    """A dimension or axis does not fit the points, anchor or class."""
 
 
 class DuplicateAfterProjectionError(VclabError):
-    code = "DUPLICATE_AFTER_PROJECTION"
+    """Two points coincide after dropping axes."""
 
 
 class AnchorMissingError(VclabError):
-    code = "ANCHOR_MISSING"
+    """An anchored class was given no anchor box."""
 
 
 class UnboundedAnchorError(VclabError):
-    code = "UNBOUNDED_ANCHOR"
+    """An anchor box has an infinite side."""
 
 
 class NotContainingAnchorError(VclabError):
-    code = "NOT_CONTAINING_ANCHOR"
+    """A ball to collapse does not contain the anchor box."""
 
 
 class NotContainingZeroError(VclabError):
-    code = "NOT_CONTAINING_ZERO"
+    """A ball to expand does not contain the origin."""
 
 
 class NotShatteredError(VclabError):
-    code = "NOT_SHATTERED"
+    """A construction's input is not shattered; ``mask`` is its first failing mask."""
 
     def __init__(self, message: str, mask: "int | None" = None):
         super().__init__(message)
@@ -61,12 +55,12 @@ class NotShatteredError(VclabError):
 
 
 class NoConvergenceError(VclabError):
-    code = "NO_CONVERGENCE"
+    """The injective perturbation's step fell below its floor."""
 
 
 class CapExceededError(VclabError):
-    code = "CAP_EXCEEDED"
+    """More points than the mask cap allows."""
 
 
 class BudgetExceededError(VclabError):
-    code = "BUDGET_EXCEEDED"
+    """A scan hit its budget; a scan that makes a report attaches it as ``report``."""

@@ -70,11 +70,15 @@ misses first and then trying first the masks the order type last missed;
 every score a report holds is exact.  A move's new value is drawn by index
 among the values its axis leaves free (``_draw_other``), as ``rng.choice``
 would draw it from their list, without building the list.
+
+The paper's values are stated once, in ``class_paper_vc``: an exhaustive scan
+runs by default to one past the value, and the resolver's bracket reads it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -381,14 +385,6 @@ def enumerate_order_types(
 # Exact VC by exhaustion
 # ---------------------------------------------------------------------------
 
-ORDINAL_KINDS = (
-    ClassKind.BOXES,
-    ClassKind.BOXES_NONDEGENERATE,
-    ClassKind.DEGENERATE_BALLS,
-    ClassKind.ANCHORED_DEGENERATE_BALLS,
-    ClassKind.AXIS_CUTS,
-)
-
 ORDINAL_ASSUMPTIONS = (
     "carve feasibility for this class depends only on per-axis coordinate order",
     "restriction to injective projections is lossless (small perturbations preserve shattering)",
@@ -482,18 +478,24 @@ class VcSearchReport:
         return best
 
 
-def _default_n_max(kind: ClassKind, dim: int) -> int:
-    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
-        return 3 * dim // 2 + 1
+def class_paper_vc(kind: ClassKind, dim: int) -> int:
+    """Published VC value (or stated upper bound): never tuned toward computed values."""
+    check_int("class dimension", dim, 1)
     if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        return 2 * dim + 1
-    if kind is ClassKind.DEGENERATE_BALLS:
-        return (3 * dim + 1) // 2 + 1
-    if kind is ClassKind.AXIS_CUTS:
-        return dim + 1
+        return 2 * dim
     if kind is ClassKind.CUBES:
-        return (3 * dim + 1) // 2 + 1
-    raise DomainError(f"no default search depth for {kind.value}")
+        return (3 * dim + 1) // 2
+    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
+        return 3 * dim // 2
+    if kind is ClassKind.DEGENERATE_BALLS:
+        # odd: the published exact claim; even: the published upper bound
+        return (3 * dim + 1) // 2 if dim % 2 else 3 * dim // 2 + 1
+    if kind is ClassKind.AXIS_CUTS:
+        m = 1
+        while math.comb(m + 1, (m + 1) // 2) <= dim:
+            m += 1
+        return m
+    raise DomainError(f"unknown class kind {kind!r}")
 
 
 def _order_driven(kind: ClassKind, dim: int) -> Tuple[ClassDescriptor, bool, bool]:
@@ -505,7 +507,7 @@ def _order_driven(kind: ClassKind, dim: int) -> Tuple[ClassDescriptor, bool, boo
     check_int("dim", dim, 1)
     if not isinstance(kind, ClassKind):
         raise DomainError(f"class kind must be a ClassKind: {kind!r}")
-    if kind not in ORDINAL_KINDS and not (kind is ClassKind.CUBES and dim == 1):
+    if kind is ClassKind.CUBES and dim > 1:  # every other class is order-driven
         raise DomainError(
             f"{kind.value} is not order-driven in dimension {dim}; "
             "use the randomized cube search instead"
@@ -524,19 +526,20 @@ def exact_vc_ordinal(
 ) -> VcSearchReport:
     """Exact VC dimension of an order-driven class by exhausting order types.
 
-    Scans n = 1..n_max; at each level, stops early once a shattered
-    configuration is found.  Each config is decided on its rank rows by
-    ``_shattered``, from the level's ``_RowTraces``: no kernel runs and no
-    ``PointSet`` is built, and only the shattered witness is realized.  The
-    exact value n* is reported only when level n*+1 was exhausted with no
-    shattered configuration.  On budget overrun a BudgetExceededError
-    carrying the partial report (``error.report``) is raised.  ``jobs``
-    must be an int >= 1 (else ``DomainError``, before any work) but is
-    currently unused: every level runs in-process.
+    Scans n = 1..n_max, by default to one past ``class_paper_vc``; at each
+    level, stops early once a shattered configuration is found.  Each
+    config is decided on its rank rows by ``_shattered``, from the level's
+    ``_RowTraces``: no kernel runs and no ``PointSet`` is built, and only
+    the shattered witness is realized.  The exact value n* is reported only
+    when level n*+1 was exhausted with no shattered configuration.  On
+    budget overrun a BudgetExceededError carrying the partial report
+    (``error.report``) is raised.  ``jobs`` must be an int >= 1 (else
+    ``DomainError``, before any work) but is currently unused: every level
+    runs in-process.
     """
     descriptor, with_origin, reflect = _order_driven(kind, dim)
     if n_max is None:
-        n_max = _default_n_max(kind, dim)
+        n_max = class_paper_vc(kind, dim) + 1
     check_int("n_max", n_max, 1)
     check_int("jobs", jobs, 1)
     tracker = _Budget(budget)
@@ -606,9 +609,10 @@ def resolve_even_degenerate(
 ) -> ResolveReport:
     """Pin down VC of unanchored degenerate balls in an even dimension.
 
-    Known bracket: at least 3d/2 (anchored witnesses embed) and at most
-    3d/2 + 1.  The exhaustive order-type search turns the bracket into a
-    definitive value when the budget allows full exhaustion.  ``dim`` must
+    Known bracket (``class_paper_vc``): at least the anchored 3d/2 (anchored
+    witnesses embed) and at most the published 3d/2 + 1.  The exhaustive
+    order-type search, by default one level past that, turns the bracket into
+    a definitive value when the budget allows full exhaustion.  ``dim`` must
     be an even int >= 2, and ``jobs`` an int >= 1 (currently unused); any
     other value is refused with ``DomainError`` before any work.
     """
@@ -616,10 +620,8 @@ def resolve_even_degenerate(
     if dim % 2:
         raise DomainError("resolver applies to even dimensions >= 2")
     check_int("jobs", jobs, 1)
-    if n_max is None:
-        n_max = 3 * dim // 2 + 2
-    lo = 3 * dim // 2
-    bracket = (lo, lo + 1)
+    lo = class_paper_vc(ClassKind.ANCHORED_DEGENERATE_BALLS, dim)
+    bracket = (lo, class_paper_vc(ClassKind.DEGENERATE_BALLS, dim))
     search = exact_vc_ordinal(
         ClassKind.DEGENERATE_BALLS, dim, n_max=n_max, budget=budget
     )

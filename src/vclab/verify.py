@@ -1,8 +1,9 @@
 """Reproduction suite: every headline quantity re-derived at desk scale.
 
 Each item re-computes a claimed value or property with the exact engine and
-compares against the expected statement.  Items never weaken a check to make
-it pass: when a stated expectation contradicts what exhaustive computation
+compares against the expected statement; items 1-4 read theirs from
+``class_paper_vc`` (re-exported here).  Items never weaken a check to make it
+pass: when a stated expectation contradicts what exhaustive computation
 proves, the item fails and its details say exactly what was found instead.
 
 Item 4 is such a case: the expected size-5 lower-bound witness for
@@ -49,30 +50,10 @@ from .errors import DomainError, VclabError
 from .geometry import Box, Interval, PointSet, project
 from .oracles import cube_feasible_unpruned, oracle_feasible
 from .scalars import check_int
-from .search import exact_vc_ordinal, random_cube_search, resolve_even_degenerate
+from .search import class_paper_vc, exact_vc_ordinal, random_cube_search, resolve_even_degenerate
 from .shatter import is_shattered, sauer_shelah_bound, shattering_count
 
 FAST_ITEMS = (1, 2, 5, 9)
-
-
-def class_paper_vc(kind: ClassKind, dim: int) -> int:
-    """Published VC value (or stated upper bound) used by the growth check."""
-    check_int("class dimension", dim, 1)
-    if kind in (ClassKind.BOXES, ClassKind.BOXES_NONDEGENERATE):
-        return 2 * dim
-    if kind is ClassKind.CUBES:
-        return (3 * dim + 1) // 2
-    if kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
-        return 3 * dim // 2
-    if kind is ClassKind.DEGENERATE_BALLS:
-        # odd: the published exact claim; even: the published upper bound
-        return (3 * dim + 1) // 2 if dim % 2 else 3 * dim // 2 + 1
-    if kind is ClassKind.AXIS_CUTS:
-        m = 1
-        while math.comb(m + 1, (m + 1) // 2) <= dim:
-            m += 1
-        return m
-    raise DomainError(f"unknown class kind {kind!r}")
 
 
 @dataclass
@@ -113,21 +94,21 @@ class VerificationReport:
 
 
 def _item_1_cube_witnesses(ctx: SuiteContext):
-    expected_sizes = {1: 2, 2: 3, 3: 5, 4: 6, 5: 8}
     ok = True
     per_d = {}
     for d in range(1, 6):
+        want = class_paper_vc(ClassKind.CUBES, d)
         w = cube_witness(d)
         verdict = is_shattered(w, cubes(d))
         good = (
-            len(w) == expected_sizes[d]
+            len(w) == want
             and verdict.shattered
             and verdict.certificate is not None
             and verdict.certificate.validate()
         )
         per_d[str(d)] = {
             "size": len(w),
-            "expected_size": expected_sizes[d],
+            "expected_size": want,
             "shattered": verdict.shattered,
             "certificate_witnesses": 0
             if verdict.certificate is None
@@ -139,21 +120,21 @@ def _item_1_cube_witnesses(ctx: SuiteContext):
 
 
 def _item_2_anchored_witnesses(ctx: SuiteContext):
-    expected_sizes = {1: 1, 2: 3, 3: 4, 4: 6, 5: 7, 6: 9}
     ok = True
     per_d = {}
     for d in range(1, 7):
+        want = class_paper_vc(ClassKind.ANCHORED_DEGENERATE_BALLS, d)
         w = origin_ball_witness(d)
         verdict = is_shattered(w, origin_anchored(d))
         good = (
-            len(w) == expected_sizes[d]
+            len(w) == want
             and verdict.shattered
             and verdict.certificate is not None
             and verdict.certificate.validate()
         )
         per_d[str(d)] = {
             "size": len(w),
-            "expected_size": expected_sizes[d],
+            "expected_size": want,
             "shattered": verdict.shattered,
         }
         ok = ok and good
@@ -164,19 +145,20 @@ def _item_2_anchored_witnesses(ctx: SuiteContext):
 
 
 def _item_3_ordinal_vc_table(ctx: SuiteContext):
-    expected = [
-        (ClassKind.ANCHORED_DEGENERATE_BALLS, 1, 1),
-        (ClassKind.ANCHORED_DEGENERATE_BALLS, 2, 3),
-        (ClassKind.BOXES, 1, 2),
-        (ClassKind.BOXES, 2, 4),
-        (ClassKind.AXIS_CUTS, 1, 1),
-        (ClassKind.AXIS_CUTS, 2, 2),
-        (ClassKind.AXIS_CUTS, 3, 3),
-        (ClassKind.CUBES, 1, 2),
+    cells = [
+        (ClassKind.ANCHORED_DEGENERATE_BALLS, 1),
+        (ClassKind.ANCHORED_DEGENERATE_BALLS, 2),
+        (ClassKind.BOXES, 1),
+        (ClassKind.BOXES, 2),
+        (ClassKind.AXIS_CUTS, 1),
+        (ClassKind.AXIS_CUTS, 2),
+        (ClassKind.AXIS_CUTS, 3),
+        (ClassKind.CUBES, 1),
     ]
     ok = True
     rows = []
-    for kind, dim, want in expected:
+    for kind, dim in cells:
+        want = class_paper_vc(kind, dim)
         rep = exact_vc_ordinal(kind, dim)
         rows.append(
             {
@@ -202,16 +184,17 @@ def _item_3_ordinal_vc_table(ctx: SuiteContext):
 
 def _item_4_degenerate_dimensions(ctx: SuiteContext):
     details: Dict[str, Any] = {}
+    want1 = class_paper_vc(ClassKind.DEGENERATE_BALLS, 1)
     rep1 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 1)
-    sub_d1 = rep1.vc_exact == 2
-    details["d1"] = {"expected": 2, "computed": rep1.vc_exact}
+    sub_d1 = rep1.vc_exact == want1
+    details["d1"] = {"expected": want1, "computed": rep1.vc_exact}
 
+    size3 = class_paper_vc(ClassKind.DEGENERATE_BALLS, 3)
     rep3 = exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 3)
-    level5 = next((lv for lv in rep3.levels if lv.n == 5), None)
+    level5 = next((lv for lv in rep3.levels if lv.n == size3), None)
     witness5 = level5 is not None and level5.shattered
-    sub_d3 = witness5
     details["d3"] = {
-        "expected_witness_size": 5,
+        "expected_witness_size": size3,
         "witness_found": witness5,
         "computed_vc_exact": rep3.vc_exact,
         "n5_configs_examined": 0 if level5 is None else level5.configs_examined,
@@ -229,7 +212,7 @@ def _item_4_degenerate_dimensions(ctx: SuiteContext):
     }
 
     res = resolve_even_degenerate(2)
-    sub_d2 = res.definitive and res.value in (3, 4) and res.within_bracket
+    sub_d2 = res.definitive and res.within_bracket
     details["d2"] = {
         "bracket": list(res.bracket),
         "definitive": res.definitive,
@@ -247,7 +230,7 @@ def _item_4_degenerate_dimensions(ctx: SuiteContext):
             if anchored_verdict.shattered:
                 ctx.anchored_shattered_pool.append(lv.witness_points)
 
-    return sub_d1 and sub_d3 and sub_d2, details
+    return sub_d1 and witness5 and sub_d2, details
 
 
 def _item_5_downward_projection(ctx: SuiteContext):

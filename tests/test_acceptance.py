@@ -3,7 +3,7 @@
 The eleven items mirror ``vclab verify-paper --level full``.  The underlying
 suite runs once per session; each test asserts its item's verdict and, on
 failure, prints the item's detail payload so the reason is visible in the
-test log.
+test log.  One more test pins the bytes of the suite's ``result``.
 
 Item 4 is expected to FAIL honestly: its stated size-5 lower-bound witness
 for unanchored degenerate balls in dimension 3 provably does not exist (the
@@ -13,11 +13,15 @@ symmetry reduction — finds no shattered configuration, so the true value is
 details embedded in the failure message.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from vclab import run_verification
+from vclab import canonical_dumps, run_verification
+
+# sha256 of the ``result`` that ``vclab verify-paper --level full`` reports
+FULL_RESULT_SHA256 = "3a78dd2c4139c79e5b94c494f4f01a61a97fefe280dc808f2c067f136d2b1e54"
 
 
 @pytest.fixture(scope="session")
@@ -100,3 +104,17 @@ def test_10_growth_bound(suite):
 def test_11_cube_negative_control(suite):
     """100k-trial randomized search finds no shattered 4-set for planar cubes."""
     _assert_item(suite, 11)
+
+
+def test_full_result_bytes_are_pinned(suite):
+    """The CLI's ``result`` for the full suite keeps its bytes."""
+    result = {
+        "level": suite.level,
+        "all_passed": suite.all_passed,
+        "items": [
+            {"number": r.number, "name": r.name, "passed": r.passed, "details": r.details}
+            for r in suite.items
+        ],
+    }
+    digest = hashlib.sha256(canonical_dumps(result).encode("utf-8")).hexdigest()
+    assert digest == FULL_RESULT_SHA256

@@ -275,6 +275,14 @@ def test_ordinal_vc_budget_exit_5_with_partial(capsys):
     assert "budget" in err.lower()
 
 
+def test_ordinal_vc_degenerate_d2_scans_as_deep_as_the_resolver(capsys):
+    # one level past the published upper bound 4, so the scan settles the value
+    rc, rep, _ = run(capsys, ["ordinal-vc", "--class", "degenerate", "--dim", "2"])
+    assert rc == 0
+    assert rep["result"]["n_max"] == 5
+    assert rep["result"]["vc_exact"] == 3
+
+
 def test_resolve_d2(capsys):
     rc, rep, _ = run(capsys, ["resolve-d2"])
     assert rc == 0

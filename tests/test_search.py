@@ -24,6 +24,7 @@ from vclab import (
     anchored,
     boxes,
     canonical_dumps,
+    class_paper_vc,
     carve_feasible,
     cube_witness,
     cubes,
@@ -736,6 +737,20 @@ def test_zero_budget_refuses_the_first_config(entry):
         assert err.value.report.configs_examined == 0
 
 
+ORDER_DRIVEN_CELLS = [
+    (kind, dim) for kind in ClassKind if kind is not ClassKind.CUBES for dim in range(1, 6)
+] + [(ClassKind.CUBES, 1)]
+
+
+@pytest.mark.parametrize(
+    "kind, dim", ORDER_DRIVEN_CELLS, ids=[f"{k.value}-d{d}" for k, d in ORDER_DRIVEN_CELLS]
+)
+def test_default_depth_is_one_past_the_published_value(kind, dim):
+    with pytest.raises(BudgetExceededError) as err:
+        exact_vc_ordinal(kind, dim, budget=0)
+    assert err.value.report.n_max == class_paper_vc(kind, dim) + 1
+
+
 def test_resolve_even_degenerate_d2():
     rep = resolve_even_degenerate(2)
     assert rep.definitive
@@ -857,7 +872,8 @@ def _search_trials_peak(trials):
 
 def test_cube_search_memory_does_not_grow_with_trials():
     # only the local top candidates are held, not one per trial
-    _search_trials_peak(400)  # the first run pays one-off interpreter allocations
+    # the first run at the larger size pays the one-off interpreter allocations
+    _search_trials_peak(4000)
     small = _search_trials_peak(400)
     assert _search_trials_peak(4000) <= 2 * small
 
