@@ -99,12 +99,7 @@ from fractions import Fraction
 from operator import and_
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from .errors import (
-    AnchorMissingError,
-    DimensionMismatchError,
-    DomainError,
-    UnboundedAnchorError,
-)
+from .errors import DimensionMismatchError, DomainError
 from .geometry import Box, Cube, Interval, PointSet, prefix_table
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int, midpoint
 
@@ -132,11 +127,11 @@ class ClassDescriptor:
         check_int("class dimension", self.dim, 1)
         if self.kind is ClassKind.ANCHORED_DEGENERATE_BALLS:
             if self.anchor is None:
-                raise AnchorMissingError("anchored class requires an anchor box")
+                raise DomainError("anchored class requires an anchor box")
             if self.anchor.dim != self.dim:
                 raise DimensionMismatchError("anchor dimension mismatch")
             if not self.anchor.is_bounded:
-                raise UnboundedAnchorError("anchor box must be bounded")
+                raise DomainError("anchor box must be bounded")
         elif self.anchor is not None:
             raise DomainError(f"class {self.kind.value} takes no anchor")
 

@@ -31,7 +31,6 @@ from .errors import (
     NotContainingAnchorError,
     NotContainingZeroError,
     NotShatteredError,
-    UnboundedAnchorError,
 )
 from .geometry import Box, Interval, Point, PointSet, project, rect_hull
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int
@@ -97,7 +96,7 @@ def cube_witness(d: int) -> PointSet:
 
 def _require_bounded_anchor(anchor: Box) -> None:
     if not anchor.is_bounded:
-        raise UnboundedAnchorError("anchor box must be bounded")
+        raise DomainError("anchor box must be bounded")
 
 
 def _collapse1(a: Scalar, b: Scalar, x: Scalar) -> Scalar:

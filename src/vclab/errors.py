@@ -18,24 +18,12 @@ class ParseError(VclabError):
     """Malformed input file or serialized value."""
 
 
-class EmptySetError(VclabError):
-    """A point set, or a collection to take the hull of, is empty."""
-
-
 class DimensionMismatchError(VclabError):
     """A dimension or axis does not fit the points, anchor or class."""
 
 
 class DuplicateAfterProjectionError(VclabError):
     """Two points coincide after dropping axes."""
-
-
-class AnchorMissingError(VclabError):
-    """An anchored class was given no anchor box."""
-
-
-class UnboundedAnchorError(VclabError):
-    """An anchor box has an infinite side."""
 
 
 class NotContainingAnchorError(VclabError):

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     DuplicateAfterProjectionError,
-    EmptySetError,
 )
 from .scalars import (
     NEG_INF,
@@ -71,7 +70,7 @@ class PointSet:
         check_int("dimension", self.dim, 1)
         pts = tuple(as_point(p) for p in self.points)
         if not pts:
-            raise EmptySetError("point set must be nonempty")
+            raise DomainError("point set must be nonempty")
         for p in pts:
             if len(p) != self.dim:
                 raise DimensionMismatchError(
@@ -86,7 +85,7 @@ class PointSet:
         pts = tuple(points)  # __post_init__ normalizes each point
         if dim is None:
             if not pts:
-                raise EmptySetError("cannot infer dimension of an empty point set")
+                raise DomainError("cannot infer dimension of an empty point set")
             dim = len(pts[0])
         return cls(dim=dim, points=pts)
 
@@ -278,7 +277,7 @@ def rect_hull(points) -> Box:
     else:
         pts = tuple(as_point(p) for p in points)
     if not pts:
-        raise EmptySetError("rect_hull of an empty collection")
+        raise DomainError("rect_hull of an empty collection")
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:

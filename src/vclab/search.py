@@ -48,10 +48,11 @@ image meets, because a group element that leaves axis 0 alone also keeps
 the point labels: rows 1..d-1 ascend, since swapping two of those axes
 exchanges their rows, and, with reflections, each is at most its
 reflection, since reflecting one of those axes changes that row alone.
-A row that breaks either is neither built nor tested.  The skipped
-configs still count as examined and are charged to the budget where the
-raw scan would meet them, so the counters and budget overruns are those
-of the raw scan.
+A row that breaks either is neither built nor tested.  The count of
+examined configs is the raw scan's position, set before each tested
+matrix and at a level's end, and a budget refuses the first position past
+it, so the skipped configs count, and overrun the budget, as the raw
+scan's do.
 
 Cubes in dimension >= 2 are genuinely metric, so they get a seeded random
 search with hill climbing instead; absence of a witness there is evidence,
@@ -237,32 +238,11 @@ def _lower(
     return descend(0, tuple(range(d)), None)
 
 
-class _Budget:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: Optional[int]):
-        if limit is not None:
-            check_int("budget", limit, 0)
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, counters: EnumerationCounters, count: int = 1) -> None:
-        """Examine ``count`` raw configs, as if one by one: those within the
-        limit are counted, and the first one beyond it is refused."""
-        take = count if self.limit is None else min(count, self.limit - self.used)
-        self.used += take
-        counters.examined += take
-        if take < count:
-            raise BudgetExceededError(
-                f"examined {self.used} raw configurations; budget {self.limit}"
-            )
-
-
 @dataclass
 class EnumerationCounters:
-    """``examined``: raw configs covered, whether tested one by one or
-    skipped as the block of completions of a non-canonical row prefix;
-    ``emitted``: canonical configs yielded, one per orbit."""
+    """``examined``: raw configs a scan of every raw matrix would have
+    reached, the ones skipped untested included; ``emitted``: canonical
+    configs yielded, one per orbit."""
 
     examined: int = 0
     emitted: int = 0
@@ -281,8 +261,9 @@ def _enumerate(
     dim: int,
     with_origin: bool,
     reflect: bool,
-    budget: _Budget,
     counters: EnumerationCounters,
+    budget: Optional[int],
+    start: int = 0,
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Orderly generation of the canonical rank matrices: they are built
     row by row, and a row prefix that is not least in its orbit is dropped
@@ -293,9 +274,17 @@ def _enumerate(
     labels: rows 1..d-1 ascend (swapping two of those axes exchanges their
     rows) and, with reflections, each is at most its reflection (reflecting
     one of those axes changes that row alone).  A row that breaks either is
-    neither built nor tested; each run of such rows is charged as its
-    blocks of raw configs before the next tested row, so the counters and
-    budget overruns are those of testing every row."""
+    neither built nor tested.
+
+    ``counters.examined`` goes on from its value at the call to where a
+    scan of every raw matrix would be: just past a full matrix before it is
+    tested, and past the level's last raw matrix at its end.  ``budget``
+    caps ``examined - start``; a position past the cap is refused there,
+    with ``examined`` left at the cap, so skipped rows and prefixes count
+    and overrun as the raw scan's configs do.  A negative budget raises
+    ``DomainError`` before any config is examined."""
+    if budget is not None:
+        check_int("budget", budget, 0)
     m = n + 1 if with_origin else n
     first_rows = list(enumerate(_axis_rows(n, with_origin)))
     other_rows = list(permutations(range(m), n))
@@ -308,36 +297,40 @@ def _enumerate(
     table = _RowImages(m, reflect)
     # raw configs below a prefix of k rows
     block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
+    limit = None if budget is None else start + budget
+
+    def reach(position: int) -> None:
+        if limit is not None and position > limit:
+            counters.examined = limit
+            raise BudgetExceededError(
+                f"examined {budget} raw configurations; budget {budget}"
+            )
+        counters.examined = position
 
     def extend(
-        prefix: Tuple[Tuple[int, ...], ...], prefix_images: tuple
+        prefix: Tuple[Tuple[int, ...], ...], prefix_images: tuple, at: int
     ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        # ``at``: the raw-scan position of the prefix's first completion
         k = len(prefix) + 1
         if k == 1:
-            rows, total = first_rows, len(first_rows)
+            rows = first_rows
         else:
-            start = bisect.bisect_left(self_least_rows, prefix[-1]) if k > 2 else 0
-            rows, total = self_least[start:], len(other_rows)
-        done = 0  # index of the first row neither tested nor charged
+            low = bisect.bisect_left(self_least_rows, prefix[-1]) if k > 2 else 0
+            rows = self_least[low:]
         for i, row in rows:
-            if i > done:
-                budget.charge(counters, (i - done) * block[k])
-            done = i + 1
             mat = prefix + (row,)
             images = prefix_images + (table[row],)
             if k == dim:
-                budget.charge(counters)
+                reach(at + i + 1)
                 if _lower(mat, images) is None:
                     counters.emitted += 1
                     yield mat
             elif _lower(mat, images) is None:
-                yield from extend(mat, images)
-            else:
-                budget.charge(counters, block[k])
-        if total > done:
-            budget.charge(counters, (total - done) * block[k])
+                yield from extend(mat, images, at + i * block[k])
+        if k == 1:  # the level's end
+            reach(at + len(first_rows) * block[1])
 
-    return extend((), ())
+    return extend((), (), counters.examined)
 
 
 def enumerate_order_types(
@@ -364,20 +357,19 @@ def enumerate_order_types(
     reflection) is skipped untested with its completions.  All of these
     give the verdict of comparing each raw matrix with the least image of
     its orbit, so the emission order is that of the brute-force scan.
-    ``counters.examined`` counts the raw configs covered, whether tested
-    one by one or skipped as a block, untested or not, and ``budget`` caps
-    that count as if each were examined on its own: a limit inside a
-    skipped block raises after exactly ``budget`` of them.  A negative
-    budget, or a ``with_origin`` or ``reflect`` that is not a bool, raises
+    ``counters.examined`` grows by the raw configs the brute-force scan
+    would have reached, skipped ones included, and ``budget`` caps what
+    this call adds to it: the raw config past the limit raises, with
+    exactly ``budget`` added, wherever it lies.  A negative budget, or a
+    ``with_origin`` or ``reflect`` that is not a bool, raises
     ``DomainError`` before any config is examined.
     """
     check_int("n", n, 1)
     check_int("dim", dim, 1)
     _check_flag("with_origin", with_origin)
     _check_flag("reflect", reflect)
-    tracker = _Budget(budget)
     ctr = counters if counters is not None else EnumerationCounters()
-    mats = _enumerate(n, dim, with_origin, reflect, tracker, ctr)
+    mats = _enumerate(n, dim, with_origin, reflect, ctr, budget, ctr.examined)
     return (OrderConfig(n, dim, with_origin, mat) for mat in mats)
 
 
@@ -542,7 +534,7 @@ def exact_vc_ordinal(
         n_max = class_paper_vc(kind, dim) + 1
     check_int("n_max", n_max, 1)
     check_int("jobs", jobs, 1)
-    tracker = _Budget(budget)
+    counters = EnumerationCounters()  # the whole scan's; a level's are differences
     levels: List[LevelOutcome] = []
     vc_exact: Optional[int] = None
 
@@ -558,33 +550,31 @@ def exact_vc_ordinal(
         )
 
     for n in range(1, n_max + 1):
-        counters = EnumerationCounters()
+        examined, emitted = counters.examined, counters.emitted
         table = _RowTraces(descriptor.kind, with_origin)
         full = (1 << n) - 1
         found: Optional[OrderConfig] = None
+        stopped: Optional[BudgetExceededError] = None
         try:
-            for mat in _enumerate(n, dim, with_origin, reflect, tracker, counters):
+            for mat in _enumerate(n, dim, with_origin, reflect, counters, budget):
                 if _shattered(descriptor.kind, [table[row] for row in mat], full):
                     found = OrderConfig(n, dim, with_origin, mat)
                     break
         except BudgetExceededError as err:
-            levels.append(
-                LevelOutcome(
-                    n, False, None, None, counters.examined, counters.emitted
-                )
-            )
-            err.report = make_report()
-            raise
+            stopped = err
         levels.append(
             LevelOutcome(
                 n,
                 found is not None,
                 found,
                 None if found is None else found.realize(),
-                counters.examined,
-                counters.emitted,
+                counters.examined - examined,
+                counters.emitted - emitted,
             )
         )
+        if stopped is not None:
+            stopped.report = make_report()
+            raise stopped
         if found is None:
             vc_exact = n - 1
             break
@@ -873,7 +863,6 @@ def max_shattering_coefficient(
     table = _RowTraces(descriptor.kind, with_origin)
     full = (1 << n) - 1
     counters = EnumerationCounters()
-    tracker = _Budget(budget)
     best_count: Optional[int] = None
     best_config: Optional[OrderConfig] = None
 
@@ -890,7 +879,7 @@ def max_shattering_coefficient(
         )
 
     try:
-        for mat in _enumerate(n, dim, with_origin, reflect, tracker, counters):
+        for mat in _enumerate(n, dim, with_origin, reflect, counters, budget):
             count = len(_carved(descriptor.kind, [table[row][0] for row in mat], full))
             if best_count is None or count > best_count:
                 best_count, best_config = count, OrderConfig(n, dim, with_origin, mat)

@@ -29,14 +29,12 @@ from .carve import (
     ClassKind,
     anchored,
     boxes,
-    carve,
     carve_feasible,
     cubes,
     degenerate_balls,
     origin_anchored,
 )
 from .constructions import (
-    collapse_anchor,
     collapse_anchor_box,
     collapse_anchor_points,
     cube_downward_projection,
@@ -298,14 +296,15 @@ def _item_6_anchor_transport(ctx: SuiteContext):
         desc = anchored(anchor)
         n = len(ps)
         try:
-            collapsed = collapse_anchor_points(anchor, ps)  # injectivity check
-            if collapsed.points != tuple(
-                collapse_anchor(anchor, p) for p in ps.points
-            ):
-                raise VclabError("collapse mismatch")
+            collapsed = collapse_anchor_points(anchor, ps)  # refuses a non-injective collapse
             verdict = is_shattered(ps, desc)
             if not verdict.shattered:
                 raise VclabError(f"lift not shattered (mask {verdict.failing_mask})")
+            collapsed_verdict = is_shattered(collapsed, origin_anchored(d))
+            if not collapsed_verdict.shattered:
+                raise VclabError(
+                    f"collapsed set lost mask {collapsed_verdict.failing_mask}"
+                )
             for mask in range(1 << n):
                 witness = verdict.certificate.witness_for(mask)
                 image = collapse_anchor_box(anchor, witness.concept)
@@ -315,9 +314,7 @@ def _item_6_anchor_transport(ctx: SuiteContext):
                         img_mask |= 1 << i
                 if img_mask != mask:
                     raise VclabError(f"image trace changed on mask {mask}")
-                w0 = carve(collapsed, mask, origin_anchored(d))
-                if w0 is None:
-                    raise VclabError(f"collapsed set lost mask {mask}")
+                w0 = collapsed_verdict.certificate.witness_for(mask)
                 pre = expand_anchor_box(anchor, w0.concept)
                 pre_mask = 0
                 for i, p in enumerate(ps.points):

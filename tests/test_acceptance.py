@@ -15,6 +15,7 @@ details embedded in the failure message.
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -26,7 +27,8 @@ FULL_RESULT_SHA256 = "3a78dd2c4139c79e5b94c494f4f01a61a97fefe280dc808f2c067f136d
 
 @pytest.fixture(scope="session")
 def suite():
-    return run_verification(level="full", jobs=1)
+    # the CLI's default --jobs; results do not depend on it, which the pin checks
+    return run_verification(level="full", jobs=len(os.sched_getaffinity(0)))
 
 
 def _item(suite, number):

@@ -1,6 +1,7 @@
 """Exhaustive order-type search, symmetry reduction, and randomized search."""
 
 import ast
+import gc
 import hashlib
 import inspect
 import random
@@ -289,35 +290,17 @@ def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, varian
         (4, 3, False, "no-reflect"),
     ],
 )
-def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_origin, variant):
-    # a limit inside a skipped block is charged as if its configs were
-    # examined one by one: same emissions, count and message as the scan.
-    # Within one charge the run before it is the same for every budget, so
-    # the outcomes are those at every charge boundary and, inside each
-    # block, its first, middle and last budget.
+def test_budget_overrun_matches_per_config_charging(n, dim, with_origin, variant):
+    # every budget, a limit inside a skipped block included, stops the scan
+    # as if its configs were examined one by one: same emissions, count and
+    # message as the raw scan
     reflect = SYMMETRY_VARIANTS[variant]
     scan = _reference_scan(n, dim, with_origin, reflect)
-    charges = []
-    charge = search_module._Budget.charge
-
-    def recording(self, counters, count=1):
-        charges.append(count)
-        return charge(self, counters, count)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(search_module._Budget, "charge", recording)
-        for _ in enumerate_order_types(n, dim, with_origin, reflect):
-            pass
-    assert sum(charges) == len(scan)
-    budgets = {0, len(scan)}
-    used = 0
-    for count in charges:
-        if count >= 2:
-            budgets |= {used + 1, used + count // 2, used + count - 1}
-        used += count
-        budgets.add(used)
-    assert any(count >= 2 for count in charges)
-    for budget in sorted(budgets):
+    kept = [mat for mat, keep in scan if keep]
+    kept_before = [0]
+    for _, keep in scan:
+        kept_before.append(kept_before[-1] + keep)
+    for budget in range(len(scan) + 1):
         counters = EnumerationCounters()
         emitted, message = [], None
         try:
@@ -327,12 +310,24 @@ def test_budget_overrun_matches_per_config_charging(monkeypatch, n, dim, with_or
                 emitted.append(cfg.ranks)
         except BudgetExceededError as err:
             message = str(err)
-        assert emitted == [mat for mat, keep in scan[:budget] if keep], budget
+        assert emitted == kept[:kept_before[budget]], budget
         assert counters.examined == budget
         if budget < len(scan):
             assert message == f"examined {budget} raw configurations; budget {budget}"
         else:
             assert message is None
+
+
+def test_budget_caps_what_one_call_examines_on_counters_that_hold_counts():
+    counters = EnumerationCounters(examined=100, emitted=7)
+    emitted = []
+    with pytest.raises(
+        BudgetExceededError, match=r"^examined 5 raw configurations; budget 5$"
+    ):
+        for cfg in enumerate_order_types(3, 2, budget=5, counters=counters):
+            emitted.append(cfg)
+    assert len(emitted) == 2
+    assert (counters.examined, counters.emitted) == (105, 9)
 
 
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
@@ -861,6 +856,7 @@ def test_cube_search_caps_the_point_count():
 
 
 def _search_trials_peak(trials):
+    gc.collect()  # so no collection of earlier tests' garbage runs inside the trace
     tracemalloc.start()
     try:
         # 4 points on a line: no trial is shattered and none climbs
