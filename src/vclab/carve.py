@@ -398,7 +398,10 @@ def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) 
 # masks the cube scorer's memo holds before it is cleared: an order type
 # counts its box-carved masks and an axis table its 2^n masks, so every
 # injective order type of 4 points in the plane (4!^2 = 576 of them, at
-# most 10 box-carved masks each, over 4! axis tables) fits
+# most 10 box-carved masks each, over 4! axis tables) fits.  The cube search
+# keeps one scorer per thread across calls, so this one bound holds that
+# thread's memo over every (dim, n) it searches; the memo exceeds it by at
+# most the tables of the last order type sieved
 BOX_MEMO_MASKS = 1 << 13
 
 
@@ -456,7 +459,10 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     for it.  An order type holds its box-carved masks and an axis table its
     2^n; once the memo holds ``BOX_MEMO_MASKS`` masks it is cleared before
     the next order type is sieved, so its size does not grow with the
-    number of calls.
+    number of calls, whatever the number of points or dimensions of the
+    columns.  The memo lives as long as the scorer: ``random_cube_search``
+    keeps one scorer per thread across calls, so the memo is per thread and
+    shared by every search that thread runs.
 
     An order type keeps its box-carved masks in a list, and a window miss
     moves its mask to the front, so the order type tries it first next

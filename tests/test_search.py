@@ -5,6 +5,8 @@ import gc
 import hashlib
 import inspect
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from importlib import import_module
@@ -683,7 +685,9 @@ def test_cube_search_refuses_ill_typed_keep_and_climb_steps(kwargs, error):
 
 @pytest.mark.parametrize("value", [1.5, True, "16", -1], ids=["float", "bool", "str", "neg"])
 def test_cube_search_refuses_ill_typed_coordinate_range(monkeypatch, value):
-    # refused before any trial is scored
+    # refused before any trial is scored: a fresh holder makes any scoring
+    # reach the poisoned factory, whatever this thread's scorer holds
+    monkeypatch.setattr(search_module, "_scorers", threading.local())
     monkeypatch.setattr(search_module, "cube_scorer", None)
     with pytest.raises(DomainError, match="coordinate_range"):
         random_cube_search(2, 4, 10, seed=1, coordinate_range=value)
@@ -691,6 +695,7 @@ def test_cube_search_refuses_ill_typed_coordinate_range(monkeypatch, value):
 
 @pytest.mark.parametrize("value", [1.5, True, -1], ids=["float", "bool", "neg"])
 def test_cube_search_refuses_a_seed_that_is_not_an_int_at_least_zero(monkeypatch, value):
+    monkeypatch.setattr(search_module, "_scorers", threading.local())
     monkeypatch.setattr(search_module, "cube_scorer", None)
     with pytest.raises(DomainError, match="seed"):
         random_cube_search(2, 4, 10, seed=value)
@@ -698,6 +703,7 @@ def test_cube_search_refuses_a_seed_that_is_not_an_int_at_least_zero(monkeypatch
 
 @pytest.mark.parametrize("value", [0, -2, True, 2.5], ids=["zero", "neg", "bool", "float"])
 def test_cube_search_refuses_jobs_that_is_not_an_int_at_least_one(monkeypatch, value):
+    monkeypatch.setattr(search_module, "_scorers", threading.local())
     monkeypatch.setattr(search_module, "cube_scorer", None)
     with pytest.raises(DomainError, match="jobs"):
         random_cube_search(2, 4, 10, seed=1, jobs=value)
@@ -1166,3 +1172,63 @@ def test_cube_scorer_memo_cleared_at_its_bound_changes_no_score(monkeypatch):
     for cols in (a, b, a, b):
         roomy(cols, 0)
     assert len(sieved) == 2
+
+
+def _cube_search_text(*args, **kwargs):
+    return canonical_dumps(cube_search_report_to_json(random_cube_search(*args, **kwargs)))
+
+
+def test_cube_search_report_does_not_depend_on_what_the_threads_scorer_holds(monkeypatch):
+    searches = [(2, 4, 300, 2024), (3, 5, 100, 7)]  # the second clears the memo at its bound
+
+    def texts(**kwargs):
+        return [_cube_search_text(dim, n, trials, seed=seed, **kwargs)
+                for dim, n, trials, seed in searches]
+
+    cold = []
+    for dim, n, trials, seed in searches:
+        monkeypatch.setattr(search_module, "_scorers", threading.local())
+        cold.append(_cube_search_text(dim, n, trials, seed=seed))
+    # warmed by a search at another (dim, n), then also by itself
+    assert texts() == cold
+    assert texts() == cold
+    assert texts(jobs=2) == cold
+    with monkeypatch.context() as patch:
+        # at bound 0 each new order type clears the memo first
+        patch.setattr(import_module("vclab.carve"), "BOX_MEMO_MASKS", 0)
+        assert texts() == cold
+    # threads that search at once, switching often, each keep their own scorer:
+    # a shared one has its mask lists reordered, and its memo cleared, while
+    # another thread reads them
+    found = []
+    start = threading.Barrier(6)
+
+    def search():
+        start.wait(timeout=60)
+        found.append(texts())
+
+    threads = [threading.Thread(target=search) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [cold] * 6
+
+
+def test_cube_search_repeated_sieves_no_order_type_again(monkeypatch):
+    monkeypatch.setattr(search_module, "_scorers", threading.local())
+    carve = import_module("vclab.carve")
+    sieve = carve._box_sieve
+    sieved = []
+    monkeypatch.setattr(carve, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
+    first = _cube_search_text(2, 4, 300, seed=2024)
+    assert sieved
+    del sieved[:]
+    assert _cube_search_text(2, 4, 300, seed=2024) == first
+    assert not sieved
