@@ -99,7 +99,7 @@ from fractions import Fraction
 from operator import and_
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .geometry import Box, Cube, Interval, PointSet, prefix_table
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int, midpoint
 
@@ -129,7 +129,7 @@ class ClassDescriptor:
             if self.anchor is None:
                 raise DomainError("anchored class requires an anchor box")
             if self.anchor.dim != self.dim:
-                raise DimensionMismatchError("anchor dimension mismatch")
+                raise DomainError("anchor dimension mismatch")
             if not self.anchor.is_bounded:
                 raise DomainError("anchor box must be bounded")
         elif self.anchor is not None:
@@ -399,9 +399,11 @@ def _runs(values: Sequence[int], prefix: Sequence[int], s: int, t: int, w: int) 
 # counts its box-carved masks and an axis table its 2^n masks, so every
 # injective order type of 4 points in the plane (4!^2 = 576 of them, at
 # most 10 box-carved masks each, over 4! axis tables) fits.  The cube search
-# keeps one scorer per thread across calls, so this one bound holds that
-# thread's memo over every (dim, n) it searches; the memo exceeds it by at
-# most the tables of the last order type sieved
+# keeps one scorer per thread across calls for every (dim, n) whose dim axis
+# tables fit this bound, so it holds that thread's memo over all of them; the
+# memo exceeds it by at most the tables of the last order type sieved.  A
+# search whose tables exceed it scores with a scorer of its own, dropped at
+# return
 BOX_MEMO_MASKS = 1 << 13
 
 
@@ -461,8 +463,9 @@ def cube_scorer() -> Callable[[Sequence[Sequence[int]], int], int]:
     the next order type is sieved, so its size does not grow with the
     number of calls, whatever the number of points or dimensions of the
     columns.  The memo lives as long as the scorer: ``random_cube_search``
-    keeps one scorer per thread across calls, so the memo is per thread and
-    shared by every search that thread runs.
+    keeps one scorer per thread across calls whose axis tables fit the
+    bound, so the memo is per thread and shared by every such search that
+    thread runs.
 
     An order type keeps its box-carved masks in a list, and a window miss
     moves its mask to the front, so the order type tries it first next
@@ -776,7 +779,7 @@ def _kernel(
     carved masks off per-row lists of ``_factor_traces``.
     """
     if ps.dim != descriptor.dim:
-        raise DimensionMismatchError(
+        raise DomainError(
             f"set dimension {ps.dim} != class dimension {descriptor.dim}"
         )
     kind = descriptor.kind

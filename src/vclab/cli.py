@@ -516,14 +516,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as err:
         print(f"vclab: enumeration cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, DomainError) as err:
+    except VclabError as err:
         print(f"vclab: input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"vclab: i/o error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except VclabError as err:
-        print(f"vclab: error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 

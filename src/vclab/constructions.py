@@ -25,13 +25,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .carve import ClassDescriptor, ClassKind, anchored, cubes
-from .errors import (
-    DomainError,
-    NoConvergenceError,
-    NotContainingAnchorError,
-    NotContainingZeroError,
-    NotShatteredError,
-)
+from .errors import DomainError
 from .geometry import Box, Interval, Point, PointSet, project, rect_hull
 from .scalars import NEG_INF, POS_INF, Scalar, as_scalar, check_int
 from .shatter import ShatterVerdict, is_shattered
@@ -135,7 +129,7 @@ def collapse_anchor_box(anchor: Box, ball: Box) -> Box:
     if not ball.is_degenerate_ball:
         raise DomainError("expected a degenerate ball (each side open somewhere)")
     if not ball.contains_box(anchor):
-        raise NotContainingAnchorError("ball must contain the anchor box")
+        raise DomainError("ball must contain the anchor box")
     out = []
     for iv, aiv in zip(ball.intervals, anchor.intervals):
         lo = iv.lo if iv.lo is NEG_INF else _collapse1(aiv.lo, aiv.hi, iv.lo)
@@ -158,7 +152,7 @@ def expand_anchor_box(anchor: Box, ball: Box) -> Box:
     if not ball.is_degenerate_ball:
         raise DomainError("expected a degenerate ball (each side open somewhere)")
     if not ball.contains((0,) * anchor.dim):
-        raise NotContainingZeroError("ball must contain the origin")
+        raise DomainError("ball must contain the origin")
     out = []
     for iv, aiv in zip(ball.intervals, anchor.intervals):
         lo = iv.lo if iv.lo is NEG_INF else as_scalar(aiv.lo + iv.lo)
@@ -183,17 +177,16 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
     excluded points, so some positive delta always works; hitting the floor
     2**-64 therefore signals a bug (or an astronomically tiny input scale)
     and raises rather than returning silently.  The input must shatter
-    (``NotShatteredError`` otherwise), and every check decides all 2^n
-    masks, so more than ``DEFAULT_MASK_CAP`` points raise
-    ``CapExceededError`` before any perturbation.
+    (``DomainError`` naming the first failing mask otherwise), and every
+    check decides all 2^n masks, so more than ``DEFAULT_MASK_CAP`` points
+    raise ``CapExceededError`` before any perturbation.
     """
     if descriptor.kind is ClassKind.AXIS_CUTS:
         raise DomainError(f"perturbation not supported for {descriptor.kind.value}")
     verdict = is_shattered(ps, descriptor, want_certificate=False)
     if not verdict.shattered:
-        raise NotShatteredError(
-            f"input not shattered; first failing mask {verdict.failing_mask}",
-            mask=verdict.failing_mask,
+        raise DomainError(
+            f"input not shattered; first failing mask {verdict.failing_mask}"
         )
     n = len(ps)
     d = ps.dim
@@ -229,7 +222,7 @@ def perturb_to_injective(ps: PointSet, descriptor: ClassDescriptor) -> PointSet:
                 break
             delta /= 2
             if delta < DELTA_FLOOR:
-                raise NoConvergenceError(
+                raise DomainError(
                     "perturbation step underflowed 2**-64 without success"
                 )
     return PointSet(d, tuple(pts))
@@ -313,9 +306,10 @@ def cube_downward_projection(ps: PointSet) -> DownwardProjection:
     two points attaining its min and max, projects the rest onto the other
     axes, and checks shattering by degenerate balls anchored at the hull of
     the two projected poles.  The input is checked first: it must have
-    injective projections (``DomainError``) and be shattered by cubes
-    (``NotShatteredError``), and more than ``DEFAULT_MASK_CAP`` points raise
-    ``CapExceededError``.  For such inputs the verdict is always positive.
+    injective projections and be shattered by cubes (``DomainError`` naming
+    the first failing mask otherwise), and more than ``DEFAULT_MASK_CAP``
+    points raise ``CapExceededError``.  For such inputs the verdict is always
+    positive.
     """
     n = len(ps)
     d = ps.dim
@@ -330,9 +324,8 @@ def cube_downward_projection(ps: PointSet) -> DownwardProjection:
             )
     v = is_shattered(ps, cubes(d), want_certificate=False)
     if not v.shattered:
-        raise NotShatteredError(
-            f"input not cube-shattered; first failing mask {v.failing_mask}",
-            mask=v.failing_mask,
+        raise DomainError(
+            f"input not cube-shattered; first failing mask {v.failing_mask}"
         )
     hull = rect_hull(ps.points)
     widths = [iv.hi - iv.lo for iv in hull.intervals]

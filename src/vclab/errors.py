@@ -1,8 +1,8 @@
 """Error types.
 
-Every failure mode that callers (or the CLI exit-code protocol) need to
-distinguish gets its own class; callers tell them apart by class, and the
-message is free-form.
+A failure gets its own class only when callers (or the CLI exit-code
+protocol) need to tell it apart; every other refusal is a ``DomainError``
+whose message names its cause.
 """
 
 
@@ -11,39 +11,14 @@ class VclabError(Exception):
 
 
 class DomainError(VclabError):
-    """A value violates a type invariant (bad interval, negative radius, ...)."""
+    """An input the operation refuses: a broken type invariant (bad interval,
+    negative radius, ...), mismatched dimensions or axes, a ball that misses
+    the anchor or origin, an unshattered input, or a perturbation that does
+    not converge."""
 
 
 class ParseError(VclabError):
     """Malformed input file or serialized value."""
-
-
-class DimensionMismatchError(VclabError):
-    """A dimension or axis does not fit the points, anchor or class."""
-
-
-class DuplicateAfterProjectionError(VclabError):
-    """Two points coincide after dropping axes."""
-
-
-class NotContainingAnchorError(VclabError):
-    """A ball to collapse does not contain the anchor box."""
-
-
-class NotContainingZeroError(VclabError):
-    """A ball to expand does not contain the origin."""
-
-
-class NotShatteredError(VclabError):
-    """A construction's input is not shattered; ``mask`` is its first failing mask."""
-
-    def __init__(self, message: str, mask: "int | None" = None):
-        super().__init__(message)
-        self.mask = mask
-
-
-class NoConvergenceError(VclabError):
-    """The injective perturbation's step fell below its floor."""
 
 
 class CapExceededError(VclabError):

@@ -17,11 +17,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence, Tuple
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    DuplicateAfterProjectionError,
-)
+from .errors import DomainError
 from .scalars import (
     NEG_INF,
     POS_INF,
@@ -73,7 +69,7 @@ class PointSet:
             raise DomainError("point set must be nonempty")
         for p in pts:
             if len(p) != self.dim:
-                raise DimensionMismatchError(
+                raise DomainError(
                     f"point {p!r} has {len(p)} coordinates, expected {self.dim}"
                 )
         if len(set(pts)) != len(pts):
@@ -145,7 +141,7 @@ class PointSet:
     def translate(self, vector: Sequence) -> "PointSet":
         v = as_point(vector)
         if len(v) != self.dim:
-            raise DimensionMismatchError("translation vector dimension mismatch")
+            raise DomainError("translation vector dimension mismatch")
         return PointSet(
             self.dim,
             tuple(tuple(as_scalar(c + w) for c, w in zip(p, v)) for p in self.points),
@@ -203,7 +199,7 @@ class Box:
     @classmethod
     def from_bounds(cls, lows: Sequence, highs: Sequence) -> "Box":
         if len(lows) != len(highs):
-            raise DimensionMismatchError("bounds length mismatch")
+            raise DomainError("bounds length mismatch")
         return cls(tuple(Interval(lo, hi) for lo, hi in zip(lows, highs)))
 
     @property
@@ -221,12 +217,12 @@ class Box:
 
     def contains(self, point: Sequence[Scalar]) -> bool:
         if len(point) != self.dim:
-            raise DimensionMismatchError("point/box dimension mismatch")
+            raise DomainError("point/box dimension mismatch")
         return all(iv.lo <= x and x <= iv.hi for iv, x in zip(self.intervals, point))
 
     def contains_box(self, other: "Box") -> bool:
         if other.dim != self.dim:
-            raise DimensionMismatchError("box/box dimension mismatch")
+            raise DomainError("box/box dimension mismatch")
         # an unbounded end contains every end on its side, with no comparison
         return all(
             (a.lo is NEG_INF or a.lo <= b.lo) and (a.hi is POS_INF or b.hi <= a.hi)
@@ -261,7 +257,7 @@ class Cube:
 
     def contains(self, point: Sequence[Scalar]) -> bool:
         if len(point) != self.dim:
-            raise DimensionMismatchError("point/cube dimension mismatch")
+            raise DomainError("point/cube dimension mismatch")
         r = self.radius
         for c, x in zip(self.center, point):
             d = x - c
@@ -281,7 +277,7 @@ def rect_hull(points) -> Box:
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
-            raise DimensionMismatchError("mixed dimensions in rect_hull")
+            raise DomainError("mixed dimensions in rect_hull")
     lows = [min(p[i] for p in pts) for i in range(dim)]
     highs = [max(p[i] for p in pts) for i in range(dim)]
     return Box.from_bounds(lows, highs)
@@ -297,10 +293,8 @@ def project(ps: PointSet, keep: Sequence[int]) -> PointSet:
         raise DomainError("projection axes must be distinct")
     for a in axes:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < ps.dim:
-            raise DimensionMismatchError(f"projection axis {a!r} out of range")
+            raise DomainError(f"projection axis {a!r} out of range")
     projected = [tuple(p[a] for a in axes) for p in ps.points]
     if len(set(projected)) != len(projected):
-        raise DuplicateAfterProjectionError(
-            "distinct points collide after projection"
-        )
+        raise DomainError("distinct points collide after projection")
     return PointSet(len(axes), tuple(projected))

@@ -64,8 +64,10 @@ runs the cube kernel's window test (``carve._window``) only on the masks
 boxes carve, each with the hulls the sieve found for it.  A hill climb
 seldom changes the order type, so most moves reuse the sieve.  Each thread
 keeps one scorer (``_scorers``) across calls, so an order type sieved by an
-earlier search, at any ``(dim, n)``, is not sieved again; the scorer's
-``BOX_MEMO_MASKS`` clear bounds what it holds over all of them.  The search
+earlier search, at any ``(dim, n)`` whose dim axis tables of 2^n masks fit
+``BOX_MEMO_MASKS``, is not sieved again; the scorer clears its memo at that
+bound, which caps what it holds over all of them.  A search whose tables exceed the
+bound scores with a scorer of its own, dropped when it returns.  The search
 asks only whether a score reaches a floor: a hill-climb move is kept only
 if it beats the current score, and a first score matters only if the trial
 climbs or can enter the local top.  The scorer is exact at or above the
@@ -87,6 +89,7 @@ import random
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from importlib import import_module
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
@@ -111,11 +114,14 @@ EVIDENCE_NOTE = (
 # hill-climb moves for a cube-search trial whose score comes within 2 of full
 CLIMB_STEPS = 16
 
-# each thread's ``cube_scorer``, made on its first cube-search trials and kept
-# across calls: one is not safe to share between threads, since a pass moves
-# masks to the front of the list it iterates.  Tests reset it with a fresh
-# ``threading.local()``.
+# each thread's ``cube_scorer``, made on its first cube-search trials whose
+# axis tables fit ``BOX_MEMO_MASKS`` and kept across calls: one is not safe to
+# share between threads, since a pass moves masks to the front of the list it
+# iterates.  Tests reset it with a fresh ``threading.local()``.
 _scorers = threading.local()
+# the module, read at call time so that a patched bound holds here too (the
+# package's ``carve`` is the function)
+_carve = import_module(".carve", __package__)
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +715,12 @@ def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
     dim, n, t0, t1, seed, rng_range, local_keep = args
     total = 1 << n
     span = range(-rng_range, rng_range + 1)
-    score_at_least = getattr(_scorers, "score", None)
-    if score_at_least is None:
-        score_at_least = _scorers.score = cube_scorer()
+    if dim << n <= _carve.BOX_MEMO_MASKS:
+        score_at_least = getattr(_scorers, "score", None)
+        if score_at_least is None:
+            score_at_least = _scorers.score = cube_scorer()
+    else:  # one order type's axis tables exceed the bound: the call's own scorer
+        score_at_least = cube_scorer()
     evaluations = 0
     kept: List[Tuple[tuple, SearchCandidate]] = []  # local top, sorted by rank
     shattered: List[Tuple[tuple, SearchCandidate]] = []
@@ -768,13 +777,15 @@ def random_cube_search(
     raises the score, stopping early at a full score.
     The score is the count of masks ``carve_feasible`` accepts (so the
     reports are byte-identical to per-mask scoring).  One ``cube_scorer``
-    per thread, kept across calls so that its sieve memo is warm for every
-    order type the thread has scored, computes it exactly only where it can
-    matter: a move's score only when it beats the current one, a trial's
-    first score only when the trial climbs or can enter the worker's local
-    top; otherwise the pass stops at the miss that settles it.  A
-    ``PointSet`` and an order key are built once, only for a trial whose
-    score can enter that top, and the merge sorts on the workers' keys.
+    per thread, kept across calls whose dim axis tables of 2^n masks fit
+    ``BOX_MEMO_MASKS`` so that its sieve memo is warm for every order type
+    the thread has scored (a larger search makes a scorer for the call
+    alone), computes it exactly only where it can matter: a move's score
+    only when it beats the current one, a trial's first score only when the
+    trial climbs or can enter the worker's local top; otherwise the pass
+    stops at the miss that settles it.  A ``PointSet`` and an order key are
+    built once, only for a trial whose score can enter that top, and the
+    merge sorts on the workers' keys.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker; one that fails is an internal fault

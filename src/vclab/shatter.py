@@ -23,7 +23,7 @@ from .carve import (
     _kernel,
     _trace_mask,
 )
-from .errors import CapExceededError, DimensionMismatchError, DomainError
+from .errors import CapExceededError, DomainError
 from .geometry import PointSet
 from .scalars import check_int
 
@@ -66,7 +66,7 @@ class ShatteringCertificate:
 
     def __post_init__(self):
         if self.points.dim != self.descriptor.dim:
-            raise DimensionMismatchError(
+            raise DomainError(
                 f"set dimension {self.points.dim} != class dimension {self.descriptor.dim}"
             )
         if len(self.witnesses) != 1 << len(self.points):

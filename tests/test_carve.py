@@ -31,7 +31,6 @@ from vclab import (
     origin_ball_witness,
 )
 from vclab.carve import _HIGH, _LOW, _cover, _kernel, _trace_mask
-from vclab.errors import DimensionMismatchError
 from vclab.geometry import prefix_table
 from vclab.oracles import cube_feasible_unpruned, trace_set
 from vclab.scalars import as_scalar, midpoint
@@ -478,9 +477,9 @@ def test_trace_mask_compares_no_fractions(monkeypatch):
 
 def test_trace_mask_falls_back_on_a_dimension_mismatch():
     ps = PointSet.of([(0, 0), (1, 1)])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError, match="point/box dimension mismatch"):
         _trace_mask(Box.from_bounds([0], [1]), ps)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError, match="point/cube dimension mismatch"):
         _trace_mask(Cube((0, 0, 0), 1), ps)
     with pytest.raises(IndexError):
         _trace_mask(AxisCut(2, 0), ps)

@@ -42,7 +42,6 @@ from vclab import (
     resolve_even_degenerate,
     shattering_count,
 )
-from vclab import carve as carve_module
 from vclab import search as search_module
 from vclab import shatter as shatter_module
 from vclab.carve import _axis_hulls, _box_sieve, _kernel, cube_scorer
@@ -70,6 +69,9 @@ from vclab.serialize import (
 import order_reference
 from conftest import random_point_set
 from order_reference import _canonical, _relabel_sorted, rank_realization, transform_ranks
+
+# the module: ``from vclab import carve`` binds the package's carve function
+carve_module = import_module("vclab.carve")
 
 # ---------------------------------------------------------------------------
 # enumeration
@@ -477,8 +479,8 @@ def test_order_type_scans_run_no_carve_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the order-type scans ran the carve kernel")
 
-    for module in (carve_module, shatter_module, search_module):
-        monkeypatch.setattr(module, "_kernel", no_kernel, raising=False)
+    for module in (carve_module, shatter_module):
+        monkeypatch.setattr(module, "_kernel", no_kernel)
     assert exact_vc_ordinal(ClassKind.DEGENERATE_BALLS, 2).vc_exact == 3
     assert exact_vc_ordinal(ClassKind.ANCHORED_DEGENERATE_BALLS, 2).vc_exact == 3
     assert max_shattering_coefficient(ClassKind.BOXES, 2, 4).best_count == 16
@@ -1074,7 +1076,6 @@ def test_bounded_cube_score_stops_at_the_miss_that_settles_it(monkeypatch):
         cols = [rng.sample(range(-16, 17), 4) for _ in range(2)]
         ps = PointSet.of(list(zip(*cols)))
         missed = [m for m in range(16) if not carve_feasible(ps, m, cubes(2))]
-    carve_module = import_module("vclab.carve")
     runs = carve_module._runs
     calls = []
     monkeypatch.setattr(carve_module, "_runs", lambda *args: calls.append(1) or runs(*args))
@@ -1150,12 +1151,11 @@ def test_cube_scorer_memo_cleared_at_its_bound_changes_no_score(monkeypatch):
                 for floor in {0, score - 1, score, score + 1, 1 << n}:
                     stream.append((cols, floor, score))
     rng.shuffle(stream)
-    carve = import_module("vclab.carve")
-    sieve, bound = carve._box_sieve, carve.BOX_MEMO_MASKS
+    sieve, bound = carve_module._box_sieve, carve_module.BOX_MEMO_MASKS
     sieved = []
-    monkeypatch.setattr(carve, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
+    monkeypatch.setattr(carve_module, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
     # at bound 0 each new order type clears the memo first: it holds one
-    monkeypatch.setattr(carve, "BOX_MEMO_MASKS", 0)
+    monkeypatch.setattr(carve_module, "BOX_MEMO_MASKS", 0)
     shared = cube_scorer()
     for cols, floor, score in stream:
         got = shared(cols, floor)
@@ -1166,7 +1166,7 @@ def test_cube_scorer_memo_cleared_at_its_bound_changes_no_score(monkeypatch):
     for cols in (a, b, a, b):
         shared(cols, 0)
     assert len(sieved) == 4
-    monkeypatch.setattr(carve, "BOX_MEMO_MASKS", bound)
+    monkeypatch.setattr(carve_module, "BOX_MEMO_MASKS", bound)
     roomy = cube_scorer()
     del sieved[:]
     for cols in (a, b, a, b):
@@ -1195,7 +1195,7 @@ def test_cube_search_report_does_not_depend_on_what_the_threads_scorer_holds(mon
     assert texts(jobs=2) == cold
     with monkeypatch.context() as patch:
         # at bound 0 each new order type clears the memo first
-        patch.setattr(import_module("vclab.carve"), "BOX_MEMO_MASKS", 0)
+        patch.setattr(carve_module, "BOX_MEMO_MASKS", 0)
         assert texts() == cold
     # threads that search at once, switching often, each keep their own scorer:
     # a shared one has its mask lists reordered, and its memo cleared, while
@@ -1223,12 +1223,26 @@ def test_cube_search_report_does_not_depend_on_what_the_threads_scorer_holds(mon
 
 def test_cube_search_repeated_sieves_no_order_type_again(monkeypatch):
     monkeypatch.setattr(search_module, "_scorers", threading.local())
-    carve = import_module("vclab.carve")
-    sieve = carve._box_sieve
+    sieve = carve_module._box_sieve
     sieved = []
-    monkeypatch.setattr(carve, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
+    monkeypatch.setattr(carve_module, "_box_sieve", lambda *args: sieved.append(1) or sieve(*args))
     first = _cube_search_text(2, 4, 300, seed=2024)
     assert sieved
     del sieved[:]
     assert _cube_search_text(2, 4, 300, seed=2024) == first
     assert not sieved
+
+
+def test_cube_search_keeps_no_scorer_whose_axis_tables_exceed_the_bound(monkeypatch):
+    monkeypatch.setattr(search_module, "_scorers", threading.local())
+    assert 2 << 13 > carve_module.BOX_MEMO_MASKS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        random_cube_search(2, 13, 2, seed=1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 200_000
+    assert not hasattr(search_module._scorers, "score")

@@ -32,8 +32,6 @@ from vclab import (
     vc_lower_bound_on,
 )
 
-from vclab.errors import DimensionMismatchError
-
 carve_module = importlib.import_module("vclab.carve")
 
 
@@ -341,7 +339,7 @@ def test_bools_and_floats_given_as_ints_are_refused(call):
 def test_certificate_refuses_points_and_class_of_different_dimension():
     ps = PointSet.of([(0,), (1,)])
     witnesses = is_shattered(ps, boxes(1)).certificate.witnesses
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError, match="set dimension 1 != class dimension 2"):
         ShatteringCertificate(ps, boxes(2), witnesses)
 
 
