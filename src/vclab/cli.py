@@ -110,15 +110,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("VCLAB_JOBS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"VCLAB_JOBS must be an integer, got {env!r}")
-        if value < 1:
-            raise UsageError("VCLAB_JOBS must be >= 1")
-        return value
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -148,7 +139,7 @@ def _add_common(sub: argparse.ArgumentParser, jobs: bool = True) -> None:
             help=(
                 "worker processes for search-cubes and verify-paper; other "
                 "commands run in-process and accept it without effect "
-                "(default: VCLAB_JOBS or the number of usable CPUs)"
+                "(default: the number of usable CPUs)"
             ),
         )
 

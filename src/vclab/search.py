@@ -89,12 +89,12 @@ import random
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import import_module
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .carve import (
+    BOX_MEMO_MASKS,
     ClassDescriptor,
     ClassKind,
     _factor_traces,
@@ -119,21 +119,11 @@ CLIMB_STEPS = 16
 # share between threads, since a pass moves masks to the front of the list it
 # iterates.  Tests reset it with a fresh ``threading.local()``.
 _scorers = threading.local()
-# the module, read at call time so that a patched bound holds here too (the
-# package's ``carve`` is the function)
-_carve = import_module(".carve", __package__)
 
 
 # ---------------------------------------------------------------------------
 # Order types
 # ---------------------------------------------------------------------------
-
-
-def _check_flag(name: str, value) -> None:
-    """Refuse a flag that is not a bool (an int or ``None`` included) with
-    ``DomainError``."""
-    if type(value) is not bool:
-        raise DomainError(f"{name} must be a bool, got {value!r}")
 
 
 def _free_slot(row: Tuple[int, ...]) -> int:
@@ -148,8 +138,9 @@ class OrderConfig:
     With ``with_origin`` one rank slot per axis is reserved for the origin
     (the missing value); realization shifts ranks so the origin lands at 0.
     The scans decide a config on its rank rows alone (``_RowTraces``) and
-    realize only a config a report holds.  ``n`` and ``dim`` are ints >= 1,
-    as in ``enumerate_order_types``.
+    realize only a config a report holds.  ``n`` and ``dim`` are ints >= 1
+    and ``with_origin`` a bool (an int or ``None`` is refused), else
+    ``DomainError``.
     """
 
     n: int
@@ -160,7 +151,8 @@ class OrderConfig:
     def __post_init__(self):
         check_int("n", self.n, 1)
         check_int("dim", self.dim, 1)
-        _check_flag("with_origin", self.with_origin)
+        if type(self.with_origin) is not bool:
+            raise DomainError(f"with_origin must be a bool, got {self.with_origin!r}")
         m = self.n + (1 if self.with_origin else 0)
         if len(self.ranks) != self.dim:
             raise DomainError("one rank row per axis required")
@@ -279,11 +271,12 @@ def _enumerate(
     reflect: bool,
     counters: EnumerationCounters,
     budget: Optional[int],
-    start: int = 0,
 ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """Orderly generation of the canonical rank matrices: they are built
-    row by row, and a row prefix that is not least in its orbit is dropped
-    with all its completions (none of them is canonical either).
+    """Orderly generation of the canonical rank matrices, the least images
+    of their orbits, in the slice with axis-0 ranks ascending and in the
+    brute-force scan's order: they are built row by row, and a row prefix
+    that is not least in its orbit is dropped with all its completions
+    (none of them is canonical either).
 
     Rows 1.. are first screened by two conditions that every least image
     meets, since a group element that leaves axis 0 alone keeps the point
@@ -295,10 +288,11 @@ def _enumerate(
     ``counters.examined`` goes on from its value at the call to where a
     scan of every raw matrix would be: just past a full matrix before it is
     tested, and past the level's last raw matrix at its end.  ``budget``
-    caps ``examined - start``; a position past the cap is refused there,
-    with ``examined`` left at the cap, so skipped rows and prefixes count
-    and overrun as the raw scan's configs do.  A negative budget raises
-    ``DomainError`` before any config is examined."""
+    caps ``examined`` over the whole scan, the levels a caller ran before
+    on the same counters included; a position past the cap is refused
+    there, with ``examined`` left at the cap, so skipped rows and prefixes
+    count and overrun as the raw scan's configs do.  A negative budget
+    raises ``DomainError`` before any config is examined."""
     if budget is not None:
         check_int("budget", budget, 0)
     m = n + 1 if with_origin else n
@@ -313,11 +307,10 @@ def _enumerate(
     table = _RowImages(m, reflect)
     # raw configs below a prefix of k rows
     block = [len(other_rows) ** (dim - k) for k in range(dim + 1)]
-    limit = None if budget is None else start + budget
 
     def reach(position: int) -> None:
-        if limit is not None and position > limit:
-            counters.examined = limit
+        if budget is not None and position > budget:
+            counters.examined = budget
             raise BudgetExceededError(
                 f"examined {budget} raw configurations; budget {budget}"
             )
@@ -347,46 +340,6 @@ def _enumerate(
             reach(at + len(first_rows) * block[1])
 
     return extend((), (), counters.examined)
-
-
-def enumerate_order_types(
-    n: int,
-    dim: int,
-    with_origin: bool = False,
-    reflect: bool = True,
-    budget: Optional[int] = None,
-    counters: Optional[EnumerationCounters] = None,
-) -> Iterator[OrderConfig]:
-    """One representative per symmetry orbit, in a deterministic order.
-
-    The group relabels points, permutes axes and, when ``reflect`` is set,
-    reflects axes; ``exact_vc_ordinal`` and ``max_shattering_coefficient``
-    clear it only for axis cuts.  Representatives are the
-    lexicographically least rank matrices of their orbits.  Enumeration is
-    restricted to the slice with axis-0 ranks ascending, which every
-    relabel-orbit meets exactly once.  Matrices are built row by row; a row
-    prefix that is not least in its orbit is skipped with all its
-    completions, and every full matrix is tested with the pruned
-    minimality search ``_lower``, on row images built once per level
-    (``_RowImages``).  A row that breaks one of two conditions of a least
-    image (rows 1..d-1 ascend and, with reflections, each is at most its
-    reflection) is skipped untested with its completions.  All of these
-    give the verdict of comparing each raw matrix with the least image of
-    its orbit, so the emission order is that of the brute-force scan.
-    ``counters.examined`` grows by the raw configs the brute-force scan
-    would have reached, skipped ones included, and ``budget`` caps what
-    this call adds to it: the raw config past the limit raises, with
-    exactly ``budget`` added, wherever it lies.  A negative budget, or a
-    ``with_origin`` or ``reflect`` that is not a bool, raises
-    ``DomainError`` before any config is examined.
-    """
-    check_int("n", n, 1)
-    check_int("dim", dim, 1)
-    _check_flag("with_origin", with_origin)
-    _check_flag("reflect", reflect)
-    ctr = counters if counters is not None else EnumerationCounters()
-    mats = _enumerate(n, dim, with_origin, reflect, ctr, budget, ctr.examined)
-    return (OrderConfig(n, dim, with_origin, mat) for mat in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +668,7 @@ def _search_trials(args) -> Tuple[int, List[tuple], List[tuple]]:
     dim, n, t0, t1, seed, rng_range, local_keep = args
     total = 1 << n
     span = range(-rng_range, rng_range + 1)
-    if dim << n <= _carve.BOX_MEMO_MASKS:
+    if dim << n <= BOX_MEMO_MASKS:
         score_at_least = getattr(_scorers, "score", None)
         if score_at_least is None:
             score_at_least = _scorers.score = cube_scorer()
@@ -786,6 +739,8 @@ def random_cube_search(
     stops at the miss that settles it.  A ``PointSet`` and an order key are
     built once, only for a trial whose score can enter that top, and the
     merge sorts on the workers' keys.
+    The trials are split into at most ``jobs`` ranges, and a pool of one
+    worker process per range scores them when there are two or more.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker; one that fails is an internal fault
@@ -815,7 +770,7 @@ def random_cube_search(
     if jobs == 1 or len(work) == 1:
         parts = [_search_trials(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(work)) as pool:
             parts = list(pool.map(_search_trials, work))
     evaluations = 0
     merged: List[Tuple[tuple, SearchCandidate]] = []

@@ -14,7 +14,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .carve import AxisCut, CarveWitness, ClassDescriptor, ClassKind
-from .errors import ParseError
+from .errors import ParseError, VclabError
 from .geometry import Box, Cube, Interval, PointSet
 from .scalars import NEG_INF, POS_INF, Scalar, parse_scalar, scalar_str
 from .search import (
@@ -122,7 +122,7 @@ def point_set_from_json(data) -> PointSet:
             raise ParseError(f"point {row!r} does not have dimension {dim}")
     try:
         return PointSet(dim, tuple(points))
-    except Exception as err:  # duplicates etc. are file-content errors
+    except VclabError as err:  # duplicates etc. are file-content errors
         raise ParseError(str(err)) from err
 
 

@@ -37,15 +37,10 @@ E_UPPER = sum(Fraction(1, math.factorial(k)) for k in range(16)) + Fraction(
 )
 
 
-def canonical_mask_order(n: int) -> List[int]:
-    """Singletons, complements of singletons, then (popcount, value)."""
-    check_int("n", n, 1)
-    return list(_mask_order(n))
-
-
 @lru_cache(maxsize=None)
 def _mask_order(n: int) -> Tuple[int, ...]:
-    """``canonical_mask_order(n)``, built once per n for the scans."""
+    """The canonical mask order of n points, built once per n for the scans:
+    singletons, complements of singletons, then (popcount, value)."""
     full = (1 << n) - 1
     head = list(dict.fromkeys([1 << i for i in range(n)] + [full ^ (1 << i) for i in range(n)]))
     seen = set(head)

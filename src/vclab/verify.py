@@ -264,6 +264,11 @@ def _random_anchor(rng: random.Random, dim: int) -> Box:
     return Box(tuple(ivs))
 
 
+def _contained(concept: Box, ps: PointSet) -> int:
+    """The mask of the points of ps that concept contains, point by point."""
+    return sum(1 << i for i, p in enumerate(ps.points) if concept.contains(p))
+
+
 def _item_6_anchor_transport(ctx: SuiteContext):
     rng = random.Random(606)
     instances = 200
@@ -307,20 +312,10 @@ def _item_6_anchor_transport(ctx: SuiteContext):
                 )
             for mask in range(1 << n):
                 witness = verdict.certificate.witness_for(mask)
-                image = collapse_anchor_box(anchor, witness.concept)
-                img_mask = 0
-                for i, cp in enumerate(collapsed.points):
-                    if image.contains(cp):
-                        img_mask |= 1 << i
-                if img_mask != mask:
+                if _contained(collapse_anchor_box(anchor, witness.concept), collapsed) != mask:
                     raise VclabError(f"image trace changed on mask {mask}")
                 w0 = collapsed_verdict.certificate.witness_for(mask)
-                pre = expand_anchor_box(anchor, w0.concept)
-                pre_mask = 0
-                for i, p in enumerate(ps.points):
-                    if pre.contains(p):
-                        pre_mask |= 1 << i
-                if pre_mask != mask:
+                if _contained(expand_anchor_box(anchor, w0.concept), ps) != mask:
                     raise VclabError(f"preimage trace changed on mask {mask}")
             ctx.add_coefficient(ps, desc)
         except VclabError as err:

@@ -109,6 +109,15 @@ def test_boolean_dim_in_point_file_exit_2(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_duplicate_point_in_point_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"dim": 1, "points": [[0], [1], [0]]}')
+    rc, rep, err = run(capsys, ["carve", "--class", "boxes", "--points", str(path), "--mask", "101"])
+    assert rc == 2
+    assert rep is None
+    assert "input error: duplicate points rejected" in err
+
+
 def test_dim_mismatch_exit_1(capsys, points_file):
     path = points_file("two.json", [(0, 0)])
     rc, _, err = run(
@@ -333,14 +342,11 @@ def test_mask_scans_run_in_process_and_ignore_jobs(capsys, monkeypatch, points_f
 
 
 def test_default_jobs_counts_usable_cpus(monkeypatch):
-    monkeypatch.delenv("VCLAB_JOBS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert _default_jobs() == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _default_jobs() == 64
-    monkeypatch.setenv("VCLAB_JOBS", "2")
-    assert _default_jobs() == 2
 
 
 def test_search_cubes_deterministic_and_jobs_independent(capsys):

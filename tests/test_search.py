@@ -32,7 +32,6 @@ from vclab import (
     cube_witness,
     cubes,
     degenerate_balls,
-    enumerate_order_types,
     exact_vc_ordinal,
     is_shattered,
     max_shattering_coefficient,
@@ -52,6 +51,7 @@ from vclab.search import (
     _axis_rows,
     _carved,
     _draw_other,
+    _enumerate,
     _lower,
     _RowImages,
     _RowTraces,
@@ -78,23 +78,31 @@ carve_module = import_module("vclab.carve")
 # ---------------------------------------------------------------------------
 
 
+def _order_types(n, dim, with_origin=False, reflect=True, budget=None, counters=None):
+    """The canonical configs of one level, as ``OrderConfig``s, in the
+    enumerator's order; ``budget`` caps ``counters.examined``."""
+    counters = EnumerationCounters() if counters is None else counters
+    mats = _enumerate(n, dim, with_origin, reflect, counters, budget)
+    return (OrderConfig(n, dim, with_origin, mat) for mat in mats)
+
+
 def test_enumerate_counts_small():
-    assert sum(1 for _ in enumerate_order_types(1, 1)) == 1
+    assert sum(1 for _ in _order_types(1, 1)) == 1
     c = EnumerationCounters()
-    assert sum(1 for _ in enumerate_order_types(2, 2, counters=c)) == 1
+    assert sum(1 for _ in _order_types(2, 2, counters=c)) == 1
     assert c.examined == 2  # relabel slice halves the raw space
 
 
 def test_enumerate_is_deterministic():
-    a = [cfg.ranks for cfg in enumerate_order_types(3, 2)]
-    b = [cfg.ranks for cfg in enumerate_order_types(3, 2)]
+    a = [cfg.ranks for cfg in _order_types(3, 2)]
+    b = [cfg.ranks for cfg in _order_types(3, 2)]
     assert a == b
     assert len(a) == len(set(a))
 
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_order_types(4, 2, budget=10))
+        list(_order_types(4, 2, budget=10))
 
 
 def test_symmetry_orbits_collapse_to_one_representative():
@@ -102,7 +110,7 @@ def test_symmetry_orbits_collapse_to_one_representative():
     rng = random.Random(5)
     for n, dim, with_origin in [(3, 2, False), (4, 2, False), (3, 3, False), (2, 3, False), (3, 2, True)]:
         m = n + (1 if with_origin else 0)
-        for cfg in enumerate_order_types(n, dim, with_origin):
+        for cfg in _order_types(n, dim, with_origin):
             for _ in range(10):
                 axis_order = rng.sample(range(dim), dim)
                 reflect = [rng.random() < 0.5 for _ in range(dim)]
@@ -233,7 +241,7 @@ def test_enumeration_emits_one_representative_per_orbit(n, dim, with_origin, var
     reflect = SYMMETRY_VARIANTS[variant]
     m = n + (1 if with_origin else 0)
     orbits = {_canonical(mat, m, reflect) for mat in _raw_configs(n, dim, with_origin, False)}
-    emitted = [cfg.ranks for cfg in enumerate_order_types(n, dim, with_origin, reflect)]
+    emitted = [cfg.ranks for cfg in _order_types(n, dim, with_origin, reflect)]
     assert len(emitted) == len(orbits)
     assert set(emitted) == orbits
 
@@ -280,7 +288,7 @@ def test_orderly_generation_matches_brute_force_scan(n, dim, with_origin, varian
     counters = EnumerationCounters()
     emitted = [
         cfg.ranks
-        for cfg in enumerate_order_types(n, dim, with_origin, reflect, counters=counters)
+        for cfg in _order_types(n, dim, with_origin, reflect, counters=counters)
     ]
     assert emitted == [mat for mat, keep in scan if keep]
     assert (counters.examined, counters.emitted) == (len(scan), len(emitted))
@@ -308,7 +316,7 @@ def test_budget_overrun_matches_per_config_charging(n, dim, with_origin, variant
         counters = EnumerationCounters()
         emitted, message = [], None
         try:
-            for cfg in enumerate_order_types(
+            for cfg in _order_types(
                 n, dim, with_origin, reflect, budget=budget, counters=counters
             ):
                 emitted.append(cfg.ranks)
@@ -322,18 +330,6 @@ def test_budget_overrun_matches_per_config_charging(n, dim, with_origin, variant
             assert message is None
 
 
-def test_budget_caps_what_one_call_examines_on_counters_that_hold_counts():
-    counters = EnumerationCounters(examined=100, emitted=7)
-    emitted = []
-    with pytest.raises(
-        BudgetExceededError, match=r"^examined 5 raw configurations; budget 5$"
-    ):
-        for cfg in enumerate_order_types(3, 2, budget=5, counters=counters):
-            emitted.append(cfg)
-    assert len(emitted) == 2
-    assert (counters.examined, counters.emitted) == (105, 9)
-
-
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     calls = []
 
@@ -343,7 +339,7 @@ def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
 
     monkeypatch.setattr(search_module, "_lower", counting)
     counters = EnumerationCounters()
-    assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
+    assert sum(1 for _ in _order_types(5, 3, counters=counters)) == 335
     assert counters.examined == 14400
     assert len(calls) < 14400 / 4
     assert {1, 2, 3} <= set(calls)  # every prefix length is tested
@@ -380,23 +376,10 @@ def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
 
     monkeypatch.setattr(search_module, "_lower", recording)
     counters = EnumerationCounters()
-    assert sum(1 for _ in enumerate_order_types(5, 3, counters=counters)) == 335
+    assert sum(1 for _ in _order_types(5, 3, counters=counters)) == 335
     assert (counters.examined, counters.emitted) == (14400, 335)
     assert not [mat for mat in tested if _breaks_least_image_conditions(mat, 5, True)]
     assert len(tested) <= 1100  # 2 881 with every row tested
-
-
-@pytest.mark.parametrize("value", ["no", None, 0, 1, 2])
-@pytest.mark.parametrize("flag", ["with_origin", "reflect"])
-def test_non_bool_flags_are_refused_before_any_work(monkeypatch, flag, value):
-    monkeypatch.setattr(
-        search_module, "_enumerate", lambda *a: pytest.fail("enumeration started")
-    )
-    with pytest.raises(DomainError, match=flag):
-        enumerate_order_types(3, 2, **{flag: value})
-    if flag == "with_origin":
-        with pytest.raises(DomainError, match=flag):
-            OrderConfig(1, 1, value, ((0,),))
 
 
 @pytest.mark.parametrize(
@@ -407,8 +390,10 @@ def test_non_bool_flags_are_refused_before_any_work(monkeypatch, flag, value):
         (1, True, False, ((0,),)),
         (0, 1, False, ((),)),
         (1, 0, False, ()),
-    ],
-    ids=["ranks", "n", "dim", "n0", "dim0"],
+    ]
+    + [(1, 1, flag, ((0,),)) for flag in ("no", None, 0, 1, 2)],
+    ids=["ranks", "n", "dim", "n0", "dim0"]
+    + [f"with_origin-{flag}" for flag in ("no", None, 0, 1, 2)],
 )
 def test_order_config_refuses_booleans(args):
     with pytest.raises(DomainError):
@@ -418,7 +403,7 @@ def test_order_config_refuses_booleans(args):
 
 def test_with_origin_adds_anchor_rank():
     counters = EnumerationCounters()
-    cfgs = list(enumerate_order_types(1, 1, with_origin=True, counters=counters))
+    cfgs = list(_order_types(1, 1, with_origin=True, counters=counters))
     # one point and the origin on a line: the point lies above the origin
     # (ranks (1,), origin rank 0) or below it (ranks (0,), origin rank 1);
     # reflection maps one onto the other, so two raw configs, one orbit
@@ -450,7 +435,7 @@ def test_rank_matrix_decisions_match_realized_sets_and_oracles(cell):
     desc, n, with_origin, reflect = RANK_MATRIX_CELLS[cell]
     full = (1 << n) - 1
     table = _RowTraces(desc.kind, with_origin)
-    for config in enumerate_order_types(n, desc.dim, with_origin, reflect):
+    for config in _order_types(n, desc.dim, with_origin, reflect):
         if with_origin:  # the closed form names the one rank the row leaves free
             for axis, row in enumerate(config.ranks):
                 assert set(range(n + 1)) - set(row) == {config.origin_rank(axis)}
@@ -627,7 +612,7 @@ def test_non_positive_sizes_raise_domain_error(call):
 
 
 BUDGETED_CALLS = {
-    "enumerate": lambda budget: list(enumerate_order_types(3, 2, budget=budget)),
+    "enumerate": lambda budget: list(_order_types(3, 2, budget=budget)),
     "vc": lambda budget: exact_vc_ordinal(ClassKind.BOXES, 1, budget=budget),
     "coef": lambda budget: max_shattering_coefficient(ClassKind.BOXES, 2, 3, budget=budget),
     "resolve": lambda budget: resolve_even_degenerate(2, budget=budget),
@@ -654,15 +639,13 @@ def test_non_int_budget_raises_domain_error(entry, budget):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: list(enumerate_order_types(2.5, 2)),
-        lambda: list(enumerate_order_types(True, 2)),
         lambda: exact_vc_ordinal(ClassKind.BOXES, 1, n_max=2.5),
         lambda: exact_vc_ordinal(ClassKind.BOXES, 1, n_max=True),
         lambda: resolve_even_degenerate(2, n_max=2.5),
         lambda: max_shattering_coefficient(ClassKind.BOXES, 2, 2.5),
         lambda: max_shattering_coefficient(ClassKind.BOXES, 2, True),
     ],
-    ids=["enumerate-n", "enumerate-n-bool", "vc-nmax", "vc-nmax-bool", "resolve-nmax",
+    ids=["vc-nmax", "vc-nmax-bool", "resolve-nmax",
          "coef-n", "coef-n-bool"],
 )
 def test_non_int_sizes_raise_domain_error(call):
@@ -835,6 +818,32 @@ def test_cube_search_deterministic_across_jobs():
         (c.points.points, c.score, c.trial) for c in b.best
     ]
     assert a.shattered_found == b.shattered_found
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, workers", [(3, 64, 3), (4, 3, 2), (5, 2, 2)], ids=["3-of-64", "2-of-3", "2-of-2"]
+)
+def test_cube_search_pool_has_one_worker_per_trial_range(monkeypatch, trials, jobs, workers):
+    # a recording stand-in for the pool maps in-process: no worker is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    serial = _cube_search_text(2, 4, trials, seed=5, jobs=1)
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", RecordingPool)
+    assert _cube_search_text(2, 4, trials, seed=5, jobs=jobs) == serial
+    assert sizes == [workers]
 
 
 def test_cube_search_different_seeds_differ():

@@ -26,6 +26,7 @@ from vclab import (
     point_set_to_json,
     save_point_set,
 )
+from vclab import serialize as serialize_module
 from vclab.scalars import NEG_INF, POS_INF
 from vclab.serialize import (
     SCHEMA_VERSION,
@@ -126,6 +127,19 @@ def test_point_set_json_infers_dim():
         point_set_from_json({"points": []})
     with pytest.raises(ParseError):
         point_set_from_json({"dim": True, "points": [[0], [1]]})
+
+
+def test_point_set_json_reports_only_refusals_as_parse_errors(monkeypatch):
+    # a duplicate point is a file-content error; a fault inside PointSet is not
+    with pytest.raises(ParseError, match="duplicate points rejected"):
+        point_set_from_json({"points": [[1, 2], [1, 2]]})
+
+    def faulty(dim, points):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(serialize_module, "PointSet", faulty)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        point_set_from_json({"points": [[1, 2], [3, 4]]})
 
 
 # ---------------------------------------------------------------------------

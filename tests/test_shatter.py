@@ -19,7 +19,6 @@ from vclab import (
     PointSet,
     ShatteringCertificate,
     boxes,
-    canonical_mask_order,
     carve,
     cube_witness,
     cubes,
@@ -31,18 +30,19 @@ from vclab import (
     shattering_count,
     vc_lower_bound_on,
 )
+from vclab.shatter import _mask_order
 
 carve_module = importlib.import_module("vclab.carve")
 
 
 @given(st.integers(min_value=1, max_value=6))
 def test_mask_order_is_permutation(n):
-    order = canonical_mask_order(n)
+    order = _mask_order(n)
     assert sorted(order) == list(range(1 << n))
 
 
 def test_mask_order_prioritizes_singletons():
-    order = canonical_mask_order(3)
+    order = _mask_order(3)
     head = order[: 3 + 3 + 1]
     singles = {0b001, 0b010, 0b100}
     co_singles = {0b110, 0b101, 0b011}
@@ -156,7 +156,7 @@ def test_vc_lower_bound_refuses_a_projected_witness_with_the_wrong_trace(monkeyp
 
 def _scan_with_carve(ps, desc):
     """(failing mask, masks checked) of a per-mask ``carve`` scan in canonical order."""
-    for checked, mask in enumerate(canonical_mask_order(len(ps)), 1):
+    for checked, mask in enumerate(_mask_order(len(ps)), 1):
         if carve(ps, mask, desc) is None:
             return mask, checked
     return None, 1 << len(ps)
@@ -324,12 +324,10 @@ def test_sauer_bound_domain():
     [
         lambda: sauer_shelah_bound(True, 2),
         lambda: sauer_shelah_bound(2, 3.0),
-        lambda: canonical_mask_order(True),
-        lambda: canonical_mask_order(3.0),
         lambda: is_shattered(PointSet.of([(0,)]), boxes(1), cap=True),
         lambda: shattering_count(PointSet.of([(0,)]), boxes(1), cap=20.0),
     ],
-    ids=["bound-vc-bool", "bound-n-float", "order-bool", "order-float", "cap-bool", "cap-float"],
+    ids=["bound-vc-bool", "bound-n-float", "cap-bool", "cap-float"],
 )
 def test_bools_and_floats_given_as_ints_are_refused(call):
     with pytest.raises(DomainError, match="must be an int"):
