@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from .errors import (
 from .geometry import PointSet
 from .search import (
     VcSearchReport,
+    _usable_cores as _default_jobs,
     exact_vc_ordinal,
     random_cube_search,
     resolve_even_degenerate,
@@ -109,12 +109,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_jobs() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -137,7 +131,8 @@ def _add_common(sub: argparse.ArgumentParser, jobs: bool = True) -> None:
             type=_positive_int,
             default=None,
             help=(
-                "worker processes for search-cubes and verify-paper; other "
+                "trial shares for search-cubes and verify-paper, scored by at "
+                "most one worker process per share and per usable CPU; other "
                 "commands run in-process and accept it without effect "
                 "(default: the number of usable CPUs)"
             ),

@@ -48,7 +48,13 @@ image meets, because a group element that leaves axis 0 alone also keeps
 the point labels: rows 1..d-1 ascend, since swapping two of those axes
 exchanges their rows, and, with reflections, each is at most its
 reflection, since reflecting one of those axes changes that row alone.
-A row that breaks either is neither built nor tested.  The count of
+A row that breaks either is neither built nor tested.  What the screen
+leaves makes the search's lead "axis 0, unreflected" useless: it relabels
+no point and only permutes or reflects rows 1.., so it cannot lower a
+screened matrix, and the enumeration's tests never try it.  Under every
+lead, a candidate row whose rank at the point the lead puts first is above
+the first entry of the row it is compared with is pruned without being
+built (``_RowImages`` keeps that point).  The count of
 examined configs is the raw scan's position, set before each tested
 matrix and at a level's end, and a budget refuses the first position past
 it, so the skipped configs count, and overrun the budget, as the raw
@@ -85,6 +91,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import random
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -184,9 +191,10 @@ class OrderConfig:
 class _RowImages(dict):
     """Rank row -> its images under the axis group: the row and, when
     ``reflect`` is set, its reflection ``m - 1 - v``, each as ``(image,
-    relabel, relabel(image))``, where ``relabel`` is the getter that
+    relabel, relabel(image), first)``, where ``relabel`` is the getter that
     relabels points so that the image ascends (``itemgetter`` of its
-    argsort).  Filled on a row's first use and kept for the level."""
+    argsort) and ``first`` the point it puts first (the argsort's head).
+    Filled on a row's first use and kept for the level."""
 
     def __init__(self, m: int, reflect: bool):
         super().__init__()
@@ -200,13 +208,15 @@ class _RowImages(dict):
             order = sorted(range(len(img)), key=img.__getitem__)
             # one index: itemgetter would return an int, not a 1-tuple
             relabel = itemgetter(*order) if len(order) > 1 else tuple
-            entry.append((img, relabel, relabel(img)))
+            entry.append((img, relabel, relabel(img), order[0]))
         self[row] = entry = tuple(entry)
         return entry
 
 
 def _lower(
-    rows: Sequence[Tuple[int, ...]], images: Sequence[Tuple[tuple, ...]]
+    rows: Sequence[Tuple[int, ...]],
+    images: Sequence[Tuple[tuple, ...]],
+    screened: bool = False,
 ) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """The first image row that lowers ``rows``, or None when ``rows`` is
     the least image of its orbit; ``rows`` is only read.
@@ -215,35 +225,54 @@ def _lower(
     ``rows`` bounds the orbit's least image from above: an image, or a
     prefix of one followed by sentinel rows ``(n + 1,)``, which are above
     every rank row of n points (ranks are at most n).  Images are built row
-    by row: new axis 0 from one of the (axis, reflection) choices, whose
-    getter fixes the point relabeling; then rows 1, 2, ... from the unused
-    choices, relabeled by it.  Row tuples compare lexicographically, so a
-    row above ``rows[k]`` prunes the branch and only ties descend.  The
-    first image row below ``rows[k]`` is returned as ``(k, row)``.  So a
-    matrix whose first row ascends is least in its orbit iff ``_lower(mat,
-    images)`` is None, and ``_order_key`` finds the least image by writing
-    each returned row, with sentinels after it, until None comes back.
+    by row: new axis 0 from one of the (axis, reflection) choices, the
+    lead, whose getter fixes the point relabeling; then rows 1, 2, ... from
+    the unused choices, relabeled by it.  Row tuples compare
+    lexicographically, so a row above ``rows[k]`` prunes the branch and
+    only ties descend; a candidate row whose entry at the lead's first
+    point is above ``rows[k][0]`` is pruned before it is built, since that
+    entry is its image's first.  The first image row below ``rows[k]`` is
+    returned as ``(k, row)``.  So a matrix whose first row ascends is least
+    in its orbit iff ``_lower(mat, images)`` is None, and ``_order_key``
+    finds the least image by writing each returned row, with sentinels
+    after it, until None comes back.
+
+    ``screened`` says that ``rows`` passed the enumeration's row screen:
+    row 0 ascends, rows 1.. ascend and each is at most its reflection (or
+    reflections are off).  The lead "axis 0, unreflected" then relabels no
+    point, and the images under it are ``rows`` with rows 1.. permuted or
+    reflected, none below ``rows``; so it is not tried.
     """
     d = len(rows)
 
-    def descend(k: int, free: Tuple[int, ...], permute):
+    def descend(k: int, free: Tuple[int, ...], permute, p0: int):
         if k == d:
             return None
         target = rows[k]
+        first = target[0]
         for i, a in enumerate(free):
-            rest = free[:i] + free[i + 1:]
-            for row, relabel, ascending in images[a]:
-                if k:
-                    img = permute(row)
-                else:
-                    img, permute = ascending, relabel
+            for entry in images[a]:
+                row = entry[0]
+                if row[p0] > first:
+                    continue
+                img = permute(row)
                 if img < target:
                     return k, img
-                if img == target and (found := descend(k + 1, rest, permute)):
+                if img == target and (
+                    found := descend(k + 1, free[:i] + free[i + 1:], permute, p0)
+                ):
                     return found
         return None
 
-    return descend(0, tuple(range(d)), None)
+    target = rows[0]
+    for a in range(d):
+        rest = tuple(range(a)) + tuple(range(a + 1, d))
+        for _, relabel, ascending, p0 in images[a][1:] if screened and not a else images[a]:
+            if ascending < target:
+                return 0, ascending
+            if ascending == target and (found := descend(1, rest, relabel, p0)):
+                return found
+    return None
 
 
 @dataclass
@@ -283,7 +312,9 @@ def _enumerate(
     labels: rows 1..d-1 ascend (swapping two of those axes exchanges their
     rows) and, with reflections, each is at most its reflection (reflecting
     one of those axes changes that row alone).  A row that breaks either is
-    neither built nor tested.
+    neither built nor tested, and what passes is tested by ``_lower`` with
+    ``screened`` set, so the test never tries the lead "axis 0,
+    unreflected", which can only give back the matrix or a greater one.
 
     ``counters.examined`` goes on from its value at the call to where a
     scan of every raw matrix would be: just past a full matrix before it is
@@ -331,10 +362,10 @@ def _enumerate(
             images = prefix_images + (table[row],)
             if k == dim:
                 reach(at + i + 1)
-                if _lower(mat, images) is None:
+                if _lower(mat, images, True) is None:
                     counters.emitted += 1
                     yield mat
-            elif _lower(mat, images) is None:
+            elif _lower(mat, images, True) is None:
                 yield from extend(mat, images, at + i * block[k])
         if k == 1:  # the level's end
             reach(at + len(first_rows) * block[1])
@@ -624,6 +655,14 @@ class CubeSearchReport:
     note: str = EVIDENCE_NOTE
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 0x9E3779B1 + trial)
 
@@ -739,8 +778,10 @@ def random_cube_search(
     stops at the miss that settles it.  A ``PointSet`` and an order key are
     built once, only for a trial whose score can enter that top, and the
     merge sorts on the workers' keys.
-    The trials are split into at most ``jobs`` ranges, and a pool of one
-    worker process per range scores them when there are two or more.
+    The trials are split into at most ``jobs`` ranges, and when there are
+    two or more a pool scores them with one worker process per range, but
+    never more workers than usable cores (``_usable_cores``), however large
+    ``jobs`` is.
     Per-trial randomness depends only on (seed, trial index), so reports are
     identical for any worker count.  Shattered finds are re-validated from
     scratch by the shattering checker; one that fails is an internal fault
@@ -767,10 +808,10 @@ def random_cube_search(
     # candidate is in its own worker's local top-`keep`, so the merge below is
     # independent of how trials were partitioned.
     work = [(dim, n, t0, t1, seed, coordinate_range, keep) for t0, t1 in ranges]
-    if jobs == 1 or len(work) == 1:
+    if len(work) == 1:
         parts = [_search_trials(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(work), _usable_cores())) as pool:
             parts = list(pool.map(_search_trials, work))
     evaluations = 0
     merged: List[Tuple[tuple, SearchCandidate]] = []

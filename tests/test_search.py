@@ -333,9 +333,9 @@ def test_budget_overrun_matches_per_config_charging(n, dim, with_origin, variant
 def test_non_canonical_prefixes_skip_their_completions(monkeypatch):
     calls = []
 
-    def counting(rows, images):
+    def counting(rows, images, screened=False):
         calls.append(len(rows))
-        return _lower(rows, images)
+        return _lower(rows, images, screened)
 
     monkeypatch.setattr(search_module, "_lower", counting)
     counters = EnumerationCounters()
@@ -367,12 +367,31 @@ def test_least_images_have_ascending_self_least_rows(n, dim, with_origin, varian
         assert not _breaks_least_image_conditions(least, m, reflect), (mat, least)
 
 
+@pytest.mark.parametrize("n,dim,with_origin,variant", DIFFERENTIAL_CELLS)
+def test_screened_minimality_test_returns_what_the_full_one_does(n, dim, with_origin, variant):
+    # on a matrix that passes the row screen, the lead "axis 0, unreflected"
+    # lowers nothing, so leaving it out returns the same first lowering
+    reflect = SYMMETRY_VARIANTS[variant]
+    m = n + (1 if with_origin else 0)
+    table = _RowImages(m, reflect)
+    screened = lowered = 0
+    for mat in _raw_configs(n, dim, with_origin):
+        if _breaks_least_image_conditions(mat, m, reflect):
+            continue
+        screened += 1
+        images = [table[row] for row in mat]
+        found = _lower(mat, images, True)
+        assert found == _lower(mat, images), mat
+        lowered += found is not None
+    assert 0 < lowered < screened
+
+
 def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
     tested = []
 
-    def recording(rows, images):
+    def recording(rows, images, screened=False):
         tested.append(tuple(rows))
-        return _lower(rows, images)
+        return _lower(rows, images, screened)
 
     monkeypatch.setattr(search_module, "_lower", recording)
     counters = EnumerationCounters()
@@ -380,6 +399,34 @@ def test_rows_that_break_a_least_image_condition_are_never_tested(monkeypatch):
     assert (counters.examined, counters.emitted) == (14400, 335)
     assert not [mat for mat in tested if _breaks_least_image_conditions(mat, 5, True)]
     assert len(tested) <= 1100  # 2 881 with every row tested
+
+
+def test_minimality_tests_build_few_image_rows(monkeypatch):
+    # a screened matrix never tries the identity lead, and a candidate row
+    # whose rank at the lead's first point is too high is never relabeled
+    built = []
+
+    class CountingRowImages(_RowImages):
+        def __missing__(self, row):
+            entry = super().__missing__(row)  # the table's own relabeling is not counted
+
+            def counting(relabel):
+                def relabel_and_count(r):
+                    built.append(r)
+                    return relabel(r)
+
+                return relabel_and_count
+
+            self[row] = entry = tuple(
+                (img, counting(relabel), *rest) for img, relabel, *rest in entry
+            )
+            return entry
+
+    monkeypatch.setattr(search_module, "_RowImages", CountingRowImages)
+    counters = EnumerationCounters()
+    assert sum(1 for _ in _order_types(5, 3, counters=counters)) == 335
+    assert (counters.examined, counters.emitted) == (14400, 335)
+    assert len(built) <= 3100  # 17 847 with every lead tried and every row built
 
 
 @pytest.mark.parametrize(
@@ -820,11 +867,26 @@ def test_cube_search_deterministic_across_jobs():
     assert a.shattered_found == b.shattered_found
 
 
+CORES = search_module._usable_cores()
+
+
 @pytest.mark.parametrize(
-    "trials, jobs, workers", [(3, 64, 3), (4, 3, 2), (5, 2, 2)], ids=["3-of-64", "2-of-3", "2-of-2"]
+    "trials, jobs, cores, workers",
+    [
+        (3, 64, None, min(3, CORES)),
+        (4, 3, None, min(2, CORES)),
+        (5, 2, None, min(2, CORES)),
+        (5, 10**6, None, min(5, CORES)),
+        (5, 10**6, 2, 2),
+    ],
+    ids=["3-of-64", "2-of-3", "2-of-2", "5-of-million", "5-of-million-on-2-cores"],
 )
-def test_cube_search_pool_has_one_worker_per_trial_range(monkeypatch, trials, jobs, workers):
-    # a recording stand-in for the pool maps in-process: no worker is started
+def test_cube_search_pool_has_one_worker_per_trial_range(
+    monkeypatch, trials, jobs, cores, workers
+):
+    # a recording stand-in for the pool maps in-process: no worker is
+    # started, so a huge ``jobs`` is safe here; the pool is never larger
+    # than the trial ranges or the usable cores
     sizes = []
 
     class RecordingPool:
@@ -842,6 +904,8 @@ def test_cube_search_pool_has_one_worker_per_trial_range(monkeypatch, trials, jo
 
     serial = _cube_search_text(2, 4, trials, seed=5, jobs=1)
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", RecordingPool)
+    if cores is not None:
+        monkeypatch.setattr(search_module, "_usable_cores", lambda: cores)
     assert _cube_search_text(2, 4, trials, seed=5, jobs=jobs) == serial
     assert sizes == [workers]
 
